@@ -1,9 +1,9 @@
 """Command-line interface: generate, solve, compare, probe.
 
 Exit codes: 0 feasible/pass, 1 infeasible or assertion failure, 2 usage
-error, 3 budget exceeded.  Every solution is re-validated before it is
-written; all randomness flows from the explicit --seed flag, so identical
-invocations produce identical files.
+or file-format error, 3 budget exceeded.  Every solution is re-validated
+before it is written; all randomness flows from the explicit --seed flag,
+so identical invocations produce identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .asymmetric import approx_asymmetric, iteration_bound
 from .core import (Instance, cover_cost, format_instance, format_solution,
                    generate_instance, parse_instance, validate_solution)
-from .errors import BudgetExceededError, SmcError, ValidationError
+from .errors import BudgetExceededError, FormatError, SmcError, ValidationError
 from .metric import approx_metric, doubled_subgraph_baseline
 from .onetwo import approx_onetwo
 from .oracle import OracleBudget, brute_force_smc, matching_vs_opt_probe
@@ -300,6 +300,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except ValidationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FormatError as exc:
+        print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SmcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -391,8 +391,15 @@ def _parse_weight(token: str) -> Weight:
         if "/" in token:
             return Fraction(token)
         return int(token)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad weight token {token!r}") from exc
+
+
+def _parse_int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise FormatError(f"bad {what} {token!r}") from exc
 
 
 def format_instance(inst: Instance) -> str:
@@ -422,20 +429,20 @@ def parse_instance(text: str) -> Instance:
             raise FormatError(f"expected '{key} <value>', got {lines[idx]!r}")
         return parts[1]
 
-    n = int(expect(1, "n"))
+    n = _parse_int(expect(1, "n"), "vertex count")
     mode = expect(2, "mode")
     if mode not in ("symmetric", "asymmetric"):
         raise FormatError(f"bad mode {mode!r}")
     cls_token = expect(3, "class")
     if cls_token not in _TOKEN_CLASSES:
         raise FormatError(f"bad class {cls_token!r}")
-    k = int(expect(4, "groups"))
+    k = _parse_int(expect(4, "groups"), "group count")
     at = 5
     groups = []
     for _ in range(k):
         if at >= len(lines):
             raise FormatError("truncated file: missing group line")
-        groups.append([int(tok) for tok in lines[at].split()])
+        groups.append([_parse_int(tok, "vertex") for tok in lines[at].split()])
         at += 1
     rows = []
     for _ in range(n):

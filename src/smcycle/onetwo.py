@@ -871,7 +871,8 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
                 if worst is None or cover_cost(inst, stages.cover) > cover_cost(
                         inst, worst.cover):
                     worst = stages
-    assert worst is not None
+    if worst is None:
+        raise SmcError("adversarial search produced no candidate cover")
     return worst.cover, worst
 
 

@@ -16,7 +16,7 @@ from random import Random
 
 from .core import (CycleCover, Instance, Weight, cover_cost,
                    generate_instance, make_cover, validate_solution)
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 
 
@@ -153,7 +153,8 @@ def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
     report = validate_solution(inst, cover)
     if not report.feasible:
         raise ValidationError(f"oracle produced infeasible cover: {report.violations}")
-    assert cover_cost(inst, cover) == best_cost
+    if cover_cost(inst, cover) != best_cost:
+        raise SmcError("oracle cover cost differs from its enumerated optimum")
     return best_cost, cover
 
 
@@ -580,7 +581,8 @@ def approx_steiner_forest(inst: Instance) -> set[tuple[int, int]]:
         trial = kept - {e}
         if _forest_feasible(inst, trial):
             kept = trial
-    assert _forest_feasible(inst, kept)
+    if not _forest_feasible(inst, kept):
+        raise SmcError("pruned Steiner forest leaves a group disconnected")
     return kept
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from ._simplex import GE, LE, solve_min_lp
 from .core import Instance, Weight
-from .errors import SmcError, ValidationError
+from .errors import BudgetExceededError, SmcError, ValidationError
 
 EdgeSlot = tuple[int, int, int]  # (u, v, copy) with u < v
 
@@ -133,7 +133,8 @@ def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
     ``value`` sums the scaled fractional weights in ``cross_value``.
     """
     if n > CUT_ENUMERATION_MAX_N:
-        raise SmcError(f"cut enumeration capped at n={CUT_ENUMERATION_MAX_N}")
+        raise BudgetExceededError(
+            f"cut enumeration capped at n={CUT_ENUMERATION_MAX_N}")
     in_w = [False] * n
     group_in = [0] * len(group_masks)
     group_of = [0] * n

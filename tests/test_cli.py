@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+import pytest
+
 from smcycle.cli import (COMPARE_COLUMNS, EXIT_BUDGET, EXIT_FAIL, EXIT_OK,
                          EXIT_USAGE, PROBE_COLUMNS, main)
 from smcycle.core import parse_instance, parse_solution, validate_solution
@@ -188,3 +190,25 @@ def test_adversarial_tie_break_flag(tmp_path):
     cover = parse_solution(sol.read_text())
     from smcycle.core import cover_cost
     assert cover_cost(inst, cover) == 11
+
+
+@pytest.mark.parametrize("old, new", [
+    ("smc 1", "smc 2"), ("n 2", "n abc"), ("0 1\n0 7", "0 x\n0 7"),
+    ("0 7\n7 0", "0 1/0\n1/0 0")],
+    ids=["header", "vertex-count", "group-token", "zero-denominator"])
+def test_malformed_instance_exits_usage(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.smc"
+    path.write_text("smc 1\nn 2\nmode symmetric\nclass metric\n"
+                    "groups 1\n0 1\n0 7\n7 0\n".replace(old, new))
+    assert run(["solve", "--algo", "metric3", "--in", str(path)]) == EXIT_USAGE
+    assert "format error" in capsys.readouterr().err
+
+
+def test_metric3_above_cut_cap_exits_budget(tmp_path, capsys):
+    from smcycle.snd import CUT_ENUMERATION_MAX_N
+    n = CUT_ENUMERATION_MAX_N + 1
+    path = tmp_path / "big.smc"
+    assert run(["gen", "euclidean", str(n), "3,3,3,4,4", "1",
+                "--out", str(path)]) == EXIT_OK
+    assert run(["solve", "--algo", "metric3", "--in", str(path)]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err

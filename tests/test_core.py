@@ -7,7 +7,7 @@ from smcycle.core import (WeightClass, count_weight2_edges,
                           cover_cost, format_instance, format_solution,
                           generate_instance, make_cover, parse_instance,
                           parse_solution, validate_instance, validate_solution)
-from smcycle.errors import InvalidCoverError, ValidationError
+from smcycle.errors import FormatError, InvalidCoverError, ValidationError
 
 
 def pair_instance(w=3):
@@ -183,6 +183,20 @@ def test_instance_file_fraction_weights():
     text = format_instance(inst)
     assert "7/2" in text
     assert parse_instance(text) == inst
+
+
+PAIR_FILE = ("smc 1\nn 2\nmode symmetric\nclass metric\n"
+             "groups 1\n0 1\n0 7\n7 0\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("smc 1", "smc 2"), ("n 2", "n abc"), ("0 1\n0 7", "0 x\n0 7"),
+    ("0 7\n7 0", "0 1/0\n1/0 0")],
+    ids=["header", "vertex-count", "group-token", "zero-denominator"])
+def test_malformed_instance_text_raises_format_error(old, new):
+    assert parse_instance(PAIR_FILE).w(0, 1) == 7
+    with pytest.raises(FormatError):
+        parse_instance(PAIR_FILE.replace(old, new))
 
 
 def test_solution_file_round_trip():
