@@ -26,17 +26,27 @@ from .matching import minimal_edge_cover
 from .twofactor import TwoFactorRequest, min_weight_directed_2factor
 
 
+def _group_contacts(inst: Instance, cover: CycleCover
+                    ) -> list[tuple[dict[int, int], bool]]:
+    """Per cycle: its lowest vertex in each group it meets (by group index),
+    and whether it splits a group, i.e. meets one without holding all of it."""
+    group_of = inst.group_of
+    contacts = []
+    for cyc in cover.cycles:
+        lowest: dict[int, int] = {}
+        held: dict[int, int] = {}
+        for v in sorted(cyc):
+            gi = group_of[v]
+            lowest.setdefault(gi, v)
+            held[gi] = held.get(gi, 0) + 1
+        splits = any(k < len(inst.groups[gi]) for gi, k in held.items())
+        contacts.append((lowest, splits))
+    return contacts
+
+
 def eta(inst: Instance, cover: CycleCover) -> int:
     """Number of cycles that split some terminal group."""
-    count = 0
-    for cyc in cover.cycles:
-        vs = set(cyc)
-        for g in inst.groups:
-            got = len(vs.intersection(g))
-            if 0 < got < len(g):
-                count += 1
-                break
-    return count
+    return sum(splits for _lowest, splits in _group_contacts(inst, cover))
 
 
 @dataclass(frozen=True)
@@ -54,24 +64,20 @@ def representatives(inst: Instance, cover: CycleCover) -> RepresentativeSet:
     cycles are adjacent when one group meets both.  For each cover edge one
     terminal of a shared group is taken on each side.
     """
-    offending = []
-    for ci, cyc in enumerate(cover.cycles):
-        vs = set(cyc)
-        if any(0 < len(vs.intersection(g)) < len(g) for g in inst.groups):
-            offending.append(ci)
+    contacts = _group_contacts(inst, cover)
+    offending = [ci for ci, (_lowest, splits) in enumerate(contacts) if splits]
     if not offending:
         raise ValidationError("no cycle splits a group: nothing to represent")
 
-    members = {ci: set(cover.cycles[ci]) for ci in offending}
+    lowest = [low for low, _splits in contacts]
     aux_edges = []
     shared_group: dict[tuple[int, int], int] = {}
     for i, ci in enumerate(offending):
         for cj in offending[i + 1:]:
-            for gi, g in enumerate(inst.groups):
-                if members[ci].intersection(g) and members[cj].intersection(g):
-                    aux_edges.append((ci, cj))
-                    shared_group[(ci, cj)] = gi
-                    break
+            shared = lowest[ci].keys() & lowest[cj].keys()
+            if shared:
+                aux_edges.append((ci, cj))
+                shared_group[(ci, cj)] = min(shared)
     cover_edges = minimal_edge_cover(aux_edges, vertices=offending)
 
     chosen: set[int] = set()
@@ -79,9 +85,8 @@ def representatives(inst: Instance, cover: CycleCover) -> RepresentativeSet:
     per_cycle: dict[int, set[int]] = {ci: set() for ci in offending}
     for a, b in sorted(cover_edges):
         gi = shared_group.get((a, b), shared_group.get((b, a)))
-        g = set(inst.groups[gi])
-        ra = min(members[a].intersection(g))
-        rb = min(members[b].intersection(g))
+        ra = lowest[a][gi]
+        rb = lowest[b][gi]
         chosen.add(ra)
         chosen.add(rb)
         per_cycle[a].add(ra)

@@ -184,9 +184,9 @@ def cmd_compare(args) -> int:
             ratio = ""
             passed = ""
             if oracle_cost is not None:
-                frac = Fraction(cost) / Fraction(oracle_cost)
-                ratio = str(frac)
-                ok = frac <= bound
+                if oracle_cost > 0:
+                    ratio = str(Fraction(cost) / Fraction(oracle_cost))
+                ok = cost <= bound * oracle_cost
                 passed = "yes" if ok else "no"
                 all_pass = all_pass and ok
             rows.append({

@@ -132,6 +132,20 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
 
     Raises ValidationError with codes ``partition-overlap``, ``unit-group``,
     ``triangle-violation`` or ``weight-class-violation``.
+
+    The triangle inequality w(a,b) <= w(a,c) + w(c,b) is checked exactly
+    with O(n^2) interpreter steps.  The weights are scaled to ints by the
+    lcm of their denominators (1 for an int matrix) and the diagonal is read
+    as 0.  Off-diagonal weights are non-negative by then, so every triple
+    with a repeated vertex holds with slack 0 or w(a,c) + w(c,a) >= 0, and
+    no case needs skipping.  Row r is packed into one int P[r] holding
+    w(r,b) in field b, bits [b*B, (b+1)*B), with B = bitlen(2*max) + 1, so
+    that 2*max < 2^(B-1).  HIGH holds the offset 2^(B-1) in every field and
+    ONES holds 1.  For a pair (a, c), field b of
+    (HIGH - P[a]) + P[c] + w(a,c)*ONES is 2^(B-1) + w(a,c) + w(c,b) - w(a,b),
+    which lies in [0, 2^B), so no borrow or carry crosses a field.  Its top
+    bit is clear exactly when b violates the inequality, so one AND with
+    HIGH checks every b at once.
     """
     weight_class = WeightClass(weight_class)
     if n < 2:
@@ -139,7 +153,7 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     if len(weights) != n or any(len(row) != n for row in weights):
         raise ValidationError("weight matrix must be n x n")
 
-    w = tuple(tuple(_as_weight(x) for x in row) for row in weights)
+    w = tuple(tuple(map(_as_weight, row)) for row in weights)
     for i in range(n):
         for j in range(n):
             if i != j and w[i][j] < 0:
@@ -189,22 +203,37 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
                         f"weight {w[i][j]} at ({i},{j}) outside {{1,2}}",
                         code="weight-class-violation")
     else:
-        # triangle inequality over all ordered triples
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                wab = w[a][b]
-                for c in range(n):
-                    if c == a or c == b:
-                        continue
-                    if wab > w[a][c] + w[c][b]:
-                        raise ValidationError(
-                            f"triangle violation: w({a},{b}) > w({a},{c}) + w({c},{b})",
-                            code="triangle-violation")
+        _check_triangles(n, w)
 
     return Instance(n=n, weights=w, symmetric=symmetric,
                     weight_class=weight_class, groups=tuple(norm_groups))
+
+
+def _check_triangles(n: int, w: tuple[tuple[Weight, ...], ...]) -> None:
+    """Raise on the first ordered triple (a, b, c) of distinct vertices with
+    w(a,b) > w(a,c) + w(c,b), using the packed rows :func:`validate_instance`
+    describes."""
+    scale = math.lcm(*(x.denominator for row in w for x in row))
+    rows = [[0 if a == b else x.numerator * (scale // x.denominator)
+             for b, x in enumerate(row)] for a, row in enumerate(w)]
+    width = (2 * max(map(max, rows))).bit_length() + 1
+    packed = []
+    for row in rows:
+        acc = 0
+        for x in reversed(row):
+            acc = (acc << width) | x
+        packed.append(acc)
+    ones = sum(1 << (width * b) for b in range(n))
+    high = ones << (width - 1)
+    for a, row in enumerate(rows):
+        base = high - packed[a]
+        if any((base + p + x * ones) & high != high for p, x in zip(packed, row)):
+            # the first violating triple in (a, b, c) order
+            b, c = next((b, c) for b in range(n) for c in range(n)
+                        if row[b] > row[c] + rows[c][b])
+            raise ValidationError(
+                f"triangle violation: w({a},{b}) > w({a},{c}) + w({c},{b})",
+                code="triangle-violation")
 
 
 def _structural_violations(inst: Instance, cover: CycleCover) -> list[str]:

@@ -130,6 +130,20 @@ def test_compare_csv_stable(tmp_path):
     assert stripped == stripped2
 
 
+def test_compare_zero_optimum(tmp_path, capsys):
+    zero = tmp_path / "zero.smc"
+    zero.write_text("smc 1\nn 4\nmode symmetric\nclass metric\ngroups 2\n"
+                    "0 1\n2 3\n" + "0 0 0 0\n" * 4)
+    out = tmp_path / "z.csv"
+    assert run(["compare", "--algo", "metric3", "--in", str(zero),
+                "--out", str(out), "--oracle"]) == EXIT_OK
+    with open(out) as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["cost"], row["oracle_cost"], row["ratio"], row["pass"]) == (
+        "0", "0", "", "yes")
+    assert "mean ratio" not in capsys.readouterr().out
+
+
 def test_compare_empty_glob(tmp_path):
     out = tmp_path / "empty.csv"
     assert run(["compare", "--algo", "metric3", "--in",

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from smcycle.core import (WeightClass, count_weight2_edges,
                           cover_cost, format_instance, format_solution,
@@ -227,3 +230,104 @@ def test_instance_format_golden():
 def test_solution_format_golden():
     cover = make_cover([[0, 1], [2, 5, 4, 3]], pair_flags=[True, False])
     assert format_solution(cover) == "0 1 pair\n2 5 4 3\n"
+
+
+def first_triangle_violation(w):
+    """The definition: the first ordered triple of distinct vertices with
+    w(a,b) > w(a,c) + w(c,b), or None."""
+    n = len(w)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if len({a, b, c}) == 3 and w[a][b] > w[a][c] + w[c][b]:
+                    return a, b, c
+    return None
+
+
+@st.composite
+def triangle_matrices(draw):
+    """Non-negative int or mixed-denominator Fraction weights, zeros
+    included, any diagonal; often metric-closed, sometimes with a planted
+    violation."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    top = draw(st.sampled_from([0, 1, 5, 40, 2 ** 70]))
+    if draw(st.booleans()):
+        value = st.builds(Fraction, st.integers(0, top),
+                          st.integers(min_value=1, max_value=12))
+    else:
+        value = st.integers(0, top)
+    w = [[draw(value) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if len({i, j, k}) == 3:
+                        w[i][j] = min(w[i][j], w[i][k] + w[k][j])
+    if n >= 3 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        w[a][b] = w[a][c] + w[c][b] + draw(st.sampled_from(
+            [1, Fraction(1, 6), 2 ** 65]))
+    diagonal = st.integers(-10, 10) | st.fractions(-3, 3, max_denominator=9)
+    for i in range(n):
+        w[i][i] = draw(diagonal)
+    return w
+
+
+@settings(max_examples=400, deadline=None)
+@given(triangle_matrices())
+def test_triangle_check_matches_its_definition(w):
+    n = len(w)
+    expected = first_triangle_violation(w)
+    if expected is None:
+        inst = validate_instance(n, w, False, WeightClass.ASYMMETRIC_METRIC,
+                                 [list(range(n))])
+        assert inst.weights == tuple(map(tuple, w))
+        return
+    with pytest.raises(ValidationError) as err:
+        validate_instance(n, w, False, WeightClass.ASYMMETRIC_METRIC,
+                          [list(range(n))])
+    assert err.value.code == "triangle-violation"
+    a, b, c = map(int, re.fullmatch(
+        r"triangle violation: w\((\d+),(\d+)\) > w\(\1,(\d+)\) \+ w\(\3,\2\)",
+        str(err.value)).groups())
+    assert len({a, b, c}) == 3 and w[a][b] > w[a][c] + w[c][b]
+    assert (a, b, c) == expected
+
+
+_FUZZ_ALPHABET = "0123456789 -/\nabcgmnorstuyx"
+
+
+@st.composite
+def mutated_instance_files(draw):
+    kind, n, sizes = draw(st.sampled_from([
+        ("euclidean", 5, [2, 3]), ("one-two", 4, [4]),
+        ("asymmetric", 6, [2, 2, 2])]))
+    text = format_instance(generate_instance(kind, n, sizes, seed=draw(
+        st.integers(0, 50))))
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from(["token", "insert", "delete"]))
+        if action == "token":
+            tokens = text.split(" ")
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(st.sampled_from(
+                ["0", "1", "2", "-1", "9", "7/2", "1/0", "x", "", "\n"]))
+            text = " ".join(tokens)
+            continue
+        at = draw(st.integers(0, len(text)))
+        piece = draw(st.text(_FUZZ_ALPHABET, min_size=1, max_size=4))
+        if action == "insert":
+            text = text[:at] + piece + text[at:]
+        else:
+            text = text[:at] + text[at + len(piece):]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text() | st.text(_FUZZ_ALPHABET).map("smc 1\n".__add__)
+       | mutated_instance_files())
+def test_parser_raises_only_typed_errors(text):
+    try:
+        inst = parse_instance(text)
+    except (FormatError, ValidationError):
+        return
+    assert parse_instance(format_instance(inst)) == inst
