@@ -2,8 +2,10 @@
 
 Minimum-weight perfect matching and maximum-cardinality matching are backed
 by networkx's blossom implementation, which works symbolically and therefore
-stays exact on int and Fraction weights.  The bipartite assignment solver and
-the minimal edge cover are implemented here directly.
+stays exact on int and Fraction weights.  The bipartite assignment solver,
+the minimal edge cover and the maximum simple 2-matching (Tutte's degree
+gadget solved by an int-indexed Edmonds cardinality blossom, warm-started by
+a greedy path forest) are implemented here directly.
 
 All functions are pure and deterministic for a fixed input.
 """
@@ -81,6 +83,166 @@ def max_cardinality_matching(edges: Sequence[WeightedEdge | Edge]) -> set[Edge]:
         return set()
     mate = nx.max_weight_matching(g, maxcardinality=True, weight="weight")
     return _canonical_pairs(mate)
+
+
+_EVEN, _ODD = 1, 2
+
+
+def _augment_matching(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
+    """Grow ``mate`` into a maximum-cardinality matching, in place.
+
+    Edmonds' blossom algorithm on a simple graph with nodes 0..N-1:
+    ``adj[x]`` lists the neighbours of x and ``mate[x]`` is x's partner or
+    -1.  Each exposed node, in index order, roots one breadth-first search
+    for an augmenting path.  A blossom is contracted by pointing the
+    union-find ``base`` of its members at its base; ``link`` records, for an
+    odd node, the even node that reached it and, for an even node inside a
+    blossom, the next node of an augmenting route around the blossom.  Every
+    array is reset over the nodes the search labelled, so a search costs
+    what it touches, not N.  A search that finds no augmenting path leaves
+    a Hungarian tree whose nodes no later augmenting path can use (Edmonds
+    1965), so they are dropped from every later search.
+    """
+    size = len(adj)
+    label = [0] * size
+    link = [-1] * size
+    base = list(range(size))
+    stamp = [0] * size
+    dead = [False] * size
+    clock = 0
+    queue: list[int] = []
+    odd: list[int] = []
+
+    def find(x: int) -> int:
+        while base[x] != x:
+            base[x] = base[base[x]]
+            x = base[x]
+        return x
+
+    def lca(a: int, b: int) -> int:
+        # walk both ends up the tree in turn; the first base seen twice
+        nonlocal clock
+        clock += 1
+        a, b = find(a), find(b)
+        while True:
+            if a != -1:
+                if stamp[a] == clock:
+                    return a
+                stamp[a] = clock
+                a = -1 if mate[a] == -1 else find(link[mate[a]])
+            a, b = b, a
+
+    def trace(v: int, b: int, child: int, members: list[int]) -> None:
+        # route the path from v up to base b through the cross edge
+        while find(v) != b:
+            m = mate[v]
+            link[v] = child
+            members.append(v)
+            members.append(m)
+            child = m
+            v = link[m]
+
+    for root in range(size):
+        if mate[root] != -1 or dead[root]:
+            continue
+        label[root] = _EVEN
+        queue.append(root)
+        found = False
+        head = 0
+        while head < len(queue) and not found:
+            v = queue[head]
+            head += 1
+            for u in adj[v]:
+                lu = label[u]
+                if lu == 0:
+                    if dead[u]:
+                        continue
+                    link[u] = v
+                    odd.append(u)
+                    if mate[u] == -1:
+                        while u != -1:
+                            w = link[u]
+                            nxt = mate[w]
+                            mate[u] = w
+                            mate[w] = u
+                            u = nxt
+                        found = True
+                        break
+                    label[u] = _ODD
+                    label[mate[u]] = _EVEN
+                    queue.append(mate[u])
+                elif lu == _EVEN:
+                    b = find(v)
+                    if b == find(u):
+                        continue
+                    b = lca(v, u)
+                    members: list[int] = []
+                    trace(v, b, u, members)
+                    trace(u, b, v, members)
+                    for x in members:
+                        r = find(x)
+                        if r != b:
+                            base[r] = b
+                        if label[x] == _ODD:
+                            label[x] = _EVEN
+                            queue.append(x)
+        for group in (queue, odd):
+            for x in group:
+                label[x] = 0
+                link[x] = -1
+                base[x] = x
+                if not found:
+                    dead[x] = True
+            group.clear()
+
+
+def max_simple_2matching(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices, ascending, of a maximum simple 2-matching of a multigraph.
+
+    A simple 2-matching is a set of edges meeting every vertex at most
+    twice; ``edges`` may hold parallel copies, and taking both copies of an
+    edge gives a 2-cycle.  Tutte's gadget: two core nodes per vertex, two
+    nodes x_k, y_k per edge k = uv joined to each other and to both cores of
+    u and v respectively.  A gadget matching has |E| + (number of edges
+    whose x_k and y_k are both matched to cores) edges, so a maximum one
+    selects a maximum 2-matching.  The warm start scans edges in order and
+    takes one when both ends have degree < 2 and it joins two different
+    paths, so it never closes a cycle; taken edges start matched to cores,
+    the rest to their twin, leaving exposed only the free cores.
+    """
+    degree = [0] * n
+    other_end = list(range(n))  # each path endpoint names the other one
+    taken = []  # (edge, core of u, core of v)
+    for k, (u, v) in enumerate(edges):
+        if degree[u] < 2 and degree[v] < 2 and other_end[u] != v:
+            a, b = other_end[u], other_end[v]
+            other_end[a] = b
+            other_end[b] = a
+            taken.append((k, 2 * u + degree[u], 2 * v + degree[v]))
+            degree[u] += 1
+            degree[v] += 1
+
+    cores = 2 * n
+    adj: list[list[int]] = [[] for _ in range(cores)]
+    mate = [-1] * cores
+    for k, (u, v) in enumerate(edges):
+        x = cores + 2 * k
+        adj.append([x + 1, 2 * u, 2 * u + 1])
+        adj.append([x, 2 * v, 2 * v + 1])
+        adj[2 * u].append(x)
+        adj[2 * u + 1].append(x)
+        adj[2 * v].append(x + 1)
+        adj[2 * v + 1].append(x + 1)
+        mate.append(x + 1)
+        mate.append(x)
+    for k, core_u, core_v in taken:
+        for node, core in ((cores + 2 * k, core_u), (cores + 2 * k + 1, core_v)):
+            mate[node] = core
+            mate[core] = node
+    _augment_matching(adj, mate)
+    return [k for k in range(len(edges))
+            if 0 <= mate[cores + 2 * k] < cores
+            and 0 <= mate[cores + 2 * k + 1] < cores]
 
 
 def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction | None]]

@@ -1,10 +1,13 @@
 """Minimum-weight 2-factor computation.
 
-Three routes live here:
+Four routes live here:
 
-* undirected minimum-weight 2-factor via the classical degree-gadget
-  reduction to minimum-weight perfect matching (two core nodes per vertex,
-  two nodes per edge);
+* {1,2} minimum 2-factor: a maximum simple 2-matching of the weight-1 graph
+  H (plus a second copy of each allowed pair-group 1-edge), found by
+  ``matching.max_simple_2matching``, with its paths chained by 2-edges;
+* undirected minimum-weight 2-factor for other weights via the classical
+  degree-gadget reduction to minimum-weight perfect matching (two core
+  nodes per vertex, two nodes per edge);
 * directed minimum-weight 2-factor via an exact assignment between
   out-copies and in-copies with self-arcs forbidden;
 * minimum-weight triangle-free 2-factor for {1,2} weights, reduced to a
@@ -12,6 +15,9 @@ Three routes live here:
   The 2-matching subroutine sits behind a swappable interface whose default
   is an exact branch-and-bound, so the whole route stays exact at desk
   scale.
+
+Both {1,2} routes close their 2-matching with one component/chain/repair
+step, ``_cycles_from_2matching``, whose docstring proves it exact.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import CycleCover, Instance, Weight, WeightClass, make_cover
+from .core import (CycleCover, Instance, Weight, WeightClass, cover_cost,
+                   make_cover)
 from .errors import BudgetExceededError, ValidationError
-from .matching import min_cost_bipartite_perfect_matching, min_weight_perfect_matching
+from .matching import (max_simple_2matching, min_cost_bipartite_perfect_matching,
+                       min_weight_perfect_matching)
 
 TwoMatchingSolver = Callable[[Sequence[int], set[frozenset[int]]], set[frozenset[int]]]
 
@@ -48,55 +56,122 @@ class TwoFactorRequest:
             raise ValidationError("pair 2-cycles allowed but no size-2 group exists")
 
 
-def _edge_multiset(inst: Instance, allow_pairs: bool) -> list[tuple[int, int, Weight]]:
-    edges = [(i, j, inst.w(i, j))
-             for i in range(inst.n) for j in range(i + 1, inst.n)]
-    if allow_pairs:
-        for u, v in inst.pair_groups():
-            edges.append((u, v, inst.w(u, v)))  # duplicated pair edge
-    return edges
+def _walk_degree2(vertices: Sequence[int], edges: Sequence[tuple[int, int]]
+                  ) -> tuple[list[list[int]], list[list[int]]]:
+    """Split a multigraph of maximum degree 2 into its cycles and paths.
 
-
-def _cycles_from_degree2_multigraph(n: int, chosen: list[tuple[int, int]]
-                                    ) -> CycleCover:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(chosen):
+    ``edges`` may repeat an edge; its two copies form a 2-cycle.  Paths are
+    walked from their smaller endpoint, an isolated vertex being a
+    one-vertex path; cycles start at their smallest vertex and leave it by
+    its first listed edge.  Both come out in order of their first vertex.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    for eid, (u, v) in enumerate(edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
-    if any(len(a) != 2 for a in adj):
-        raise ValidationError("selected edges are not a 2-factor")
-    used = [False] * len(chosen)
-    cycles = []
-    flags = []
-    for start in range(n):
-        if all(used[eid] for _, eid in adj[start]):
-            continue
-        cyc = [start]
+    if any(len(a) > 2 for a in adj.values()):
+        raise ValidationError("edges meet a vertex more than twice")
+    used = [False] * len(edges)
+
+    def walk(start: int) -> list[int]:
+        seq = [start]
         cur = start
         while True:
-            nxt = None
-            for v, eid in sorted(adj[cur]):
-                if not used[eid]:
-                    nxt = (v, eid)
-                    break
-            if nxt is None:
-                break
-            used[nxt[1]] = True
-            if nxt[0] == start:
-                break
-            cyc.append(nxt[0])
-            cur = nxt[0]
-        if len(cyc) == 2:
-            cycles.append(tuple(cyc))
-            flags.append(True)
-        else:
-            cycles.append(tuple(cyc))
-            flags.append(False)
-    return make_cover(cycles, directed=False, pair_flags=flags)
+            step = next(((v, eid) for v, eid in adj[cur] if not used[eid]), None)
+            if step is None:
+                return seq
+            used[step[1]] = True
+            if step[0] == start:
+                return seq
+            cur = step[0]
+            seq.append(cur)
+
+    order = sorted(adj)
+    paths = [walk(v) for v in order
+             if len(adj[v]) < 2 and not any(used[eid] for _, eid in adj[v])]
+    cycles = [walk(v) for v in order if adj[v] and not used[adj[v][0][1]]]
+    return cycles, paths
 
 
-def min_weight_2factor(req: TwoFactorRequest) -> CycleCover:
-    """Undirected minimum-weight 2-factor by reduction to perfect matching.
+def _cycles_from_2matching(inst: Instance, vertices: Sequence[int],
+                           edges: Sequence[tuple[int, int]], min_len: int,
+                           pairs: frozenset[frozenset[int]] = frozenset()
+                           ) -> list[list[int]] | None:
+    """Cycles of a minimum {1,2} 2-factor built from a maximum 2-matching.
+
+    ``edges`` is a maximum simple 2-matching of H+ on ``vertices``: H is the
+    weight-1 graph and H+ adds a second copy of each weight-1 edge of an
+    allowed pair group (``pairs``).  Cycles shorter than ``min_len`` are
+    forbidden except those pair 2-cycles; a 2-vertex cycle in the result is
+    a pair 2-cycle.  Returns None when the vertices admit no such 2-factor.
+
+    Exactness for ``min_len`` 3 (n vertices, e2 weight-2 edges).  A
+    2-factor F has n edges, a pair 2-cycle counting twice, and its 1-edges
+    form a simple 2-matching of H+ with n - e2(F) edges, so
+    w(F) = n + e2(F) >= 2n - |M| for a maximum 2-matching M.  M splits into
+    cycles, which are legal, and p paths (a lone vertex is a path), so
+    |M| = n - p.  Chaining the paths by p junction edges into one cycle
+    costs at most |M| + 2p = 2n - |M|, which is optimal when the chain has
+    >= min_len vertices or is exactly a pair group.  A shorter chain (one
+    or two vertices) is spliced into a cycle of M between a vertex x that
+    one chain end reaches by a 1-edge (an escape) and x's successor y,
+    dropping the 1-edge xy: again at most 2n - |M|.  With no escape, no
+    chain vertex has a 1-edge leaving the chain and the chain is not an
+    allowed pair group, so counting the 2-edges at the chain vertices gives
+    e2 >= p + 1 for every 2-factor, which the splice into the first cycle
+    pays.  The same chain and splice serve ``min_len`` 4 on a maximum
+    triangle-free 2-matching.
+    """
+    cycles, paths = _walk_degree2(vertices, edges)
+    for cyc in cycles:
+        if len(cyc) < min_len and not (len(cyc) == 2 and frozenset(cyc) in pairs):
+            raise ValidationError("2-matching has a cycle shorter than allowed")
+    if not paths:
+        return cycles
+    chain = [v for p in sorted(paths) for v in p]
+    if len(chain) >= min_len or frozenset(chain) in pairs:
+        return cycles + [chain]
+    if not cycles:
+        return None
+
+    def splice(host_idx: int, pos: int, insert: list[int]) -> list[list[int]]:
+        host = cycles[host_idx]
+        merged = host[:pos + 1] + insert + host[pos + 1:]
+        return [c for i, c in enumerate(cycles) if i != host_idx] + [merged]
+
+    # the chain goes in between host vertex v and its successor, so that
+    # the edge v-chain[0] is the escape
+    for arr in (chain, chain[::-1]):
+        u = arr[0]
+        for ci, host in enumerate(cycles):
+            for pos, v in enumerate(host):
+                if inst.w(u, v) == 1:
+                    return splice(ci, pos, arr)
+    return splice(0, 0, chain)
+
+
+def _pair_cover(cycles: list[list[int]]) -> CycleCover:
+    return make_cover(cycles, directed=False,
+                      pair_flags=[len(c) == 2 for c in cycles])
+
+
+def _one_two_2factor(inst: Instance, allow_pairs: bool) -> CycleCover:
+    """{1,2} minimum 2-factor from a maximum simple 2-matching of H+."""
+    n = inst.n
+    w = inst.weights
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if w[i][j] == 1]
+    pairs = inst.pair_groups() if allow_pairs else []
+    edges += [(u, v) for u, v in pairs if w[u][v] == 1]
+    chosen = [edges[k] for k in max_simple_2matching(n, edges)]
+    cycles = _cycles_from_2matching(inst, range(n), chosen, 3,
+                                    frozenset(frozenset(p) for p in pairs))
+    if cycles is None:
+        raise ValidationError("no 2-factor exists")
+    return _pair_cover(cycles)
+
+
+def _gadget_2factor(inst: Instance, allow_pairs: bool) -> CycleCover:
+    """Minimum-weight 2-factor by reduction to perfect matching.
 
     Gadget: two core nodes per vertex; per edge e=uv two nodes e_u, e_v with
     a weight-0 link between them and weight w(e) links to the cores of u and
@@ -105,13 +180,10 @@ def min_weight_2factor(req: TwoFactorRequest) -> CycleCover:
     minimum 2-factor.  Duplicated pair edges enter as two parallel gadgets;
     selecting both realizes the pair 2-cycle.
     """
-    if req.directed:
-        raise ValidationError("use min_weight_directed_2factor for digraphs")
-    inst = req.instance
-    if inst.n < 3 and not req.allow_pair_2cycles:
-        raise ValidationError("no 2-factor on fewer than 3 vertices without pair 2-cycles")
-
-    edges = _edge_multiset(inst, req.allow_pair_2cycles)
+    edges = [(i, j, inst.w(i, j))
+             for i in range(inst.n) for j in range(i + 1, inst.n)]
+    if allow_pairs:
+        edges += [(u, v, inst.w(u, v)) for u, v in inst.pair_groups()]
     gadget = []
     for k, (u, v, w) in enumerate(edges):
         gadget.append((("e", k, 0), ("e", k, 1), 0))
@@ -125,13 +197,32 @@ def min_weight_2factor(req: TwoFactorRequest) -> CycleCover:
         for x, y in ((a, b), (b, a)):
             if x[0] == "e" and y[0] == "c":
                 matched_to_core.add((x[1], x[2]))
-    chosen = [(edges[k][0], edges[k][1]) for k in range(len(edges))
-              if (k, 0) in matched_to_core and (k, 1) in matched_to_core]
     for k in range(len(edges)):
-        sides = ((k, 0) in matched_to_core, (k, 1) in matched_to_core)
-        if sides[0] != sides[1]:
+        if ((k, 0) in matched_to_core) != ((k, 1) in matched_to_core):
             raise ValidationError("gadget matching selected half an edge")
-    return _cycles_from_degree2_multigraph(inst.n, chosen)
+    chosen = [(edges[k][0], edges[k][1]) for k in range(len(edges))
+              if (k, 0) in matched_to_core]
+    cycles, paths = _walk_degree2(range(inst.n), chosen)
+    if paths:
+        raise ValidationError("selected edges are not a 2-factor")
+    return _pair_cover(cycles)
+
+
+def min_weight_2factor(req: TwoFactorRequest) -> CycleCover:
+    """Undirected minimum-weight 2-factor.
+
+    {1,2} instances go through a maximum simple 2-matching of the weight-1
+    graph (``_cycles_from_2matching``); other weights through the weighted
+    degree gadget.
+    """
+    if req.directed:
+        raise ValidationError("use min_weight_directed_2factor for digraphs")
+    inst = req.instance
+    if inst.n < 3 and not req.allow_pair_2cycles:
+        raise ValidationError("no 2-factor on fewer than 3 vertices without pair 2-cycles")
+    if inst.weight_class is WeightClass.ONE_TWO:
+        return _one_two_2factor(inst, req.allow_pair_2cycles)
+    return _gadget_2factor(inst, req.allow_pair_2cycles)
 
 
 def min_weight_directed_2factor(req: TwoFactorRequest) -> CycleCover:
@@ -245,107 +336,21 @@ def brute_force_triangle_free_2matching(vertices: Sequence[int],
     return {frozenset((vs[u], vs[v])) for u, v in best}
 
 
-def _components_of_2matching(vertices: Sequence[int],
-                             matching: set[frozenset[int]]):
-    """Split a simple 2-matching into cycles and paths (isolated = 0-paths)."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for e in matching:
-        a, b = tuple(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[int] = set()
-    cycles: list[list[int]] = []
-    paths: list[list[int]] = []
-    # walk from path endpoints first
-    for v in sorted(vertices):
-        if v in seen or len(adj[v]) == 2:
-            continue
-        path = [v]
-        seen.add(v)
-        prev, cur = None, v
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-            seen.add(cur)
-        paths.append(path)
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        cyc = [v]
-        seen.add(v)
-        prev, cur = None, v
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if nxt[0] == cyc[0] and len(cyc) > 2:
-                break
-            prev, cur = cur, nxt[0]
-            cyc.append(cur)
-            seen.add(cur)
-        cycles.append(cyc)
-    return cycles, paths
-
-
 def _triangle_free_core(inst: Instance, active: Sequence[int],
                         solver: TwoMatchingSolver) -> list[list[int]] | None:
     """Triangle-free 2-factor on the active vertices, no pair 2-cycles.
 
-    Returns cycle list or None when infeasible (fewer than 4 active
-    vertices).  Implements the reduction: maximum triangle-free simple
-    2-matching on the weight-1 subgraph, leftover paths joined into one
-    cycle by weight-2 edges, and a repair exchange when that joined cycle is
-    shorter than 4.
+    Returns the cycles, or None when infeasible (fewer than 4 active
+    vertices): a maximum triangle-free simple 2-matching of the weight-1
+    subgraph, closed by ``_cycles_from_2matching`` with cycles of length
+    at least 4.
     """
     active = sorted(active)
-    if not active:
-        return []
-    if len(active) < 4:
-        return None
     h_edges = {frozenset((u, v)) for i, u in enumerate(active)
                for v in active[i + 1:] if inst.w(u, v) == 1}
     matching = solver(active, h_edges)
-    cycles, paths = _components_of_2matching(active, matching)
-    for cyc in cycles:
-        if len(cyc) < 4:
-            raise ValidationError("2-matching subroutine returned a short cycle")
-    if not paths:
-        return cycles
-
-    # chain every path into a single cycle; the junction edges all have
-    # weight 2, otherwise the 2-matching was not maximum
-    joined: list[int] = []
-    for p in sorted(paths):
-        joined.extend(p)
-    if len(joined) >= 4:
-        return cycles + [joined]
-
-    # short joined cycle: splice its vertices into another cycle, reusing a
-    # weight-1 escape edge when one exists
-    if not cycles:
-        return None
-    short = joined
-
-    def splice(host_idx: int, pos: int, insert: list[int]) -> list[list[int]]:
-        host = cycles[host_idx]
-        merged = host[:pos + 1] + insert + host[pos + 1:]
-        rest = [c for i, c in enumerate(cycles) if i != host_idx]
-        return rest + [merged]
-
-    # orientations of the short chain (its interior edges must be kept)
-    arrangements = [short, list(reversed(short))]
-    # escape: 1-edge from a chain endpoint u to a cycle vertex v; insert the
-    # chain between v and a neighbor of v
-    for arr in arrangements:
-        u = arr[0]
-        for ci, host in enumerate(cycles):
-            for pos, v in enumerate(host):
-                if inst.w(u, v) == 1:
-                    # insert so that v-u edge is the weight-1 one
-                    return splice(ci, pos, arr)
-    # no escape: pay one extra weight-2 edge
-    return splice(0, 0, arrangements[0])
+    return _cycles_from_2matching(inst, active,
+                                  [tuple(e) for e in matching], 4)
 
 
 def triangle_free_from_simple_2matching(
@@ -375,24 +380,13 @@ def triangle_free_from_simple_2matching(
         all_cycles = [list(p) for p in committed] + cycles
         flags = [True] * len(committed) + [False] * len(cycles)
         cover = make_cover(all_cycles, directed=False, pair_flags=flags)
-        cost = _cover_weight(inst, cover)
+        cost = cover_cost(inst, cover)
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_cover = cover
     if best_cover is None:
         raise ValidationError("no triangle-free 2-factor exists")
     return best_cover
-
-
-def _cover_weight(inst: Instance, cover: CycleCover) -> Weight:
-    total: Weight = 0
-    for cyc, flag in zip(cover.cycles, cover.pair_flags):
-        if flag:
-            total += 2 * inst.w(cyc[0], cyc[1])
-        else:
-            for i in range(len(cyc)):
-                total += inst.w(cyc[i], cyc[(i + 1) % len(cyc)])
-    return total
 
 
 def min_weight_triangle_free_2factor(req: TwoFactorRequest,

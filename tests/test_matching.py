@@ -6,7 +6,8 @@ from random import Random
 import pytest
 
 from smcycle.errors import ValidationError
-from smcycle.matching import (matching_weight, max_cardinality_matching,
+from smcycle.matching import (_augment_matching, matching_weight,
+                              max_cardinality_matching, max_simple_2matching,
                               min_cost_bipartite_perfect_matching,
                               min_weight_perfect_matching, minimal_edge_cover)
 
@@ -140,6 +141,113 @@ def test_max_matching_agrees_with_brute_force():
         m = max_cardinality_matching(edges)
         assert_is_matching(m)
         assert len(m) == brute_max_matching_size(n, edges)
+
+
+def blossom_matching(n, edges, initial=()):
+    """Run the int-indexed blossom from ``initial``; check and return mate."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    mate = [-1] * n
+    for u, v in initial:
+        mate[u], mate[v] = v, u
+    _augment_matching(adj, mate)
+    for x in range(n):
+        if mate[x] != -1:
+            assert mate[mate[x]] == x and mate[x] in adj[x]
+    for u, v in initial:  # augmenting never exposes a matched node
+        assert mate[u] != -1 and mate[v] != -1
+    return mate
+
+
+def blossom_size(n, edges, initial=()):
+    return sum(1 for m in blossom_matching(n, edges, initial) if m != -1) // 2
+
+
+def test_blossom_odd_cycles():
+    # a 5-cycle with a pendant: the path from 5 must go round the blossom
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5)]
+    assert blossom_size(6, edges, initial=[(0, 1), (2, 3)]) == 3
+    # triangle with a tail of three, matched so one search contracts it
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]
+    assert blossom_size(6, edges, initial=[(1, 2), (3, 4)]) == 3
+    # Petersen graph: perfect matching from an empty start
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    assert blossom_size(10, outer + inner + spokes) == 5
+
+
+def test_blossom_nested_blossoms():
+    # root 0 and exposed 9.  The search from 0 contracts the blossom
+    # 2-3=4-6=5-2 first, then the outer blossom 0-1=B-7=8-10=11-0 around
+    # it; 9 hangs off 3, which turns even only inside the inner blossom, so
+    # the augmenting path crosses both
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6), (6, 5), (5, 2),
+             (4, 7), (7, 8), (8, 10), (10, 11), (11, 0), (3, 9)]
+    initial = [(1, 2), (3, 4), (5, 6), (7, 8), (10, 11)]
+    mate = blossom_matching(12, edges, initial)
+    assert -1 not in mate
+    assert (mate[9], mate[4], mate[0]) == (3, 7, 11)
+    # two triangles joined through a matched edge, then a third around them
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3),
+             (5, 6), (6, 7), (7, 0), (1, 8), (4, 9)]
+    for initial in ([], [(1, 2), (3, 4)], [(2, 3), (5, 6), (7, 0)],
+                    [(0, 1), (2, 3), (4, 5), (6, 7)]):
+        assert blossom_size(10, edges, initial) == brute_max_matching_size(
+            10, edges)
+
+
+def test_blossom_agrees_with_exhaustive():
+    rng = Random(53)
+    for trial in range(1500):
+        n = rng.randint(1, 11)
+        density = rng.random()
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < density]
+        rng.shuffle(edges)
+        initial = []
+        used = set()
+        for u, v in edges:
+            if u not in used and v not in used and rng.random() < 0.5:
+                initial.append((u, v))
+                used.update((u, v))
+        if trial % 2:
+            initial = []
+        assert blossom_size(n, edges, initial) == brute_max_matching_size(n, edges)
+
+
+def brute_max_2matching_size(n, edges):
+    best = 0
+    for mask in range(1 << len(edges)):
+        deg = [0] * n
+        for k, (u, v) in enumerate(edges):
+            if mask >> k & 1:
+                deg[u] += 1
+                deg[v] += 1
+        if max(deg, default=0) <= 2:
+            best = max(best, bin(mask).count("1"))
+    return best
+
+
+def test_max_simple_2matching_agrees_with_exhaustive():
+    rng = Random(61)
+    for trial in range(400):
+        n = rng.randint(2, 6)
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.5]
+        # parallel copies, as for doubled pair edges
+        for u, v in list(edges[:2]):
+            edges.append((u, v))
+        chosen = max_simple_2matching(n, edges)
+        assert chosen == sorted(set(chosen))
+        deg = [0] * n
+        for k in chosen:
+            deg[edges[k][0]] += 1
+            deg[edges[k][1]] += 1
+        assert max(deg, default=0) <= 2
+        assert len(chosen) == brute_max_2matching_size(n, edges)
 
 
 def test_assignment_one_by_one():

@@ -201,3 +201,26 @@ def test_e2_decomposition_matches_core_helper():
     f = special_2factor(inst, base=base)
     assert count_weight2_edges(inst, f.cover) == 0
     assert cover_cost(inst, f.cover) == 9
+
+
+def test_approx_onetwo_at_n80():
+    # a sparse weight-1 graph leaves the 2-matching with many paths, and the
+    # pair groups allow pair 2-cycles
+    rng = Random(80)
+    n = 80
+    ones = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.04]
+    order = list(range(n))
+    rng.shuffle(order)
+    sizes = [2, 3, 4, 5, 6] * 4
+    groups = []
+    for size in sizes:
+        groups.append(order[:size])
+        order = order[size:]
+    inst = one_two_from_ones(n, ones, groups)
+    cover, stages = approx_onetwo(inst)
+    assert validate_solution(inst, cover).feasible
+    base = stages.factor.cover
+    assert stages.factor_weight == cover_cost(inst, base) == n + count_weight2_edges(
+        inst, base)
+    assert stages.factor_weight <= cover_cost(inst, cover)

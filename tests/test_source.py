@@ -1,0 +1,21 @@
+"""Checks on the library source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import smcycle
+
+SOURCES = sorted(Path(smcycle.__file__).resolve().parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; invariants raise SmcError instead
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -94,6 +94,73 @@ def test_undirected_matches_oracle_metric():
         assert cover_cost(inst, cover) == brute_force_2factor(inst)
 
 
+def random_one_two(rng, n, density):
+    """{1,2} weights with weight-1 edges at the given density, random group
+    sizes 2-6 (a remainder of 1 widens the last group)."""
+    bits = [rng.random() < density for _ in range(n * (n - 1) // 2)]
+    order = list(range(n))
+    rng.shuffle(order)
+    groups = []
+    while order:
+        take = min(len(order), rng.randint(2, 6))
+        if len(order) - take == 1:
+            take += 1
+        groups.append(order[:take])
+        order = order[take:]
+    return bits, groups
+
+
+def test_one_two_pairs_of_weight_1_become_pair_2cycles():
+    # the doubled pair edge is the only weight-1 edge at each pair vertex
+    ones = {(0, 1), (2, 3), (4, 5), (5, 6), (4, 6)}
+    bits = [1 if (i, j) in ones else 0 for i in range(7) for j in range(i + 1, 7)]
+    inst = one_two_instance(7, bits, [[0, 1], [2, 3], [4, 5, 6]])
+    cover = min_weight_2factor(TwoFactorRequest(inst, allow_pair_2cycles=True))
+    assert sorted(zip(cover.cycles, cover.pair_flags)) == [
+        ((0, 1), True), ((2, 3), True), ((4, 5, 6), False)]
+    assert cover_cost(inst, cover) == 7
+
+
+def test_one_two_route_matches_oracle():
+    # n = 9 is one case in 50: the oracle takes ~36 ms there, 6 ms at n = 8
+    rng = Random(2024)
+    cases = 0
+    for trial in range(2000):
+        n = 9 if trial % 50 == 0 else 2 + trial % 7
+        bits, groups = random_one_two(rng, n, rng.random())
+        inst = one_two_instance(n, bits, groups)
+        for allow in (False, True):
+            if (allow and not inst.pair_groups()) or (n < 3 and not allow):
+                continue
+            cover = min_weight_2factor(
+                TwoFactorRequest(inst, allow_pair_2cycles=allow))
+            check_two_factor_shape(inst, cover)
+            if not allow:
+                assert not any(cover.pair_flags)
+            assert cover_cost(inst, cover) == brute_force_2factor(
+                inst, allow_pair_2cycles=allow)
+            cases += 1
+    assert cases >= 2500
+
+
+def test_one_two_route_matches_gadget_route():
+    # the same {1,2} matrix validated as general-metric takes the gadget
+    rng = Random(77)
+    for n, density, allow in ((10, 0.1, True), (14, 0.3, False),
+                              (18, 0.05, True), (22, 0.6, False),
+                              (27, 0.15, True), (33, 0.02, False),
+                              (40, 0.08, False)):
+        bits, groups = random_one_two(rng, n, density)
+        inst = one_two_instance(n, bits, groups)
+        metric = validate_instance(n, inst.weights, True,
+                                   WeightClass.GENERAL_METRIC, inst.groups)
+        allow = allow and bool(inst.pair_groups())
+        cover = min_weight_2factor(TwoFactorRequest(inst, allow_pair_2cycles=allow))
+        check_two_factor_shape(inst, cover)
+        assert cover_cost(inst, cover) == cover_cost(metric, min_weight_2factor(
+            TwoFactorRequest(metric, allow_pair_2cycles=allow)))
+
+
 def test_directed_two_vertices():
     w = [[0, 3], [4, 0]]
     inst = validate_instance(2, w, False, WeightClass.ASYMMETRIC_METRIC, [[0, 1]])
