@@ -1,7 +1,9 @@
-"""Exact two-phase simplex for small dense linear programs.
+"""Exact simplex for small dense linear programs, in integer arithmetic.
 
-Minimizes c.x subject to per-row <= or >= constraints and x >= 0 in exact
-integer arithmetic.
+``solve_min_lp`` minimizes c.x subject to per-row <= or >= constraints and
+x >= 0 by the two-phase method.  ``ColumnLp`` (see "Column form") keeps
+one tableau whose columns arrive one at a time and re-optimises it warm;
+both run the same pivot primitive and Bland loop.
 
 Tableau.  Each input row, coefficients and right-hand side, is multiplied
 by the lcm ``L`` of its denominators (1 for an int row); a row whose
@@ -32,6 +34,26 @@ the rules read, so the pivots are those of the rational tableau: Bland's
 rule (smallest eligible column enters, ties on the leaving row broken by
 the smallest basic index) prevents cycling and makes every pivot sequence
 deterministic.
+
+Column form.  ``ColumnLp`` minimizes cost.w subject to A w <= b and
+w >= 0, with b >= 0, for an A whose integer columns arrive one at a time:
+the dual of a covering LP whose rows are found by separation.  Its slack
+basis is feasible, so no phase 1 runs, and a new column leaves the current
+basis feasible, so each re-optimisation starts where the last one ended,
+with the same pivots and Bland loop.  The tableau is laid out as above
+(structural cells, then slacks); a new column is inserted before the
+slacks.  Pricing it needs no solve: the slack cells of a stored row are
+that row of B^-1 at the row's scale, so the new cell is an exact integer
+dot product with the column, and the objective cell is ``zs * cost`` plus
+the dot product with the objective row's slack cells.  The prices ``x``
+of the rows, the solution of the dual max -b.x subject to A^T x >= -cost
+and x >= 0, are read exactly as the reduced costs of the slacks,
+``z[slack] / zs``.
+
+Certificate.  Every answer of ``ColumnLp.optimise`` is checked from the
+columns as given, not from the tableau: x >= 0 and A^T x >= -cost, w >= 0
+and A w <= b, and cost.w = -b.x.  By weak duality the two then prove each
+other optimal; a failure raises ``SmcError``.
 """
 
 from __future__ import annotations
@@ -103,15 +125,16 @@ def _eliminate(row: list[int], s: int, f: int, pivot: _Pivot) -> int:
 
 
 def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
-                 z: list[int], d: int,
-                 artificials: Sequence[tuple[int, int]]) -> int:
-    """Minimize from objective row ``z``, at scale ``d``, in place.
+                 z: list[int], d: int, zs: int,
+                 artificials: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Minimize from objective row ``z``, at scale ``zs``, in place, where
+    ``d`` is the determinant of the basis.
 
     The stored columns may enter, and so may the ``artificials``, given as
-    (index, cost times the scale of ``z``).  Returns the determinant.
+    (index, cost times the scale of ``z``).  Returns the determinant and
+    the scale of ``z``.
     """
     nm = len(z) - 1
-    zs = d
     while True:
         enter = next((j for j in range(nm) if z[j] < 0), -1)
         if enter >= 0:
@@ -120,7 +143,7 @@ def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
             enter, w = next(((k, w) for k, w in artificials
                              if z[k - m] > zs * w), (-1, 0))
             if enter < 0:
-                return d
+                return d, zs
             j, sign, f = enter - m, -1, zs * w - z[enter - m]
         leave = -1
         bn = bd = 0  # best ratio as fraction bn/bd, bd > 0
@@ -133,7 +156,7 @@ def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
                     bn, bd = r, a
                     leave = i
         if leave < 0:
-            raise SmcError("unbounded linear program")
+            raise SmcError("unbounded linear program", code="unbounded")
         pivot = _pivot(rows, basis, m, leave, enter, d)
         zs = _eliminate(z, zs, f, pivot)
         d = pivot[1]
@@ -176,7 +199,7 @@ def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
     z = [0] * (n + m + 1)
     for k, w in artificials:
         z = [a - w * v for a, v in zip(z, tab[k - n - m])]
-    d = _run_simplex(tab, basis, m, z, 1, artificials)
+    d, _ = _run_simplex(tab, basis, m, z, 1, 1, artificials)
     if z[-1] < 0:
         # the objective cell holds minus the scaled artificial total
         return LpResult(status="infeasible", x=[], objective=Fraction(0))
@@ -197,7 +220,7 @@ def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
             k = cost[b] * d
             s = cells[b]
             z = [a - k * v // s for a, v in zip(z, cells)]
-    _run_simplex(tab, basis, m, z, d, ())
+    _run_simplex(tab, basis, m, z, d, d, ())
 
     x = [Fraction(0)] * n
     for cells, b in zip(tab, basis):
@@ -205,3 +228,94 @@ def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
             x[b] = Fraction(cells[-1], cells[b])
     objective = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LpResult(status="optimal", x=x, objective=objective)
+
+
+class ColumnLp:
+    """Minimize cost.w subject to A w <= ``rhs`` and w >= 0, where ``rhs``
+    is a non-negative vector and the int columns of A are added one at a
+    time (see "Column form" above).
+
+    An int or Fraction ``rhs`` is multiplied by the lcm of its
+    denominators, which scales w and the objective but not the prices x.
+    """
+
+    def __init__(self, rhs: Sequence):
+        if any(b < 0 for b in rhs):
+            raise SmcError("column LP needs a non-negative right-hand side")
+        m = len(rhs)
+        self.rhs, _ = _integers(rhs)
+        # each column added as ((coefficient, its rows), ...) and its cost
+        self.columns: list[tuple[list[tuple[int, list[int]]], int]] = []
+        self.rows = [[int(i == k) for k in range(m)] + [b]
+                     for i, b in enumerate(self.rhs)]
+        self.basis = list(range(m))  # the slack of row i has index n + i
+        self.z = [0] * (m + 1)
+        self.zs = 1  # scale of z
+        self.d = 1  # determinant of the basis
+
+    def add_column(self, cells: Sequence[tuple[int, int]], cost: int) -> None:
+        """Append the column with nonzero ``cells`` (row, coefficient) and
+        ``cost``, priced against the current basis."""
+        # rows grouped by coefficient, so that a 0/1 column is one sum
+        groups: dict[int, list[int]] = {}
+        for k, a in cells:
+            groups.setdefault(a, []).append(k)
+        column = list(groups.items())
+        n = len(self.columns)
+        slack_cells = [(a, [n + k for k in ks]) for a, ks in column]
+        for row in self.rows:
+            row.insert(n, sum(a * sum(map(row.__getitem__, ks))
+                              for a, ks in slack_cells))
+        z = self.z
+        z.insert(n, self.zs * cost + sum(a * sum(map(z.__getitem__, ks))
+                                         for a, ks in slack_cells))
+        self.basis = [b + (b >= n) for b in self.basis]
+        self.columns.append((column, cost))
+
+    def optimise(self) -> tuple[list[int], int]:
+        """Re-optimise from the current basis and return the row prices
+        ``x`` as numerators over one positive denominator, in lowest terms.
+
+        Raises ``SmcError`` with code "unbounded" when the LP is unbounded
+        (its dual is infeasible), and ``SmcError`` when the certificate
+        fails.
+        """
+        self.d, self.zs = _run_simplex(self.rows, self.basis, len(self.rows),
+                                       self.z, self.d, self.zs, ())
+        x, xs, w, ws = self._solution()
+        self._certify(x, xs, w, ws)
+        g = gcd(xs, *x)
+        return [v // g for v in x], xs // g
+
+    def _solution(self) -> tuple[list[int], int, list[int], int]:
+        """The row prices x over ``xs`` and the column values w over
+        ``ws``, read off the tableau."""
+        n = len(self.columns)
+        d = self.d
+        w = [0] * n
+        for row, b in zip(self.rows, self.basis):
+            if b < n:
+                w[b] = row[-1] * d // row[b]
+        return self.z[n:-1], self.zs, w, d
+
+    def _certify(self, x: list[int], xs: int, w: list[int], ws: int) -> None:
+        """Raise unless x / xs and w / ws are feasible and have equal
+        objectives, which proves both optimal."""
+        rhs = self.rhs
+        if any(v < 0 for v in x) or any(v < 0 for v in w):
+            raise SmcError("column LP certificate: negative value")
+        load = [0] * len(rhs)  # A w, over ws
+        value = 0  # cost.w, over ws
+        for (column, cost), wj in zip(self.columns, w):
+            if sum(a * sum(map(x.__getitem__, ks))
+                   for a, ks in column) < -cost * xs:
+                raise SmcError("column LP certificate: prices violate a column")
+            if wj:
+                value += cost * wj
+                for a, ks in column:
+                    for k in ks:
+                        load[k] += a * wj
+        if any(t > b * ws for t, b in zip(load, rhs)):
+            raise SmcError("column LP certificate: values violate a row")
+        if value * xs != -ws * sum(b * v for b, v in zip(rhs, x)):
+            raise SmcError("column LP certificate: objectives differ")

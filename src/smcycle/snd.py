@@ -2,10 +2,24 @@
 
 The requirement function is never materialized as a pair matrix: a cut needs
 two crossing edges exactly when it splits some terminal group.  The LP over
-the cut family is solved exactly (rational simplex, lazily generated rows),
-and iterative rounding permanently includes every edge whose value reaches
-1/2; such an edge must exist at every step, so a miss is reported as a bug,
-never a degraded answer.
+the cut family is solved exactly with lazily generated rows, and iterative
+rounding permanently includes every edge whose value reaches 1/2; such an
+edge must exist at every step, so a miss is reported as a bug, never a
+degraded answer.
+
+Cut LP.  Over the free slots e the residual LP is min c.x subject to
+x(delta(C)) >= r_C for each pooled cut C with residual requirement
+r_C > 0, x_e <= 1 for the slots found above 1, and x >= 0.  It is solved
+through its dual, max sum r_C y_C - sum u_e subject to
+sum_{C crossing e} y_C - u_e <= c_e for each free slot e (``ColumnLp``).
+The weights are >= 0, so the slack basis is feasible and no phase 1 runs;
+a newly separated cut or bound is one added column, so the previous basis
+stays feasible and each round re-optimises from it.  Each pooled cut
+becomes a column once per call, with its residual.  x is read off as the
+prices of the dual's rows, and every answer carries the strong-duality
+certificate of ``ColumnLp.optimise``: x >= 0 satisfies every pooled row
+and bound, the dual values are feasible, and the two objectives agree.  An
+unbounded dual means the cut LP is infeasible.
 
 Duplicated pair edges appear as two parallel slots capped at 1 each, which
 is how a doubled pair edge (the length-2 cycle of the solution format)
@@ -16,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-from ._simplex import GE, LE, solve_min_lp
+from ._simplex import ColumnLp
 from .core import Instance, Weight
 from .errors import BudgetExceededError, SmcError, ValidationError
 
@@ -38,13 +51,6 @@ class SNDRequirements:
 
     def group_masks(self) -> list[tuple[int, int]]:
         return [(sum(1 << v for v in g), len(g)) for g in self.groups]
-
-    def required_pair_count(self) -> int:
-        return sum(len(g) * (len(g) - 1) // 2 for g in self.groups)
-
-    def requirement(self, i: int, j: int) -> int:
-        gi = next(k for k, g in enumerate(self.groups) if i in g)
-        return 2 if j in self.groups[gi] else 0
 
 
 def build_requirements(inst: Instance) -> SNDRequirements:
@@ -118,9 +124,6 @@ class FractionalEdgeVector:
             if not 0 <= v <= 1:
                 raise ValidationError(f"fractional edge value {v} outside [0,1]")
 
-    def as_dict(self) -> dict[EdgeSlot, Fraction]:
-        return dict(zip(self.slots, self.values))
-
 
 def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
                cross_value: Sequence[Sequence[int]],
@@ -130,58 +133,49 @@ def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
 
     A cut W (vertex n-1 always outside) is violated when it splits some
     group and value(delta(W)) + scale * fixed(delta(W)) < 2 * scale, where
-    ``value`` sums the scaled fractional weights in ``cross_value``.
+    ``value`` sums the scaled fractional weights in ``cross_value``.  The
+    walk reads the single capacity matrix ``cross_value + scale *
+    cross_fixed``; both have zero diagonals, as ``_pair_matrix`` builds
+    them.
     """
     if n > CUT_ENUMERATION_MAX_N:
         raise BudgetExceededError(
             f"cut enumeration capped at n={CUT_ENUMERATION_MAX_N}")
-    in_w = [False] * n
+    cap = [[v + scale * f for v, f in zip(row_v, row_f)]
+           for row_v, row_f in zip(cross_value, cross_fixed)]
+    degree = [sum(row) for row in cap]
+    inside = [0] * n  # inside[u]: capacity between u and W
     group_in = [0] * len(group_masks)
     group_of = [0] * n
     for gi, (gmask, _size) in enumerate(group_masks):
         for v in range(n):
             if gmask >> v & 1:
                 group_of[v] = gi
-    val = 0
-    fix = 0
+    need = 2 * scale
+    cut = 0  # capacity of delta(W)
     split = 0  # number of split groups
     violated: list[tuple[int, int]] = []
     mask = 0
     for i in range(1, 1 << (n - 1)):
         bit = (i & -i).bit_length() - 1
-        entering = not in_w[bit]
-        delta_v = 0
-        delta_f = 0
-        row_v = cross_value[bit]
-        row_f = cross_fixed[bit]
-        for u in range(n):
-            if u == bit:
-                continue
-            if in_w[u]:
-                delta_v -= row_v[u]
-                delta_f -= row_f[u]
-            else:
-                delta_v += row_v[u]
-                delta_f += row_f[u]
+        row = cap[bit]
         gi = group_of[bit]
         size = group_masks[gi][1]
         was_split = 0 < group_in[gi] < size
-        if entering:
-            in_w[bit] = True
-            mask |= 1 << bit
-            val += delta_v
-            fix += delta_f
-            group_in[gi] += 1
-        else:
-            in_w[bit] = False
-            mask &= ~(1 << bit)
-            val -= delta_v
-            fix -= delta_f
+        if mask >> bit & 1:
+            mask ^= 1 << bit
+            cut -= degree[bit] - 2 * inside[bit]
+            inside = [a - b for a, b in zip(inside, row)]
             group_in[gi] -= 1
+        else:
+            mask |= 1 << bit
+            cut += degree[bit] - 2 * inside[bit]
+            inside = [a + b for a, b in zip(inside, row)]
+            group_in[gi] += 1
         now_split = 0 < group_in[gi] < size
         split += int(now_split) - int(was_split)
-        if split and val + scale * fix < 2 * scale:
-            violated.append((2 * scale - val - scale * fix, mask))
+        if split and cut < need:
+            violated.append((need - cut, mask))
     return violated
 
 
@@ -193,66 +187,56 @@ def _pair_matrix(n: int, entries: Iterable[tuple[int, int, int]]) -> list[list[i
     return m
 
 
-def _crosses(slot: EdgeSlot, mask: int) -> bool:
-    u, v, _copy = slot
-    return (mask >> u & 1) != (mask >> v & 1)
-
-
 def solve_cut_lp(inst: Instance, req: SNDRequirements,
                  fixed: frozenset[EdgeSlot] | set[EdgeSlot] = frozenset(),
                  cut_pool: list[int] | None = None,
                  trace: list[str] | None = None) -> FractionalEdgeVector:
-    """Exact optimum of the residual cut LP, by lazy constraint generation.
+    """Exact optimum of the residual cut LP, by lazy constraint generation
+    on its dual (see the module docstring).
 
     ``cut_pool`` (vertex masks) carries cuts discovered earlier; newly
     separated cuts are appended so successive solves warm-start.
     """
-    slots = edge_slots(inst)
-    free = [s for s in slots if s not in fixed]
-    index = {s: k for k, s in enumerate(free)}
+    free = [s for s in edge_slots(inst) if s not in fixed]
     cost = [inst.w(u, v) for u, v, _c in free]
+    lp = ColumnLp(cost)
     group_masks = req.group_masks()
     fixed_cross = _pair_matrix(inst.n, ((u, v, 1) for u, v, _c in fixed))
 
     pool = cut_pool if cut_pool is not None else []
-    ub_rows: set[int] = set()
-
-    def residual(mask: int) -> int:
-        crossing_fixed = sum(1 for s in fixed if _crosses(s, mask))
-        return 2 - crossing_fixed
-
+    priced = 0  # pool[:priced] have their columns
     while True:
-        rows = []
-        for mask in pool:
-            r = residual(mask)
-            if r <= 0:
-                continue
-            coeffs = [1 if _crosses(s, mask) else 0 for s in free]
-            rows.append((coeffs, GE, r))
-        for k in sorted(ub_rows):
-            coeffs = [0] * len(free)
-            coeffs[k] = 1
-            rows.append((coeffs, LE, 1))
-        result = solve_min_lp(cost, rows)
-        if result.status != "optimal":
+        for mask in pool[priced:]:
+            residual = 2 - sum((mask >> u ^ mask >> v) & 1
+                               for u, v, _c in fixed)
+            if residual > 0:
+                lp.add_column([(k, 1) for k, (u, v, _c) in enumerate(free)
+                               if (mask >> u ^ mask >> v) & 1], -residual)
+        priced = len(pool)
+        try:
+            x, scale = lp.optimise()
+        except SmcError as exc:
+            if exc.code != "unbounded":
+                raise
             raise SmcError("cut LP infeasible: separation produced an "
-                           "unsatisfiable system")
-        x = result.x if result.x else [Fraction(0)] * len(free)
+                           "unsatisfiable system") from exc
         if trace is not None:
-            trace.append(f"lp rows={len(rows)} value={result.objective}")
+            value = Fraction(sum(c * v for c, v in zip(cost, x)), scale)
+            trace.append(f"lp rows={len(lp.columns)} value={value}")
 
-        new_ub = {k for k, v in enumerate(x) if v > 1 and k not in ub_rows}
-        if new_ub:
-            ub_rows |= new_ub
+        # the certificate holds x_e <= 1 wherever a bound was added
+        new_bounds = [k for k, v in enumerate(x) if v > scale]
+        if new_bounds:
+            for k in new_bounds:
+                lp.add_column([(k, -1)], 1)
             continue
 
-        scale = lcm(*[v.denominator for v in x], 1)
         cross_value = _pair_matrix(
-            inst.n, ((u, v, int(x[index[(u, v, c)]] * scale))
-                     for u, v, c in free))
+            inst.n, ((u, v, xk) for (u, v, _c), xk in zip(free, x)))
         violated = _scan_cuts(inst.n, group_masks, cross_value, fixed_cross, scale)
         if not violated:
-            return FractionalEdgeVector(slots=tuple(free), values=tuple(x))
+            return FractionalEdgeVector(
+                slots=tuple(free), values=tuple(Fraction(v, scale) for v in x))
         violated.sort(key=lambda t: (-t[0], t[1]))
         known = set(pool)
         added = 0
@@ -299,11 +283,21 @@ def jain_round(inst: Instance, req: SNDRequirements,
 
 
 def _assert_feasible(g: EdgeSubgraph, req: SNDRequirements) -> None:
-    fixed_cross = _pair_matrix(g.n, ((u, v, 1) for u, v, _c in g.edges))
-    zero = [[0] * g.n for _ in range(g.n)]
-    violated = _scan_cuts(g.n, req.group_masks(), zero, fixed_cross, 1)
-    if violated:
-        raise SmcError(f"subgraph misses {len(violated)} requirement cuts")
+    """Raise unless every group lies in one 2-edge-connected component of
+    ``g``: two vertices are 2-edge-connected exactly when they share a
+    component once the bridges are removed."""
+    bridges = _bridges(g)
+    bridgeless = EdgeSubgraph(n=g.n, edges=tuple(
+        e for e in g.edges if (e[0], e[1]) not in bridges))
+    component = [0] * g.n
+    for ci, comp in enumerate(bridgeless.components()):
+        for v in comp:
+            component[v] = ci
+    split = [grp for grp in req.groups
+             if len({component[v] for v in grp}) > 1]
+    if split:
+        raise SmcError(f"subgraph leaves {len(split)} groups without two "
+                       "edge-disjoint paths")
 
 
 def _bridges(g: EdgeSubgraph) -> set[tuple[int, int]]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smcycle import _simplex
-from smcycle._simplex import GE, LE, solve_min_lp
+from smcycle._simplex import GE, LE, ColumnLp, solve_min_lp
 from smcycle.core import cover_cost, generate_instance, validate_instance
 from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
@@ -191,6 +191,95 @@ def test_matches_vertex_enumeration(lp):
         assert result.objective == best
         assert feasible(result.x, rows)
         assert sum(ci * xi for ci, xi in zip(c, result.x)) == best
+
+
+@st.composite
+def covering_batches(draw):
+    """Costs c >= 0 and batches of (0/1 >= rows, new x_k <= 1 bounds)."""
+    n = draw(st.integers(1, 3))
+    c = draw(st.lists(st.one_of(st.integers(0, 5),
+                                st.fractions(0, 5, max_denominator=6)),
+                      min_size=n, max_size=n))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.tuples(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.integers(1, 3)), max_size=2))
+        bounds = draw(st.lists(st.integers(0, n - 1), max_size=1))
+        batches.append((rows, bounds))
+    return c, batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(covering_batches())
+def test_column_lp_matches_cold_solves_after_each_batch(lp):
+    # min c.x over x >= 0, rows a.x >= r and bounds x_k <= 1, solved
+    # through its dual: each row and each bound is one added column
+    c, batches = lp
+    dual = ColumnLp(c)
+    rows = []
+    bounded = set()
+    for new_rows, bounds in batches:
+        for coeffs, r in new_rows:
+            dual.add_column([(k, 1) for k, a in enumerate(coeffs) if a], -r)
+            rows.append((coeffs, GE, r))
+        for k in bounds:
+            if k not in bounded:
+                bounded.add(k)
+                dual.add_column([(k, -1)], 1)
+                rows.append(([int(j == k) for j in range(len(c))], LE, 1))
+        best = vertex_optimum(c, rows)
+        cold = solve_min_lp(c, rows)
+        if best is None:
+            assert cold.status == "infeasible"
+            with pytest.raises(SmcError, match="unbounded"):
+                dual.optimise()
+            return
+        x, den = dual.optimise()
+        x = [F(v, den) for v in x]
+        assert feasible(x, rows)
+        assert sum(ci * xi for ci, xi in zip(c, x)) == best == cold.objective
+
+
+def test_column_lp_prices_and_reprices():
+    # min 2a + 3b + c over a + b >= 1, b + c >= 1 has value 3, at (0, 1, 0)
+    # and at (1, 0, 1); a + c >= 2 leaves (1, 0, 1) alone, and a <= 1
+    # keeps it
+    dual = ColumnLp([2, 3, 1])
+    dual.add_column([(0, 1), (1, 1)], -1)
+    dual.add_column([(1, 1), (2, 1)], -1)
+    x, den = dual.optimise()
+    assert sum(c * v for c, v in zip([2, 3, 1], x)) == 3 * den
+    dual.add_column([(0, 1), (2, 1)], -2)
+    x, den = dual.optimise()
+    assert (x, den) == ([1, 0, 1], 1)
+    dual.add_column([(0, -1)], 1)
+    assert dual.optimise() == ([1, 0, 1], 1)
+
+
+def test_column_lp_rejects_negative_rhs():
+    with pytest.raises(SmcError, match="non-negative"):
+        ColumnLp([1, -1])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda x, xs, w, ws: ([x[0] + xs, *x[1:]], xs, w, ws), "objectives"),
+    (lambda x, xs, w, ws: (x[::-1], xs, w, ws), "prices violate a column"),
+    (lambda x, xs, w, ws: ([-v for v in x], xs, w, ws), "negative"),
+    (lambda x, xs, w, ws: (x, xs, [v + ws for v in w], ws),
+     "values violate a row"),
+])
+def test_certificate_rejects_a_corrupted_answer(monkeypatch, corrupt, message):
+    # min x0 + x1 over x0 + x1 >= 1 and x0 >= 1 has the one optimum
+    # (1, 0); the swapped (0, 1) keeps the objective and breaks x0 >= 1
+    solution = ColumnLp._solution
+    monkeypatch.setattr(ColumnLp, "_solution",
+                        lambda lp: corrupt(*solution(lp)))
+    dual = ColumnLp([1, 1])
+    dual.add_column([(0, 1), (1, 1)], -1)
+    dual.add_column([(0, 1)], -1)
+    with pytest.raises(SmcError, match=message):
+        dual.optimise()
 
 
 def shifted(inst, delta):

@@ -3,10 +3,16 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+import pytest
+
+from smcycle._simplex import GE, ColumnLp, solve_min_lp
 from smcycle.core import WeightClass, generate_instance, validate_instance
+from smcycle.errors import SmcError
+from smcycle.metric import approx_metric
 from smcycle.oracle import brute_force_snd
-from smcycle.snd import (EdgeSubgraph, build_requirements, edge_slots,
-                         jain_round, prune_bridges, solve_cut_lp)
+from smcycle.snd import (EdgeSubgraph, SNDRequirements, _assert_feasible,
+                         _pair_matrix, _scan_cuts, build_requirements,
+                         edge_slots, jain_round, prune_bridges, solve_cut_lp)
 
 
 def unit_metric(n, groups):
@@ -28,11 +34,12 @@ def two_far_triangles():
 def test_requirements_shape():
     inst = generate_instance("euclidean", 7, [3, 4], seed=1)
     req = build_requirements(inst)
-    g0 = inst.groups[0]
-    g1 = inst.groups[1]
-    assert req.requirement(g0[0], g0[1]) == 2
-    assert req.requirement(g0[0], g1[0]) == 0
-    assert req.required_pair_count() == 3 + 6
+    assert req.groups == inst.groups
+    masks = req.group_masks()
+    assert sorted(size for _mask, size in masks) == [3, 4]
+    assert [size for _mask, size in masks] == [len(g) for g in inst.groups]
+    assert [[v for v in range(7) if mask >> v & 1] for mask, _size in masks] \
+        == [list(g) for g in inst.groups]
 
 
 def test_pair_group_lp_uses_both_copies():
@@ -40,10 +47,9 @@ def test_pair_group_lp_uses_both_copies():
                              WeightClass.GENERAL_METRIC, [[0, 1]])
     req = build_requirements(inst)
     x = solve_cut_lp(inst, req)
-    values = x.as_dict()
-    assert values[(0, 1, 0)] == 1
-    assert values[(0, 1, 1)] == 1
-    assert sum(inst.w(u, v) * val for (u, v, _c), val in values.items()) == 10
+    assert list(zip(x.slots, x.values)) == [((0, 1, 0), 1), ((0, 1, 1), 1)]
+    assert sum(inst.w(u, v) * val
+               for (u, v, _c), val in zip(x.slots, x.values)) == 10
 
 
 def test_triangle_lp_is_integral():
@@ -58,7 +64,7 @@ def test_two_far_triangles_lp_value():
     req = build_requirements(inst)
     x = solve_cut_lp(inst, req)
     value = sum(inst.w(u, v) * val
-                for (u, v, _c), val in x.as_dict().items())
+                for (u, v, _c), val in zip(x.slots, x.values))
     assert value == 6
     assert brute_force_snd(inst) == 6
 
@@ -150,3 +156,132 @@ def test_lp_values_stay_in_unit_box():
         x = solve_cut_lp(inst, req)
         assert all(0 <= v <= 1 for v in x.values)
         assert any(v >= Fraction(1, 2) for v in x.values)
+
+
+def random_multigraph(rng, n):
+    """Random edge slots over n vertices, some pairs doubled, and a random
+    partition of the vertices into groups."""
+    p = rng.uniform(0.15, 0.8)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v, 0))
+                if rng.random() < 0.25:
+                    edges.append((u, v, 1))
+    order = list(range(n))
+    rng.shuffle(order)
+    groups = []
+    while order:
+        take = rng.randint(1, len(order))
+        groups.append(tuple(sorted(order[:take])))
+        order = order[take:]
+    return EdgeSubgraph(n=n, edges=tuple(edges)), SNDRequirements(n, tuple(groups))
+
+
+def test_feasibility_check_matches_cut_scan():
+    rng = Random(2024)
+    outcomes = {True: 0, False: 0}
+    for trial in range(2400):
+        g, req = random_multigraph(rng, rng.randint(2, 9))
+        fixed = _pair_matrix(g.n, ((u, v, 1) for u, v, _c in g.edges))
+        zero = [[0] * g.n for _ in range(g.n)]
+        scan_ok = not _scan_cuts(g.n, req.group_masks(), zero, fixed, 1)
+        try:
+            _assert_feasible(g, req)
+            check_ok = True
+        except SmcError:
+            check_ok = False
+        assert check_ok == scan_ok, (g, req)
+        outcomes[check_ok] += 1
+    assert min(outcomes.values()) >= 400
+
+
+def gray_scan(n, group_masks, value, fixed, scale):
+    """Reference for ``_scan_cuts``: every cut of the same Gray-code order,
+    its capacity summed from scratch."""
+    out = []
+    mask = 0
+    for i in range(1, 1 << (n - 1)):
+        mask ^= i & -i
+        cap = sum(value[u][v] + scale * fixed[u][v]
+                  for u in range(n) for v in range(n)
+                  if mask >> u & 1 and not mask >> v & 1)
+        splits = any(0 < bin(mask & gmask).count("1") < size
+                     for gmask, size in group_masks)
+        if splits and cap < 2 * scale:
+            out.append((2 * scale - cap, mask))
+    return out
+
+
+def test_scan_cuts_matches_direct_enumeration():
+    rng = Random(8)
+    for trial in range(300):
+        n = rng.randint(2, 8)
+        scale = rng.choice((1, 2, 6))
+        g, req = random_multigraph(rng, n)
+        fixed = _pair_matrix(n, ((u, v, 1) for u, v, _c in g.edges
+                                 if rng.random() < 0.3))
+        value = _pair_matrix(n, ((u, v, rng.randint(0, scale))
+                                 for u in range(n) for v in range(u + 1, n)))
+        masks = req.group_masks()
+        assert _scan_cuts(n, masks, value, fixed, scale) \
+            == gray_scan(n, masks, value, fixed, scale)
+
+
+def scaled(inst, factor, delta):
+    """The same instance with every off-diagonal weight w replaced by
+    factor * w + delta (still metric)."""
+    w = [[0 if i == j else factor * x + delta for j, x in enumerate(row)]
+         for i, row in enumerate(inst.weights)]
+    return validate_instance(inst.n, w, True, inst.weight_class, inst.groups)
+
+
+def test_warm_rounds_match_cold_solves(monkeypatch):
+    # every separation round of metric3, re-optimised from the previous
+    # basis, reaches the optimum a cold two-phase solve finds for the same
+    # rows: each column of the dual is one row of the primal cut LP
+    rounds = []
+    optimise = ColumnLp.optimise
+
+    def spy(lp):
+        x, den = optimise(lp)
+        rounds.append((list(lp.rhs), list(lp.columns), x, den))
+        return x, den
+
+    monkeypatch.setattr(ColumnLp, "optimise", spy)
+    rng = Random(31)
+    for trial in range(60):
+        n = 5 + trial % 5
+        sizes = rng.choice({5: [[2, 3], [5]], 6: [[3, 3], [2, 2, 2]],
+                            7: [[3, 4], [2, 2, 3]], 8: [[4, 4], [2, 3, 3]],
+                            9: [[3, 3, 3], [4, 5]]}[n])
+        inst = generate_instance("euclidean", n, sizes, rng.randrange(10 ** 6))
+        if trial % 2:
+            inst = scaled(inst, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                          Fraction(rng.randint(0, 5), rng.randint(1, 7)))
+        approx_metric(inst)
+    assert len(rounds) > 300
+    for cost, columns, x, den in rounds:
+        rows = []
+        for groups, column_cost in columns:
+            coeffs = [0] * len(cost)
+            for a, ks in groups:
+                for k in ks:
+                    coeffs[k] = a
+            rows.append((coeffs, GE, -column_cost))
+        cold = solve_min_lp(cost, rows)
+        assert cold.status == "optimal"
+        assert cold.objective == Fraction(sum(c * v for c, v in zip(cost, x)), den)
+
+
+def test_cut_lp_certificate_rejects_corrupted_prices(monkeypatch):
+    solution = ColumnLp._solution
+
+    def corrupt(lp):
+        x, xs, w, ws = solution(lp)
+        return [v + xs for v in x], xs, w, ws
+
+    monkeypatch.setattr(ColumnLp, "_solution", corrupt)
+    with pytest.raises(SmcError, match="certificate"):
+        solve_cut_lp(two_far_triangles(), build_requirements(two_far_triangles()))
