@@ -9,18 +9,19 @@ Eulerian) and shortcut back to a directed 2-factor.
 Invariants asserted on every iteration: the representative set hits every
 offending cycle, never meets a group in exactly one vertex, and leaves at
 least half the offending cycles with a single representative; the overlay
-passes the strongly-Eulerian degree/component check; the number of
-offending cycles shrinks by a factor of at least 3/4; and the iteration
-count stays within ceil(log_{4/3} n) + 1.
+is balanced at every vertex (the textbook component-splitting condition
+can fail on these overlays and is not required); the shortcut keeps the
+component structure and never adds weight; the number of offending cycles
+shrinks by a factor of at least 3/4; and the iteration count stays within
+ceil(log_{4/3} n) + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .core import (CycleCover, Instance, Weight, cover_cost, make_cover,
-                   validate_solution)
+from .core import (CycleCover, Instance, Weight, components, cover_cost,
+                   euler_shortcut, make_cover, validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import minimal_edge_cover
 from .twofactor import TwoFactorRequest, min_weight_directed_2factor
@@ -109,8 +110,15 @@ def representatives(inst: Instance, cover: CycleCover) -> RepresentativeSet:
 
 @dataclass(frozen=True)
 class StronglyEulerianDigraph:
-    """Arc multiset with in-degree = out-degree = k(v) at every vertex and
-    the removal of v splitting off exactly k(v) - 1 extra components."""
+    """Arc multiset with in-degree = out-degree at every vertex, so that
+    each weakly connected component is strongly connected and Eulerian.
+
+    The overlays the pipeline builds need not satisfy the textbook
+    component-splitting condition (removing v frees exactly k(v) - 1
+    components): an inner 2-factor can pair two representatives of one
+    outer cycle.  The shortcut needs balance only, and that is what
+    :meth:`check` asserts.
+    """
 
     n: int
     arcs: tuple[tuple[int, int], ...]
@@ -133,123 +141,30 @@ class StronglyEulerianDigraph:
             if indeg[v] != outdeg[v]:
                 raise SmcError(f"vertex {v} is unbalanced")
 
-    def check_component_splitting(self) -> None:
-        """The textbook condition: removing v frees exactly k(v)-1 components.
-
-        Overlays of a spanning 2-factor and a representative 2-factor can
-        violate this when the inner factor pairs two representatives of one
-        outer cycle, so the pipeline relies on balance only; this stricter
-        variant exists for tests that pin down that behavior.
-        """
-        self.check()
-        _indeg, outdeg = self.degrees()
-        touched = {x for arc in self.arcs for x in arc}
-        base = _component_count(self.arcs, skip=None)
-        for v in sorted(touched):
-            rem = [(a, b) for a, b in self.arcs if v not in (a, b)]
-            rem_touched = {x for arc in rem for x in arc}
-            isolated = len(touched - {v} - rem_touched)
-            got = _component_count(rem, skip=None) + isolated
-            if got != base + outdeg[v] - 1:
-                raise SmcError(
-                    f"removing vertex {v} leaves {got} components, "
-                    f"expected {base + outdeg[v] - 1}")
-
-
-def _component_count(arcs: Iterable[tuple[int, int]], skip: int | None) -> int:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = set()
-    for u, v in arcs:
-        if skip in (u, v):
-            continue
-        touched.add(u)
-        touched.add(v)
-        parent[find(u)] = find(v)
-    return len({find(v) for v in touched})
-
 
 def directed_shortcut(d: StronglyEulerianDigraph, inst: Instance) -> CycleCover:
     """Collapse every component of a balanced digraph to one directed cycle.
 
-    Walks an Euler tour of each component (smallest start, smallest head
-    first) and skips revisited vertices; every skip splices two arcs
-    (u1,v),(v,w2) into (u1,w2) along the tour, so the component structure
-    is preserved and, under the triangle inequality, the weight never
-    grows.
+    Walks :func:`core.euler_shortcut`'s tour of each component and skips
+    revisited vertices; every skip splices two arcs (u1,v),(v,w2) into
+    (u1,w2) along the tour, so the component structure is preserved and,
+    under the triangle inequality, the weight never grows.
     """
     d.check()
-    before = _weak_components(d.n, d.arcs)
-    start_weight = d.weight(inst)
-
-    out_adj: dict[int, list[int]] = {v: [] for v in range(d.n)}
-    for u, v in d.arcs:
-        out_adj[u].append(v)
-    for u in out_adj:
-        out_adj[u].sort(reverse=True)  # pop() walks the smallest head first
-
-    seen_vertex = [False] * d.n
-    cycles = []
-    for comp in before:
-        start = min(comp)
-        # Hierholzer tour over the component's arcs
-        stack = [start]
-        tour: list[int] = []
-        while stack:
-            u = stack[-1]
-            if out_adj[u]:
-                stack.append(out_adj[u].pop())
-            else:
-                tour.append(stack.pop())
-        tour.reverse()
-        if tour[0] != tour[-1]:
-            raise SmcError("component walk is not a closed tour")
-        cyc = []
-        for v in tour[:-1]:
-            if not seen_vertex[v]:
-                seen_vertex[v] = True
-                cyc.append(v)
-        if set(cyc) != comp:
-            raise SmcError("tour missed part of its component")
-        if len(cyc) < 2:
-            raise SmcError("component has a single vertex")
-        cycles.append(cyc)
-
+    before = components(d.n, d.arcs)
+    _indeg, outdeg = d.degrees()
+    cycles = euler_shortcut(d.n, d.arcs, directed=True)
+    if [sorted(c) for c in cycles] != [c for c in before if outdeg[c[0]]]:
+        raise SmcError("tour missed part of its component")
+    if any(len(c) < 2 for c in cycles):
+        raise SmcError("component has a single vertex")
     cover = make_cover(cycles, directed=True)
-    end_weight = cover_cost(inst, cover)
-    if end_weight > start_weight:
+    if cover_cost(inst, cover) > d.weight(inst):
         raise SmcError("shortcut increased the weight")
-    if _weak_components(d.n, [(c[i], c[(i + 1) % len(c)])
-                              for c in cycles for i in range(len(c))]) != before:
+    if components(d.n, [(c[i - 1], c[i]) for c in cycles
+                        for i in range(len(c))]) != before:
         raise SmcError("shortcut changed the component structure")
     return cover
-
-
-def _weak_components(n: int, arcs: Sequence[tuple[int, int]]) -> list[frozenset[int]]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = set()
-    for u, v in arcs:
-        touched.add(u)
-        touched.add(v)
-        parent[find(u)] = find(v)
-    comps: dict[int, set[int]] = {}
-    for v in sorted(touched):
-        comps.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(c) for c in comps.values()), key=min)
 
 
 def iteration_bound(n: int) -> int:
@@ -326,16 +241,3 @@ def _induced_directed_2factor(inst: Instance, order: list[int]
               for j in range(k)] for i in range(k)]
     succ, _total = min_cost_bipartite_perfect_matching(costs)
     return [(order[i], order[succ[i]]) for i in range(k)]
-
-
-def shortcut_cover_onto(inst: Instance, cover: CycleCover,
-                        keep: frozenset[int]) -> CycleCover:
-    """Restriction of a directed cover to a vertex subset, by shortcutting."""
-    cycles = []
-    for cyc in cover.cycles:
-        sub = [v for v in cyc if v in keep]
-        if sub:
-            cycles.append(sub)
-    if any(len(c) < 2 for c in cycles):
-        raise SmcError("shortcut cover has a singleton cycle")
-    return make_cover(cycles, directed=True)

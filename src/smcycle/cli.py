@@ -54,6 +54,14 @@ def _normalize_kind(kind: str) -> str:
     return {"onetwo": "one-two"}.get(kind, kind)
 
 
+def _read_instance(path: str) -> Instance:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_instance(text)
+
+
 def _groups_label(inst: Instance) -> str:
     return ",".join(str(len(g)) for g in inst.groups)
 
@@ -130,7 +138,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = parse_instance(Path(args.infile).read_text(encoding="utf-8"))
+    inst = _read_instance(args.infile)
     trace: list[str] | None = [] if args.dump_stages else None
     cover, iterations, bound = _run_algorithm(args.algo, inst,
                                               args.tie_break, trace)
@@ -167,7 +175,7 @@ def cmd_compare(args) -> int:
     rows = []
     all_pass = True
     for path in paths:
-        inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+        inst = _read_instance(path)
         oracle_cost = None
         if args.oracle:
             oracle_cost, _ = brute_force_smc(inst, budget)

@@ -7,6 +7,10 @@ keeps each terminal group inside a single cycle.  Length-2 cycles are legal
 only in the undirected case, only for a group of exactly two vertices, and
 are realized by a duplicated pair edge whose cost counts twice.
 
+The graph primitives every pipeline shares live here too: one union-find
+(:func:`find`, :func:`components`) and one Euler-tour shortcut
+(:func:`euler_shortcut`).
+
 All weights are exact (int or Fraction); nothing in this module touches
 floating point.
 """
@@ -328,6 +332,77 @@ def count_weight2_edges(inst: Instance, cover: CycleCover) -> int:
             if inst.w(cyc[i], cyc[(i + 1) % k]) == 2:
                 count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# graph primitives shared by the pipelines and oracles
+
+
+def find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def components(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Connected components of vertices 0..n-1 under ``edges`` (pairs, or
+    tuples whose first two fields are the ends), isolated vertices included,
+    each a sorted list, in order of their lowest vertex."""
+    parent = list(range(n))
+    for e in edges:
+        parent[find(parent, e[0])] = find(parent, e[1])
+    comps: dict[int, list[int]] = {}
+    for v in range(n):
+        comps.setdefault(find(parent, v), []).append(v)
+    return list(comps.values())
+
+
+def euler_shortcut(n: int, edges: Sequence[tuple[int, int]],
+                   directed: bool) -> list[list[int]]:
+    """Walk an Euler tour of each component of a multigraph and keep the
+    first visit of each vertex, one vertex sequence per component.
+
+    Tours start at each component's lowest vertex and always take the
+    lowest unused neighbour, the lowest edge index among parallel edges
+    (Hierholzer).  Arcs are followed tail to head when ``directed``.  The
+    caller checks that every degree is even (every vertex balanced), so
+    that each walk is a closed tour of its component; isolated vertices
+    get no sequence.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append((v, eid))
+        if not directed:
+            adj[v].append((u, eid))
+    for out in adj:
+        out.sort(reverse=True)  # pop() takes the lowest neighbour first
+    used = [False] * len(edges)
+    seen = [False] * n
+    walks = []
+    for start in range(n):
+        if seen[start] or not adj[start]:
+            continue
+        stack = [start]
+        tour: list[int] = []
+        while stack:
+            out = adj[stack[-1]]
+            while out and used[out[-1][1]]:
+                out.pop()
+            if out:
+                v, eid = out.pop()
+                used[eid] = True
+                stack.append(v)
+            else:
+                tour.append(stack.pop())
+        walk = []
+        for v in reversed(tour):
+            if not seen[v]:
+                seen[v] = True
+                walk.append(v)
+        walks.append(walk)
+    return walks
 
 
 # ---------------------------------------------------------------------------

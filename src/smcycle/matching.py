@@ -17,6 +17,7 @@ from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
 
+from .core import find
 from .errors import ValidationError
 
 Edge = tuple[Hashable, Hashable]
@@ -113,28 +114,22 @@ def _augment_matching(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
     queue: list[int] = []
     odd: list[int] = []
 
-    def find(x: int) -> int:
-        while base[x] != x:
-            base[x] = base[base[x]]
-            x = base[x]
-        return x
-
     def lca(a: int, b: int) -> int:
         # walk both ends up the tree in turn; the first base seen twice
         nonlocal clock
         clock += 1
-        a, b = find(a), find(b)
+        a, b = find(base, a), find(base, b)
         while True:
             if a != -1:
                 if stamp[a] == clock:
                     return a
                 stamp[a] = clock
-                a = -1 if mate[a] == -1 else find(link[mate[a]])
+                a = -1 if mate[a] == -1 else find(base, link[mate[a]])
             a, b = b, a
 
     def trace(v: int, b: int, child: int, members: list[int]) -> None:
         # route the path from v up to base b through the cross edge
-        while find(v) != b:
+        while find(base, v) != b:
             m = mate[v]
             link[v] = child
             members.append(v)
@@ -172,15 +167,15 @@ def _augment_matching(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
                     label[mate[u]] = _EVEN
                     queue.append(mate[u])
                 elif lu == _EVEN:
-                    b = find(v)
-                    if b == find(u):
+                    b = find(base, v)
+                    if b == find(base, u):
                         continue
                     b = lca(v, u)
                     members: list[int] = []
                     trace(v, b, u, members)
                     trace(u, b, v, members)
                     for x in members:
-                        r = find(x)
+                        r = find(base, x)
                         if r != b:
                             base[r] = b
                         if label[x] == _ODD:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .core import (CycleCover, Instance, Weight, cover_cost, make_cover,
-                   validate_solution)
+from .core import (CycleCover, Instance, Weight, cover_cost, euler_shortcut,
+                   make_cover, validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 from .snd import EdgeSubgraph, build_requirements, jain_round, prune_bridges
@@ -131,60 +131,24 @@ def min_t_join(g: EdgeSubgraph, inst: Instance, targets: list[int]) -> TJoin:
 
 def _euler_shortcut(n: int, slots: list[tuple[int, int]], inst: Instance
                     ) -> CycleCover:
-    """Shortcut every Eulerian component of an edge multiset to a cycle.
-
-    Euler tours start at each component's lowest vertex and always follow
-    the lowest-numbered unused edge; repeated vertices are then skipped.
-    A 2-vertex component becomes a flagged pair 2-cycle.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for eid, (u, v) in enumerate(slots):
-        adj[u].append(eid)
-        adj[v].append(eid)
-    if any(len(adj[v]) % 2 for v in range(n)):
+    """Shortcut every Eulerian component of an edge multiset to a cycle
+    along :func:`core.euler_shortcut`'s tour; a 2-vertex component becomes a
+    flagged pair 2-cycle."""
+    degree = [0] * n
+    for u, v in slots:
+        degree[u] += 1
+        degree[v] += 1
+    if any(d % 2 for d in degree):
         raise SmcError("multigraph has an odd-degree vertex")
-    for u in adj:
-        adj[u].sort(key=lambda e: (slots[e][0] + slots[e][1] - u, e))
-
-    used = [False] * len(slots)
-    ptr = [0] * n
-    seen_vertex = [False] * n
     pair_set = {frozenset(p) for p in inst.pair_groups()}
-    cycles = []
-    flags = []
-    for start in range(n):
-        if seen_vertex[start] or not adj[start]:
-            continue
-        stack = [start]
-        path: list[int] = []
-        while stack:
-            u = stack[-1]
-            while ptr[u] < len(adj[u]) and used[adj[u][ptr[u]]]:
-                ptr[u] += 1
-            if ptr[u] == len(adj[u]):
-                path.append(stack.pop())
-            else:
-                e = adj[u][ptr[u]]
-                used[e] = True
-                a, b = slots[e]
-                stack.append(b if a == u else a)
-        path.reverse()
-        cyc = []
-        for v in path:
-            if not seen_vertex[v]:
-                seen_vertex[v] = True
-                cyc.append(v)
-        if len(cyc) == 2:
-            if frozenset(cyc) not in pair_set:
-                raise SmcError("2-vertex component is not a size-2 terminal group")
-            cycles.append(cyc)
-            flags.append(True)
-        elif len(cyc) < 2:
+    cycles = euler_shortcut(n, slots, directed=False)
+    for cyc in cycles:
+        if len(cyc) < 2:
             raise SmcError("component with a single vertex cannot be covered")
-        else:
-            cycles.append(cyc)
-            flags.append(False)
-    cover = make_cover(cycles, directed=False, pair_flags=flags)
+        if len(cyc) == 2 and frozenset(cyc) not in pair_set:
+            raise SmcError("2-vertex component is not a size-2 terminal group")
+    cover = make_cover(cycles, directed=False,
+                       pair_flags=[len(cyc) == 2 for cyc in cycles])
     total_weight = sum(inst.w(u, v) for u, v in slots)
     if cover_cost(inst, cover) > total_weight:
         raise SmcError("shortcut increased the cost on a metric instance")
@@ -251,6 +215,8 @@ def doubled_subgraph_baseline(inst: Instance,
     Reproduces the older doubling-based approximation for ratio tables.
     A pruned subgraph from an earlier pipeline run can be reused.
     """
+    if not inst.symmetric:
+        raise ValidationError("metric pipeline needs a symmetric instance")
     if pruned is None:
         req = build_requirements(inst)
         pruned = prune_bridges(jain_round(inst, req), req)

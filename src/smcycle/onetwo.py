@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass,
+from .core import (CycleCover, Instance, Weight, WeightClass, components,
                    count_weight2_edges, cover_cost, make_cover,
                    validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
@@ -270,27 +270,7 @@ class AttachmentDigraph:
         return {a: b for a, b in self.arcs}
 
     def dprime_components(self) -> list[list[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(self.n_cycles)}
-        for a, b in self.dprime:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen: set[int] = set()
-        comps = []
-        for s in range(self.n_cycles):
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in sorted(adj[u]):
-                    if v not in seen:
-                        seen.add(v)
-                        comp.append(v)
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+        return components(self.n_cycles, self.dprime)
 
     def isolated_nodes(self) -> set[int]:
         touched = {v for arc in self.dprime for v in arc}
@@ -322,6 +302,43 @@ def _component_shape(arcs_in_comp: list[tuple[int, int]], nodes: list[int]) -> s
     return "broken"
 
 
+def _d_components(factor: SpecialTwoFactor,
+                  matching: Iterable[tuple[int, int]]
+                  ) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]]:
+    """The cycle digraph D of a matching of (cycle, vertex) pairs.
+
+    D has an arc from each matched cycle to the cycle holding its matched
+    vertex, so every node has out-degree at most 1, and a weak component
+    holds one directed cycle exactly when each of its nodes has an arc.
+    Returns the arcs as a successor map and, for each component of 2 or
+    more nodes in order of its lowest node, its nodes and the nodes of its
+    directed cycle in walk order from the lowest node (empty for a tree).
+    """
+    cycles = factor.cover.cycles
+    cycle_of = {v: ci for ci, cyc in enumerate(cycles) for v in cyc}
+    out: dict[int, int] = {}
+    for ci, v in sorted(matching):
+        if ci in out:
+            raise SmcError("cycle matched twice")
+        if v in cycles[ci]:
+            raise SmcError("cycle matched to its own vertex")
+        out[ci] = cycle_of[v]
+    comps = []
+    for nodes in components(len(cycles), out.items()):
+        if len(nodes) < 2:
+            continue
+        cyc_nodes: list[int] = []
+        if all(v in out for v in nodes):
+            cur = nodes[0]
+            order: dict[int, int] = {}
+            while cur not in order:
+                order[cur] = len(order)
+                cur = out[cur]
+            cyc_nodes = [v for v in order if order[v] >= order[cur]]
+        comps.append((nodes, cyc_nodes))
+    return out, comps
+
+
 def build_D_and_Dprime(inst: Instance, factor: SpecialTwoFactor,
                        matching: Iterable[tuple[int, int]],
                        break_choice: dict[int, tuple[int, int]] | None = None
@@ -334,53 +351,20 @@ def build_D_and_Dprime(inst: Instance, factor: SpecialTwoFactor,
     removes the arc entering the smallest node on that cycle.
     """
     cycles = factor.cover.cycles
-    cycle_of: dict[int, int] = {}
-    for ci, cyc in enumerate(cycles):
-        for v in cyc:
-            cycle_of[v] = ci
     matched = sorted(matching)
-    out: dict[int, int] = {}
-    for ci, v in matched:
-        if ci in out:
-            raise SmcError("cycle matched twice")
-        if v in cycles[ci]:
-            raise SmcError("cycle matched to its own vertex")
-        out[ci] = cycle_of[v]
+    out, d_comps = _d_components(factor, matched)
     for ci in out:
         if not factor.pure[ci]:
             raise SmcError("nonpure cycle must be unmatched")
         if len(cycles[ci]) == 2:
             raise SmcError("length-2 cycle must be unmatched")
 
-    n_cycles = len(cycles)
-    comp_id = list(range(n_cycles))
-
-    def find(x: int) -> int:
-        while comp_id[x] != x:
-            comp_id[x] = comp_id[comp_id[x]]
-            x = comp_id[x]
-        return x
-
-    for a, b in out.items():
-        comp_id[find(a)] = find(b)
-    comps: dict[int, list[int]] = {}
-    for i in range(n_cycles):
-        comps.setdefault(find(i), []).append(i)
-
     dprime: set[tuple[int, int]] = set()
-    for nodes in sorted(comps.values()):
-        if len(nodes) == 1:
-            continue
+    for nodes, cyc_nodes in d_comps:
         local_out = {v: out[v] for v in nodes if v in out}
         broken_arc: tuple[int, int] | None = None
-        if all(v in local_out for v in nodes):
-            # functional component: exactly one directed cycle to break
-            cur = min(nodes)
-            order: dict[int, int] = {}
-            while cur not in order:
-                order[cur] = len(order)
-                cur = local_out[cur]
-            cyc_nodes = [v for v in order if order[v] >= order[cur]]
+        if cyc_nodes:
+            # functional component: break its one directed cycle
             choice = (break_choice or {}).get(min(nodes))
             if choice is not None:
                 a, b = choice
@@ -428,7 +412,7 @@ def build_D_and_Dprime(inst: Instance, factor: SpecialTwoFactor,
     dig = AttachmentDigraph(arcs=tuple(sorted(out.items())),
                             dprime=tuple(sorted(dprime)),
                             matched_vertex=tuple(matched),
-                            n_cycles=n_cycles)
+                            n_cycles=len(cycles))
     _assert_dprime_shape(dig)
     return dig
 
@@ -861,7 +845,7 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
         factor = special_2factor(inst, base=base)
         b_edges = build_B(inst, factor)
         for matching in _enumerate_maximum_matchings(b_edges):
-            for break_choice in _enumerate_break_choices(inst, factor, matching):
+            for break_choice in _enumerate_break_choices(factor, matching):
                 runs += 1
                 if runs > ADVERSARIAL_MAX_RUNS:
                     raise BudgetExceededError(
@@ -928,42 +912,13 @@ def _enumerate_maximum_matchings(b_edges: list[tuple[int, int]]
     return [sorted(m) for m in sorted(found, key=sorted)]
 
 
-def _enumerate_break_choices(inst: Instance, factor: SpecialTwoFactor,
+def _enumerate_break_choices(factor: SpecialTwoFactor,
                              matching: list[tuple[int, int]]
                              ) -> list[dict[int, tuple[int, int]] | None]:
     """Per functional component of D, each cycle arc as the break candidate."""
-    cycles = factor.cover.cycles
-    cycle_of: dict[int, int] = {}
-    for ci, cyc in enumerate(cycles):
-        for v in cyc:
-            cycle_of[v] = ci
-    out = {ci: cycle_of[v] for ci, v in matching}
-    comp_id = list(range(len(cycles)))
-
-    def find(x: int) -> int:
-        while comp_id[x] != x:
-            comp_id[x] = comp_id[comp_id[x]]
-            x = comp_id[x]
-        return x
-
-    for a, b in out.items():
-        comp_id[find(a)] = find(b)
-    comps: dict[int, list[int]] = {}
-    for i in range(len(cycles)):
-        comps.setdefault(find(i), []).append(i)
-
-    per_comp: list[tuple[int, list[tuple[int, int]]]] = []
-    for nodes in sorted(comps.values()):
-        if len(nodes) < 2 or not all(v in out for v in nodes):
-            continue
-        cur = min(nodes)
-        order: dict[int, int] = {}
-        while cur not in order:
-            order[cur] = len(order)
-            cur = out[cur]
-        cyc_nodes = [v for v in order if order[v] >= order[cur]]
-        per_comp.append((min(nodes), [(v, out[v]) for v in cyc_nodes]))
-
+    out, d_comps = _d_components(factor, matching)
+    per_comp = [(nodes[0], [(v, out[v]) for v in cyc_nodes])
+                for nodes, cyc_nodes in d_comps if cyc_nodes]
     if not per_comp:
         return [None]
     choices: list[dict[int, tuple[int, int]]] = [{}]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from random import Random
 
-from .core import (CycleCover, Instance, Weight, cover_cost,
+from .core import (CycleCover, Instance, Weight, cover_cost, find,
                    generate_instance, make_cover, validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import min_weight_perfect_matching
@@ -503,16 +503,9 @@ def brute_force_steiner_forest(inst: Instance,
 
 def _forest_feasible(inst: Instance, edges: set[tuple[int, int]]) -> bool:
     parent = list(range(inst.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        parent[find(u)] = find(v)
-    return all(len({find(v) for v in g}) == 1 for g in inst.groups)
+        parent[find(parent, u)] = find(parent, v)
+    return all(len({find(parent, v) for v in g}) == 1 for g in inst.groups)
 
 
 def approx_steiner_forest(inst: Instance) -> set[tuple[int, int]]:
@@ -525,20 +518,13 @@ def approx_steiner_forest(inst: Instance) -> set[tuple[int, int]]:
         raise ValidationError("steiner forest approximation handles symmetric instances")
     n = inst.n
     comp = list(range(n))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     potential = [Fraction(0)] * n
     picked: list[tuple[int, int]] = []
 
     def active_roots() -> set[int]:
         members: dict[int, set[int]] = {}
         for v in range(n):
-            members.setdefault(find(v), set()).add(v)
+            members.setdefault(find(comp, v), set()).add(v)
         act = set()
         for root, verts in members.items():
             for g in inst.groups:
@@ -556,7 +542,7 @@ def approx_steiner_forest(inst: Instance) -> set[tuple[int, int]]:
         best_edge: tuple[int, int] | None = None
         for u in range(n):
             for v in range(u + 1, n):
-                ru, rv = find(u), find(v)
+                ru, rv = find(comp, u), find(comp, v)
                 if ru == rv:
                     continue
                 speed = (ru in act) + (rv in act)
@@ -570,11 +556,11 @@ def approx_steiner_forest(inst: Instance) -> set[tuple[int, int]]:
                     best_eps = eps
                     best_edge = (u, v)
         for v in range(n):
-            if find(v) in act:
+            if find(comp, v) in act:
                 potential[v] += best_eps
         u, v = best_edge
         picked.append(best_edge)
-        comp[find(u)] = find(v)
+        comp[find(comp, u)] = find(comp, v)
 
     kept = set(picked)
     for e in reversed(picked):

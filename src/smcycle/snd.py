@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._simplex import ColumnLp
-from .core import Instance, Weight
+from .core import Instance, Weight, components
 from .errors import BudgetExceededError, SmcError, ValidationError
 
 EdgeSlot = tuple[int, int, int]  # (u, v, copy) with u < v
@@ -97,21 +97,8 @@ class EdgeSubgraph:
     def weight(self, inst: Instance) -> Weight:
         return sum(inst.w(u, v) for u, v, _copy in self.edges)
 
-    def components(self) -> list[set[int]]:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v, _copy in self.edges:
-            parent[find(u)] = find(v)
-        comps: dict[int, set[int]] = {}
-        for v in range(self.n):
-            comps.setdefault(find(v), set()).add(v)
-        return [comps[r] for r in sorted(comps)]
+    def components(self) -> list[list[int]]:
+        return components(self.n, self.edges)
 
 
 @dataclass(frozen=True)

@@ -226,3 +226,20 @@ def test_metric3_above_cut_cap_exits_budget(tmp_path, capsys):
                 "--out", str(path)]) == EXIT_OK
     assert run(["solve", "--algo", "metric3", "--in", str(path)]) == EXIT_BUDGET
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_non_utf8_instance_exits_usage(tmp_path, capsys):
+    path = tmp_path / "utf16.smc"
+    path.write_bytes(b"\xff\xfe" + "smc 1\n".encode("utf-16-le"))
+    assert run(["solve", "--algo", "metric3", "--in", str(path)]) == EXIT_USAGE
+    assert "format error" in capsys.readouterr().err
+    out = tmp_path / "c.csv"
+    assert run(["compare", "--algo", "metric3", "--in", str(path),
+                "--out", str(out)]) == EXIT_USAGE
+
+
+def test_prior_sf4_refuses_asymmetric(tmp_path, capsys):
+    asym = tmp_path / "as.smc"
+    run(["gen", "asymmetric", "6", "3,3", "1", "--out", str(asym)])
+    assert run(["solve", "--algo", "prior-sf4", "--in", str(asym)]) == EXIT_USAGE
+    assert "symmetric instance" in capsys.readouterr().err

