@@ -19,6 +19,7 @@ ceil(log_{4/3} n) + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (CycleCover, Instance, Weight, components, cover_cost,
                    euler_shortcut, make_cover, validate_solution)
@@ -237,7 +238,9 @@ def _induced_directed_2factor(inst: Instance, order: list[int]
     k = len(order)
     if k < 2:
         raise SmcError("representative set smaller than 2")
-    costs = [[None if i == j else inst.w(order[i], order[j])
-              for j in range(k)] for i in range(k)]
+    pick = itemgetter(*order)
+    costs = [list(pick(inst.weights[v])) for v in order]
+    for i in range(k):
+        costs[i][i] = None
     succ, _total = min_cost_bipartite_perfect_matching(costs)
     return [(order[i], order[succ[i]]) for i in range(k)]

@@ -18,9 +18,13 @@ floating point.
 from __future__ import annotations
 
 import math
+import re
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from random import Random
 from typing import Iterable, Sequence
 
@@ -138,18 +142,25 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     ``triangle-violation`` or ``weight-class-violation``.
 
     The triangle inequality w(a,b) <= w(a,c) + w(c,b) is checked exactly
-    with O(n^2) interpreter steps.  The weights are scaled to ints by the
-    lcm of their denominators (1 for an int matrix) and the diagonal is read
-    as 0.  Off-diagonal weights are non-negative by then, so every triple
-    with a repeated vertex holds with slack 0 or w(a,c) + w(c,a) >= 0, and
-    no case needs skipping.  Row r is packed into one int P[r] holding
-    w(r,b) in field b, bits [b*B, (b+1)*B), with B = bitlen(2*max) + 1, so
-    that 2*max < 2^(B-1).  HIGH holds the offset 2^(B-1) in every field and
-    ONES holds 1.  For a pair (a, c), field b of
+    with O(n^2) interpreter steps.  An int matrix is taken as it is; any
+    other is scaled to ints by the lcm of its denominators.  The diagonal
+    is read as 0.  Off-diagonal weights are non-negative by then, so every
+    triple with a repeated vertex holds with slack 0 or w(a,c) + w(c,a) >= 0,
+    and no case needs skipping.  Row r is packed into one int P[r] holding
+    w(r,b) in field b, bits [b*B, (b+1)*B), with B a multiple of 8 and
+    2*max < 2^(B-1).  HIGH holds the offset 2^(B-1) in every field and ONES
+    holds 1.  For a pair (a, c), field b of
     (HIGH - P[a]) + P[c] + w(a,c)*ONES is 2^(B-1) + w(a,c) + w(c,b) - w(a,b),
     which lies in [0, 2^B), so no borrow or carry crosses a field.  Its top
     bit is clear exactly when b violates the inequality, so one AND with
     HIGH checks every b at once.
+
+    Pivot c is skipped for row a when w(a,c) + low(c) >= top(a), where
+    low(c) is the least off-diagonal weight of row c and top(a) the largest
+    weight of row a.  The skip is exact: for every b != c,
+    w(a,b) <= top(a) <= w(a,c) + low(c) <= w(a,c) + w(c,b), and b = c holds
+    trivially.  One packed subtraction of P[a] plus the packed lows from
+    (top(a) - 1)*ONES + HIGH marks the pivots that remain.
     """
     weight_class = WeightClass(weight_class)
     if n < 2:
@@ -157,12 +168,15 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     if len(weights) != n or any(len(row) != n for row in weights):
         raise ValidationError("weight matrix must be n x n")
 
-    w = tuple(tuple(map(_as_weight, row)) for row in weights)
-    for i in range(n):
-        for j in range(n):
-            if i != j and w[i][j] < 0:
-                raise ValidationError(f"negative weight at ({i},{j})",
-                                      code="weight-class-violation")
+    all_int = all(set(map(type, row)) == {int} for row in weights)
+    w = tuple(tuple(row) if all_int else tuple(map(_as_weight, row))
+              for row in weights)
+    low = [min(row[:i] + row[i + 1:]) for i, row in enumerate(w)]
+    for i, least in enumerate(low):
+        if least < 0:
+            j = next(j for j, x in enumerate(w[i]) if j != i and x < 0)
+            raise ValidationError(f"negative weight at ({i},{j})",
+                                  code="weight-class-violation")
 
     seen: set[int] = set()
     norm_groups = []
@@ -207,37 +221,63 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
                         f"weight {w[i][j]} at ({i},{j}) outside {{1,2}}",
                         code="weight-class-violation")
     else:
-        _check_triangles(n, w)
+        _check_triangles(n, w, low, all_int)
 
     return Instance(n=n, weights=w, symmetric=symmetric,
                     weight_class=weight_class, groups=tuple(norm_groups))
 
 
-def _check_triangles(n: int, w: tuple[tuple[Weight, ...], ...]) -> None:
+# array typecodes by item size, for packing rows of small ints in C
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _pack(row: Sequence[int], size: int) -> int:
+    """Non-negative ``row`` as one int, entry b in bytes [b*size, (b+1)*size)
+    from the low end."""
+    code = _ARRAY_CODES.get(size)
+    if code:
+        return int.from_bytes(array(code, row).tobytes(), sys.byteorder)
+    data = b"".join(map(int.to_bytes, row, repeat(size), repeat("little")))
+    return int.from_bytes(data, "little")
+
+
+def _check_triangles(n: int, w: tuple[tuple[Weight, ...], ...],
+                     low: list[Weight], all_int: bool) -> None:
     """Raise on the first ordered triple (a, b, c) of distinct vertices with
-    w(a,b) > w(a,c) + w(c,b), using the packed rows :func:`validate_instance`
-    describes."""
-    scale = math.lcm(*(x.denominator for row in w for x in row))
-    rows = [[0 if a == b else x.numerator * (scale // x.denominator)
-             for b, x in enumerate(row)] for a, row in enumerate(w)]
-    width = (2 * max(map(max, rows))).bit_length() + 1
-    packed = []
-    for row in rows:
-        acc = 0
-        for x in reversed(row):
-            acc = (acc << width) | x
-        packed.append(acc)
-    ones = sum(1 << (width * b) for b in range(n))
+    w(a,b) > w(a,c) + w(c,b), using the packed rows and the pivot skip
+    :func:`validate_instance` describes; ``low[c]`` is row c's least
+    off-diagonal weight."""
+    if all_int:
+        rows = [list(row) for row in w]
+        for a in range(n):
+            rows[a][a] = 0
+    else:
+        scale = math.lcm(*(x.denominator for row in w for x in row))
+        rows = [[0 if a == b else x.numerator * (scale // x.denominator)
+                 for b, x in enumerate(row)] for a, row in enumerate(w)]
+        low = [x.numerator * (scale // x.denominator) for x in low]
+    top = list(map(max, rows))
+    size = ((2 * max(top)).bit_length() + 8) // 8
+    width = 8 * size
+    packed = [_pack(row, size) for row in rows]
+    lows = _pack(low, size)
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
     high = ones << (width - 1)
     for a, row in enumerate(rows):
         base = high - packed[a]
-        if any((base + p + x * ones) & high != high for p, x in zip(packed, row)):
-            # the first violating triple in (a, b, c) order
-            b, c = next((b, c) for b in range(n) for c in range(n)
-                        if row[b] > row[c] + rows[c][b])
-            raise ValidationError(
-                f"triangle violation: w({a},{b}) > w({a},{c}) + w({c},{b})",
-                code="triangle-violation")
+        # top bit of field c set <=> w(a,c) + low(c) <= top(a) - 1
+        pivots = (base + (top[a] - 1) * ones - lows) & high
+        while pivots:
+            bit = pivots & -pivots
+            pivots ^= bit
+            c = bit.bit_length() // width - 1
+            if (base + packed[c] + row[c] * ones) & high != high:
+                # the first violating triple in (a, b, c) order
+                b, c = next((b, c) for b in range(n) for c in range(n)
+                            if row[b] > row[c] + rows[c][b])
+                raise ValidationError(
+                    f"triangle violation: w({a},{b}) > w({a},{c}) + w({c},{b})",
+                    code="triangle-violation")
 
 
 def _structural_violations(inst: Instance, cover: CycleCover) -> list[str]:
@@ -484,26 +524,39 @@ def generate_instance(kind: str, n: int, groups_spec: Sequence[int],
 # file formats (text, line oriented, canonical and round-trip exact)
 
 
-def _format_weight(x: Weight) -> str:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(x)
+# the only weight tokens format_instance writes; Python's int and Fraction
+# also take "+1", "1_0" and non-ASCII digits, which the format refuses
+_WEIGHT_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_weight(token: str) -> Weight:
+    if not _WEIGHT_TOKEN.fullmatch(token):
+        raise FormatError(f"bad weight token {token!r}")
     try:
         if "/" in token:
             return Fraction(token)
         return int(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise FormatError(f"bad weight token {token!r}") from exc
 
 
+def _parse_weight_row(line: str) -> list[Weight]:
+    """Tokens of one weight row.  On an ASCII line without "_" or "+", int
+    takes exactly the tokens -?[0-9]+, so an all-int row is read in one
+    pass; any other row goes token by token through :func:`_parse_weight`."""
+    tokens = line.split()
+    if line.isascii() and "_" not in line and "+" not in line:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [_parse_weight(tok) for tok in tokens]
+
+
 def _parse_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise FormatError(f"bad {what} {token!r}") from exc
+    if not (token.isascii() and token.isdigit()):
+        raise FormatError(f"bad {what} {token!r}")
+    return int(token)
 
 
 def format_instance(inst: Instance) -> str:
@@ -512,16 +565,21 @@ def format_instance(inst: Instance) -> str:
              f"class {_CLASS_TOKENS[inst.weight_class]}",
              f"groups {len(inst.groups)}"]
     for group in inst.groups:
-        lines.append(" ".join(str(v) for v in group))
-    for i in range(inst.n):
-        row = ["0" if i == j else _format_weight(inst.w(i, j))
-               for j in range(inst.n)]
-        lines.append(" ".join(row))
+        lines.append(" ".join(map(str, group)))
+    for i, row in enumerate(inst.weights):
+        # str writes a Fraction with denominator 1 as its numerator
+        tokens = list(map(str, row))
+        tokens[i] = "0"
+        lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> Instance:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Read the text format: ``smc 1``, ``n``, ``mode``, ``class`` and
+    ``groups`` lines, one line of vertex ids per group, then n weight rows.
+    Counts and vertex ids are [0-9]+ and weights -?[0-9]+(/[0-9]+)?; any
+    other token raises FormatError."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or lines[0] != "smc 1":
         raise FormatError("missing 'smc 1' header")
 
@@ -552,7 +610,7 @@ def parse_instance(text: str) -> Instance:
     for _ in range(n):
         if at >= len(lines):
             raise FormatError("truncated file: missing weight row")
-        row = [_parse_weight(tok) for tok in lines[at].split()]
+        row = _parse_weight_row(lines[at])
         if len(row) != n:
             raise FormatError(f"weight row has {len(row)} entries, expected {n}")
         rows.append(row)
@@ -586,10 +644,9 @@ def parse_solution(text: str, directed: bool = False) -> CycleCover:
         flag = toks[-1] == "pair"
         if flag:
             toks = toks[:-1]
-        try:
-            cycles.append(tuple(int(t) for t in toks))
-        except ValueError as exc:
-            raise FormatError(f"bad solution line {ln!r}") from exc
+        if not all(t.isascii() and t.isdigit() for t in toks):
+            raise FormatError(f"bad solution line {ln!r}")
+        cycles.append(tuple(map(int, toks)))
         flags.append(flag)
     return CycleCover(cycles=tuple(cycles), directed=directed,
                       pair_flags=tuple(flags))

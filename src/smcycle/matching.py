@@ -246,7 +246,19 @@ def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction 
 
     ``costs[i][j]`` is the cost of assigning row i to column j; ``None``
     forbids the cell.  The matrix must be square.  Implemented as the O(n^3)
-    potential-based Hungarian algorithm over exact arithmetic.
+    potential-based Hungarian algorithm (the e-maxx form of Kuhn-Munkres)
+    over exact arithmetic.  Row i joins in phase i, a Dijkstra search from
+    a virtual root column (index n here) over reduced costs.
+
+    The potentials are lazy: a phase keeps each column's distance as an
+    absolute value (reduced cost plus the distance of the column it was
+    reached from) instead of subtracting every step's delta from all
+    columns, and settles u and v once at the end, over the columns it
+    used.  Each column then gets the same potentials as with the eager
+    update, and every comparison sees the same difference, so the
+    tie-breaks are those of the eager form: the search takes the first
+    column with the least distance, and a column's ``way`` changes only on
+    a strict improvement.
     """
     n = len(costs)
     if any(len(row) != n for row in costs):
@@ -254,55 +266,53 @@ def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction 
     if n == 0:
         return [], 0
 
-    finite = [c for row in costs for c in row if c is not None]
-    if not finite:
+    forbidden = [row.count(None) for row in costs]
+    if sum(forbidden) == n * n:
         raise ValidationError("cost matrix has no allowed cell")
     # any assignment through a forbidden cell must beat every finite one
-    big = 2 * sum(abs(c) for c in finite) + 1
-    a = [[big if c is None else c for c in row] for row in costs]
+    big = 2 * sum(sum(map(abs, filter(None, row))) for row in costs) + 1
+    a = [[big if c is None else c for c in row] if k else row
+         for row, k in zip(costs, forbidden)]
 
-    INF = None  # sentinel: larger than everything
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    way = [0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row matched to column j (1-based, 0 = none)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv: list = [INF] * (n + 1)
-        used = [False] * (n + 1)
+    u = [0] * n            # row potentials
+    v = [0] * (n + 1)      # column potentials; column n is the virtual root
+    row_of = [-1] * (n + 1)
+    for i in range(n):
+        row_of[n] = i
+        ui = u[i]
+        # the phase's first scan, from the root, sets every distance
+        dist = [x - ui - y for x, y in zip(a[i], v)]
+        dist.append(0)
+        way = [n] * n
+        free = list(range(n))
+        tree = [n]
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
-                if minv[j] is None or cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if delta is None or (minv[j] is not None and minv[j] < delta):
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            j1 = min(free, key=dist.__getitem__)
+            i0 = row_of[j1]
+            if i0 < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+            free.remove(j1)
+            tree.append(j1)
+            row = a[i0]
+            off = dist[j1] - u[i0]
+            for j in free:
+                cur = row[j] - v[j] + off
+                if cur < dist[j]:
+                    dist[j] = cur
+                    way[j] = j1
+        reach = dist[j1]
+        for j in tree:
+            d = reach - dist[j]
+            u[row_of[j]] += d
+            v[j] -= d
+        while j1 != n:
+            j0 = way[j1]
+            row_of[j1] = row_of[j0]
+            j1 = j0
 
     col_of_row = [0] * n
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
+    for j in range(n):
+        col_of_row[row_of[j]] = j
     total: int | Fraction = 0
     for i in range(n):
         c = costs[i][col_of_row[i]]

@@ -237,8 +237,9 @@ def min_weight_directed_2factor(req: TwoFactorRequest) -> CycleCover:
     n = inst.n
     if n < 2:
         raise ValidationError("directed 2-factor needs at least 2 vertices")
-    costs = [[None if i == j else inst.w(i, j) for j in range(n)]
-             for i in range(n)]
+    costs = [list(row) for row in inst.weights]
+    for i in range(n):
+        costs[i][i] = None
     succ, _total = min_cost_bipartite_perfect_matching(costs)
     seen = [False] * n
     cycles = []

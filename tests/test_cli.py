@@ -218,6 +218,25 @@ def test_malformed_instance_exits_usage(tmp_path, capsys, old, new):
     assert "format error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("0 7\n7 0", "0 \u0667\n7 0", "bad weight token"),
+    ("0 7\n7 0", "0 7\n+7 0", "bad weight token"),
+    ("0 7\n7 0", "0 7\n7_0 0", "bad weight token"),
+    ("n 2", "n -1", "bad vertex count"),
+    ("groups 1", "groups -2", "bad group count")],
+    ids=["arabic-indic", "plus", "underscore", "negative-n",
+         "negative-groups"])
+def test_tokens_outside_the_grammar_exit_usage(tmp_path, capsys, old, new,
+                                               message):
+    path = tmp_path / "bad.smc"
+    path.write_text("smc 1\nn 2\nmode symmetric\nclass metric\n"
+                    "groups 1\n0 1\n0 7\n7 0\n".replace(old, new),
+                    encoding="utf-8")
+    assert run(["solve", "--algo", "metric3", "--in", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "format error" in err and message in err
+
+
 def test_metric3_above_cut_cap_exits_budget(tmp_path, capsys):
     from smcycle.snd import CUT_ENUMERATION_MAX_N
     n = CUT_ENUMERATION_MAX_N + 1

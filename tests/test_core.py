@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from random import Random
 
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from smcycle.core import (WeightClass, count_weight2_edges,
@@ -202,12 +203,63 @@ def test_malformed_instance_text_raises_format_error(old, new):
         parse_instance(PAIR_FILE.replace(old, new))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("0 7\n7 0", "0 \u0667\n7 0", "bad weight token"),
+    ("0 7\n7 0", "0 7\n1_0 0", "bad weight token"),
+    ("0 7\n7 0", "0 +7\n7 0", "bad weight token"),
+    ("0 7\n7 0", "0 7.0\n7 0", "bad weight token"),
+    ("0 7\n7 0", "0 7/+2\n7/2 0", "bad weight token"),
+    ("0 7\n7 0", "0 7/2_0\n7/2 0", "bad weight token"),
+    ("0 7\n7 0", "0 1e1\n7 0", "bad weight token"),
+    ("n 2", "n -1", "bad vertex count"),
+    ("n 2", "n +2", "bad vertex count"),
+    ("groups 1", "groups -2", "bad group count"),
+    ("0 1\n0 7", "0 \u0661\n0 7", "bad vertex"),
+    ("0 1\n0 7", "0 +1\n0 7", "bad vertex")],
+    ids=["arabic-indic-weight", "underscore", "plus", "decimal",
+         "signed-denominator", "underscore-denominator", "exponent",
+         "negative-n", "plus-n", "negative-groups", "arabic-indic-vertex",
+         "plus-vertex"])
+def test_tokens_outside_the_grammar_raise_format_error(old, new, message):
+    # Python's int and Fraction take each of these; format_instance writes
+    # none of them
+    with pytest.raises(FormatError, match=message):
+        parse_instance(PAIR_FILE.replace(old, new))
+
+
+def test_weight_grammar_accepts_what_format_writes():
+    text = PAIR_FILE.replace("0 7\n7 0", "-3 14/2\n007 5/5")
+    inst = parse_instance(text)
+    assert inst.weights == ((0, 7), (7, 0))
+    assert format_instance(inst) == PAIR_FILE
+
+
+def test_format_writes_exact_tokens():
+    # a Fraction with denominator 1 is written as its numerator, and the
+    # diagonal as 0 whatever it holds
+    w = [[Fraction(1, 3), Fraction(4, 2), 3], [5, 7, Fraction(7, 2)],
+         [Fraction(9, 4), Fraction(9, 4), -2]]
+    inst = validate_instance(3, w, False, WeightClass.ASYMMETRIC_METRIC,
+                             [[0, 1, 2]])
+    assert format_instance(inst).splitlines()[-3:] == [
+        "0 2 3", "5 0 7/2", "9/4 9/4 0"]
+    text = format_instance(inst)
+    assert format_instance(parse_instance(text)) == text
+
+
 def test_solution_file_round_trip():
     cover = make_cover([[0, 1], [2, 5, 4, 3]], pair_flags=[True, False])
     text = format_solution(cover)
     again = parse_solution(text)
     assert again == cover
     assert format_solution(again) == text
+
+
+@pytest.mark.parametrize("line", ["+0 1 2", "\u0660 1 2", "1_0 2 3",
+                                  "-1 2 3", "0 1 x"])
+def test_solution_ids_outside_the_grammar_raise_format_error(line):
+    with pytest.raises(FormatError, match="bad solution line"):
+        parse_solution(line + "\n")
 
 
 def test_instance_format_golden():
@@ -292,6 +344,86 @@ def test_triangle_check_matches_its_definition(w):
         str(err.value)).groups())
     assert len({a, b, c}) == 3 and w[a][b] > w[a][c] + w[c][b]
     assert (a, b, c) == expected
+
+
+def clustered_metric(n, rng):
+    """Arcs of 10-19 inside clusters of 5 and 200-209 across: two arcs
+    always weigh more than one they could replace, so the matrix is
+    metric."""
+    cluster = [v % (n // 5) for v in range(n)]
+    rng.shuffle(cluster)
+    w = [[0 if i == j else rng.randrange(10, 20) if cluster[i] == cluster[j]
+          else rng.randrange(200, 210) for j in range(n)] for i in range(n)]
+    return cluster, w
+
+
+def plant_at_skip_threshold(n, rng, slack):
+    """A clustered metric and a triple (a, b, c) with
+    w(a,c) + low(c) = top(a) - 1 + slack, where low(c) = w(c,b) = 10 is
+    row c's least weight and top(a) = w(a,b) = 209 row a's largest: for
+    slack 0, (a, b, c) is the one violation and pivot c is one below the
+    skip threshold; for slack 1 pivot c sits on the threshold and the
+    matrix stays metric."""
+    cluster, w = clustered_metric(n, rng)
+    a, c = rng.sample(range(n), 2)
+    while cluster[a] == cluster[c]:
+        a, c = rng.sample(range(n), 2)
+    b = rng.choice([x for x in range(n) if cluster[x] == cluster[c] and x != c])
+    for x in range(n):
+        # keep every other triple through the lowered arcs intact
+        if cluster[x] == cluster[c] and x != c:
+            w[c][x] = max(w[c][x], 11)
+        if cluster[x] == cluster[a] and x != a:
+            w[x][a] = max(w[x][a], 12)
+    w[a][b] = 209
+    w[c][b] = 10
+    w[a][c] = 198 + slack
+    low_c = min(w[c][:c] + w[c][c + 1:])
+    assert w[a][c] + low_c == max(w[a]) - 1 + slack
+    return w, (a, b, c)
+
+
+def assert_triangle_outcome(w, expected):
+    n = len(w)
+    if expected is None:
+        validate_instance(n, w, False, WeightClass.ASYMMETRIC_METRIC,
+                          [list(range(n))])
+        return
+    a, b, c = expected
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"w({a},{b}) > w({a},{c}) + w({c},{b})")):
+        validate_instance(n, w, False, WeightClass.ASYMMETRIC_METRIC,
+                          [list(range(n))])
+
+
+@pytest.mark.parametrize("n", [20, 35, 60])
+def test_triangle_pivot_one_below_skip_threshold_is_checked(n):
+    rng = Random(n)
+    for _ in range(4):
+        w, triple = plant_at_skip_threshold(n, rng, slack=0)
+        assert first_triangle_violation(w) == triple
+        assert_triangle_outcome(w, triple)
+
+
+@pytest.mark.parametrize("n", [20, 35, 60])
+def test_triangle_pivot_on_skip_threshold_is_metric(n):
+    rng = Random(100 + n)
+    for _ in range(4):
+        w, _triple = plant_at_skip_threshold(n, rng, slack=1)
+        assert first_triangle_violation(w) is None
+        assert_triangle_outcome(w, None)
+
+
+def test_triangle_check_fraction_route():
+    # the same matrices over sixths (denominators 1, 2, 3 and 6) and with
+    # mixed-denominator tweaks go through the lcm scaling
+    rng = Random(5)
+    for slack in (0, 1):
+        w, triple = plant_at_skip_threshold(20, rng, slack)
+        sixths = [[Fraction(x, 6) for x in row] for row in w]
+        assert_triangle_outcome(sixths, triple if slack == 0 else None)
+        sixths[0][1] -= Fraction(1, 7)
+        assert_triangle_outcome(sixths, first_triangle_violation(sixths))
 
 
 _FUZZ_ALPHABET = "0123456789 -/\nabcgmnorstuyx"

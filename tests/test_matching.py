@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -280,6 +281,127 @@ def test_assignment_agrees_with_brute_force():
         assert sorted(cols) == list(range(n))
         assert total == expected
         assert sum(costs[i][cols[i]] for i in range(n)) == total
+
+
+def eager_assignment(costs):
+    """The e-maxx Hungarian loop with eager potentials: after every
+    Dijkstra step, u and v of the used columns and minv of the others move
+    by delta.  The reference for the library's lazy-potential form."""
+    n = len(costs)
+    if any(len(row) != n for row in costs):
+        raise ValidationError("cost matrix must be square")
+    if n == 0:
+        return [], 0
+    finite = [c for row in costs for c in row if c is not None]
+    if not finite:
+        raise ValidationError("cost matrix has no allowed cell")
+    big = 2 * sum(abs(c) for c in finite) + 1
+    a = [[big if c is None else c for c in row] for row in costs]
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    way = [0] * (n + 1)
+    p = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [None] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = None
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
+                if minv[j] is None or cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if delta is None or minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                elif minv[j] is not None:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col_of_row = [0] * n
+    for j in range(1, n + 1):
+        col_of_row[p[j] - 1] = j - 1
+    total = 0
+    for i in range(n):
+        c = costs[i][col_of_row[i]]
+        if c is None:
+            raise ValidationError("no assignment avoids forbidden cells")
+        total += c
+    return col_of_row, total
+
+
+def _assignment_outcome(solve, costs):
+    try:
+        return solve(costs)
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+
+
+def _random_costs(rng):
+    """Square matrix, n <= 12: few distinct values (heavy ties), None
+    cells, negatives, Fractions, sometimes an all-forbidden row."""
+    n = rng.randint(0, 12)
+    kind = rng.choice(("ties", "signed", "fractions", "wide"))
+    p_none = rng.choice((0, 0.1, 0.3, 0.7))
+
+    def cell():
+        if rng.random() < p_none:
+            return None
+        if kind == "ties":
+            return rng.randint(0, 2)
+        if kind == "signed":
+            return rng.randint(-4, 4)
+        if kind == "fractions":
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return rng.randrange(10 ** 6)
+
+    costs = [[cell() for _ in range(n)] for _ in range(n)]
+    if n and rng.random() < 0.1:
+        costs[rng.randrange(n)] = [None] * n
+    return costs
+
+
+def test_assignment_matches_eager_potentials():
+    rng = Random(2024)
+    outcomes = set()
+    for _ in range(2000):
+        costs = _random_costs(rng)
+        expected = _assignment_outcome(eager_assignment, costs)
+        assert _assignment_outcome(min_cost_bipartite_perfect_matching,
+                                   costs) == expected
+        outcomes.add(expected[0] if expected[0] == "ValidationError"
+                     else "solved")
+    assert outcomes == {"ValidationError", "solved"}
+
+
+def test_assignment_matches_eager_potentials_clustered():
+    # a directed 2-factor matrix at n = 160: cheap arcs inside clusters of
+    # 5, dear ones across, None on the diagonal
+    rng = Random(7)
+    n = 160
+    cluster = [v % 32 for v in range(n)]
+    rng.shuffle(cluster)
+    costs = [[None if i == j else rng.randrange(10, 20)
+              if cluster[i] == cluster[j] else rng.randrange(200, 210)
+              for j in range(n)] for i in range(n)]
+    assert (min_cost_bipartite_perfect_matching(costs)
+            == eager_assignment(costs))
 
 
 def test_edge_cover_path():
