@@ -36,19 +36,22 @@ the smallest basic index) prevents cycling and makes every pivot sequence
 deterministic.
 
 Column form.  ``ColumnLp`` minimizes cost.w subject to A w <= b and
-w >= 0, with b >= 0, for an A whose integer columns arrive one at a time:
-the dual of a covering LP whose rows are found by separation.  Its slack
-basis is feasible, so no phase 1 runs, and a new column leaves the current
-basis feasible, so each re-optimisation starts where the last one ended,
-with the same pivots and Bland loop.  The tableau is laid out as above
-(structural cells, then slacks); a new column is inserted before the
-slacks.  Pricing it needs no solve: the slack cells of a stored row are
-that row of B^-1 at the row's scale, so the new cell is an exact integer
-dot product with the column, and the objective cell is ``zs * cost`` plus
-the dot product with the objective row's slack cells.  The prices ``x``
-of the rows, the solution of the dual max -b.x subject to A^T x >= -cost
-and x >= 0, are read exactly as the reduced costs of the slacks,
-``z[slack] / zs``.
+w >= 0, with b >= 0, for an A whose columns arrive one at a time: the
+dual of a covering LP whose rows are found by separation.  Each column
+holds one int coefficient ``a`` in a set of rows and 0 elsewhere (a cut of
+the covering LP is a = 1 in the rows of its variables, a bound x_k <= 1
+is a = -1 in row k).  Its slack basis is feasible, so no phase 1 runs, and
+a new column leaves the current basis feasible, so each re-optimisation
+starts where the last one ended, with the same pivots and Bland loop.
+The tableau is laid out as above (structural cells, then slacks); a new
+column is inserted before the slacks.  Pricing it needs no solve: the
+slack cells of a stored row are that row of B^-1 at the row's scale, so
+the new cell is ``a`` times the sum of the row's slack cells over the
+column's rows, one ``itemgetter`` sum, and the objective cell is
+``zs * cost`` plus ``a`` times the same sum over the objective row's
+slack cells.  The prices ``x`` of the rows, the solution of the dual
+max -b.x subject to A^T x >= -cost and x >= 0, are read exactly as the
+reduced costs of the slacks, ``z[slack] / zs``.
 
 Certificate.  Every answer of ``ColumnLp.optimise`` is checked from the
 columns as given, not from the tableau: x >= 0 and A^T x >= -cost, w >= 0
@@ -61,7 +64,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import SmcError
 
@@ -84,6 +88,14 @@ def _integers(values: Sequence) -> tuple[list[int], int]:
     and L."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _cells(ks: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """Getter of the cells ``ks`` of a row, as a sequence for any number of
+    cells (``itemgetter`` of one index returns the bare cell)."""
+    if len(ks) == 1:
+        return itemgetter(slice(ks[0], ks[0] + 1))
+    return itemgetter(*ks) if ks else itemgetter(slice(0))
 
 
 def _pivot(rows: list[list[int]], basis: list[int], m: int, r: int,
@@ -244,8 +256,8 @@ class ColumnLp:
             raise SmcError("column LP needs a non-negative right-hand side")
         m = len(rhs)
         self.rhs, _ = _integers(rhs)
-        # each column added as ((coefficient, its rows), ...) and its cost
-        self.columns: list[tuple[list[tuple[int, list[int]]], int]] = []
+        # each column added as (its rows, their coefficient, its cost)
+        self.columns: list[tuple[list[int], int, int]] = []
         self.rows = [[int(i == k) for k in range(m)] + [b]
                      for i, b in enumerate(self.rhs)]
         self.basis = list(range(m))  # the slack of row i has index n + i
@@ -253,24 +265,18 @@ class ColumnLp:
         self.zs = 1  # scale of z
         self.d = 1  # determinant of the basis
 
-    def add_column(self, cells: Sequence[tuple[int, int]], cost: int) -> None:
-        """Append the column with nonzero ``cells`` (row, coefficient) and
-        ``cost``, priced against the current basis."""
-        # rows grouped by coefficient, so that a 0/1 column is one sum
-        groups: dict[int, list[int]] = {}
-        for k, a in cells:
-            groups.setdefault(a, []).append(k)
-        column = list(groups.items())
+    def add_column(self, rows: Sequence[int], coefficient: int,
+                   cost: int) -> None:
+        """Append the column holding ``coefficient`` in each of ``rows`` and
+        0 elsewhere, with ``cost``, priced against the current basis."""
         n = len(self.columns)
-        slack_cells = [(a, [n + k for k in ks]) for a, ks in column]
+        cells = _cells([n + k for k in rows])
         for row in self.rows:
-            row.insert(n, sum(a * sum(map(row.__getitem__, ks))
-                              for a, ks in slack_cells))
+            row.insert(n, coefficient * sum(cells(row)))
         z = self.z
-        z.insert(n, self.zs * cost + sum(a * sum(map(z.__getitem__, ks))
-                                         for a, ks in slack_cells))
+        z.insert(n, self.zs * cost + coefficient * sum(cells(z)))
         self.basis = [b + (b >= n) for b in self.basis]
-        self.columns.append((column, cost))
+        self.columns.append((list(rows), coefficient, cost))
 
     def optimise(self) -> tuple[list[int], int]:
         """Re-optimise from the current basis and return the row prices
@@ -306,15 +312,13 @@ class ColumnLp:
             raise SmcError("column LP certificate: negative value")
         load = [0] * len(rhs)  # A w, over ws
         value = 0  # cost.w, over ws
-        for (column, cost), wj in zip(self.columns, w):
-            if sum(a * sum(map(x.__getitem__, ks))
-                   for a, ks in column) < -cost * xs:
+        for (rows, a, cost), wj in zip(self.columns, w):
+            if a * sum(_cells(rows)(x)) < -cost * xs:
                 raise SmcError("column LP certificate: prices violate a column")
             if wj:
                 value += cost * wj
-                for a, ks in column:
-                    for k in ks:
-                        load[k] += a * wj
+                for k in rows:
+                    load[k] += a * wj
         if any(t > b * ws for t, b in zip(load, rhs)):
             raise SmcError("column LP certificate: values violate a row")
         if value * xs != -ws * sum(b * v for b, v in zip(rhs, x)):

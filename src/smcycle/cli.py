@@ -170,6 +170,9 @@ def cmd_compare(args) -> int:
         if a not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {a!r}")
     paths = sorted(globmod.glob(args.instances))
+    if args.oracle and not paths:
+        raise ValidationError(f"no instance file matches {args.instances!r}: "
+                              "--oracle has nothing to check")
     budget = OracleBudget() if args.budget_n is None else OracleBudget(
         smc_max_n=args.budget_n, smc_directed_max_n=args.budget_n)
     rows = []
@@ -226,6 +229,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.trials < 0:
+        raise ValidationError(f"--trials must be >= 0, got {args.trials}")
     budget = OracleBudget()
     report = matching_vs_opt_probe(seed=args.seed, trials=args.trials,
                                    budget=budget)

@@ -14,12 +14,18 @@ through its dual, max sum r_C y_C - sum u_e subject to
 sum_{C crossing e} y_C - u_e <= c_e for each free slot e (``ColumnLp``).
 The weights are >= 0, so the slack basis is feasible and no phase 1 runs;
 a newly separated cut or bound is one added column, so the previous basis
-stays feasible and each round re-optimises from it.  Each pooled cut
-becomes a column once per call, with its residual.  x is read off as the
-prices of the dual's rows, and every answer carries the strong-duality
-certificate of ``ColumnLp.optimise``: x >= 0 satisfies every pooled row
-and bound, the dual values are feasible, and the two objectives agree.  An
-unbounded dual means the cut LP is infeasible.
+stays feasible and each round re-optimises from it.  A column holds one
+coefficient: 1 in the rows of the free slots crossing a cut, or -1 in the
+row of a slot bounded by x_e <= 1.  Each pooled cut becomes a column once
+per call, with its residual.  x is read off as the prices of the dual's
+rows, and every answer carries the strong-duality certificate of
+``ColumnLp.optimise``: x >= 0 satisfies every pooled row and bound, the
+dual values are feasible, and the two objectives agree.  An unbounded dual
+means the cut LP is infeasible.
+
+Separation scores all 2^(n-1) cuts at once, one packed field per cut, in a
+few big-int operations (``_scan_cuts``), and pools up to 12 of the most
+violated per round; n is capped at ``CUT_ENUMERATION_MAX_N``.
 
 Duplicated pair edges appear as two parallel slots capped at 1 each, which
 is how a doubled pair edge (the length-2 cycle of the solution format)
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from ._simplex import ColumnLp
@@ -116,54 +123,64 @@ def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
                cross_value: Sequence[Sequence[int]],
                cross_fixed: Sequence[Sequence[int]],
                scale: int) -> list[tuple[int, int]]:
-    """Return (deficit, cut_mask) for every violated cut, by Gray-code walk.
+    """Return (deficit, cut_mask) for every violated cut, sorted by
+    (-deficit, cut_mask).
 
     A cut W (vertex n-1 always outside) is violated when it splits some
-    group and value(delta(W)) + scale * fixed(delta(W)) < 2 * scale, where
-    ``value`` sums the scaled fractional weights in ``cross_value``.  The
-    walk reads the single capacity matrix ``cross_value + scale *
-    cross_fixed``; both have zero diagonals, as ``_pair_matrix`` builds
-    them.
+    group and its capacity cut(W) < need = 2 * scale; its deficit is
+    need - cut(W).  Capacities are read from ``cross_value + scale *
+    cross_fixed``; both matrices have zero diagonals, as ``_pair_matrix``
+    builds them, and no negative cell (x is certified >= 0 and the fixed
+    counts are >= 0), which the arithmetic below relies on.
+
+    All 2^(n-1) cuts are scored at once in packed ints.  Field i, bits
+    [i * width, (i + 1) * width) from the low end, belongs to the cut whose
+    vertex mask is i.  ``width`` is whole bytes and at least
+    bitlen(max(total capacity, need, n)) + 2, so every count or capacity
+    below is under 2^(width - 2).  ``side[u]`` holds bit u of every mask
+    and is a repeated byte tile, and
+        cut = sum of cap(u, v) * (side[u] ^ side[v]) over u < v, cap > 0
+        count_g = sum of side[v] over v in group g
+    are sums of non-negative fields that stay below 2^(width - 2), so no
+    carry crosses a field.  With ``ones`` and ``high`` holding 1 and
+    2^(width - 1) in every field, field i of high + cut - need * ones lies
+    in [2^(width - 1) - 2^(width - 2), 2^(width - 1) + 2^(width - 2)), so no
+    borrow or carry crosses a field either, and its top bit is clear
+    exactly when cut_i < need.  Likewise the top bit of
+    high - ones + count_g is set when 0 < count_g, and that of
+    high + (|g| - 1) * ones - count_g when count_g < |g|: g splits the cut.
     """
     if n > CUT_ENUMERATION_MAX_N:
         raise BudgetExceededError(
             f"cut enumeration capped at n={CUT_ENUMERATION_MAX_N}")
-    cap = [[v + scale * f for v, f in zip(row_v, row_f)]
-           for row_v, row_f in zip(cross_value, cross_fixed)]
-    degree = [sum(row) for row in cap]
-    inside = [0] * n  # inside[u]: capacity between u and W
-    group_in = [0] * len(group_masks)
-    group_of = [0] * n
-    for gi, (gmask, _size) in enumerate(group_masks):
-        for v in range(n):
-            if gmask >> v & 1:
-                group_of[v] = gi
+    cuts = 1 << (n - 1)
+    cap = [(u, v, c) for u in range(n) for v in range(u + 1, n)
+           if (c := cross_value[u][v] + scale * cross_fixed[u][v])]
     need = 2 * scale
-    cut = 0  # capacity of delta(W)
-    split = 0  # number of split groups
-    violated: list[tuple[int, int]] = []
-    mask = 0
-    for i in range(1, 1 << (n - 1)):
-        bit = (i & -i).bit_length() - 1
-        row = cap[bit]
-        gi = group_of[bit]
-        size = group_masks[gi][1]
-        was_split = 0 < group_in[gi] < size
-        if mask >> bit & 1:
-            mask ^= 1 << bit
-            cut -= degree[bit] - 2 * inside[bit]
-            inside = [a - b for a, b in zip(inside, row)]
-            group_in[gi] -= 1
-        else:
-            mask |= 1 << bit
-            cut += degree[bit] - 2 * inside[bit]
-            inside = [a + b for a, b in zip(inside, row)]
-            group_in[gi] += 1
-        now_split = 0 < group_in[gi] < size
-        split += int(now_split) - int(was_split)
-        if split and cut < need:
-            violated.append((need - cut, mask))
-    return violated
+    total = sum(c for _u, _v, c in cap)
+    size = (max(total, need, n).bit_length() + 9) // 8
+    one, zero = (1).to_bytes(size, "little"), bytes(size)
+    side = [int.from_bytes((zero * (1 << u) + one * (1 << u))
+                           * (cuts >> u + 1), "little")
+            for u in range(n - 1)] + [0]
+    ones = int.from_bytes(one * cuts, "little")
+    high = ones << 8 * size - 1
+    cut = 0
+    for u, v, c in cap:
+        cut += c * (side[u] ^ side[v])
+    split = 0
+    for gmask, gsize in group_masks:
+        count = sum(side[v] for v in range(n) if gmask >> v & 1)
+        split |= (high - ones + count) & (high + (gsize - 1) * ones - count)
+    violated = split & high & ~(high + cut - need * ones)
+    if not violated:
+        return []
+    flags = violated.to_bytes(cuts * size, "little")[size - 1::size]
+    fields = cut.to_bytes(cuts * size, "little")
+    out = [(need - int.from_bytes(fields[i * size:i * size + size], "little"),
+            i) for i in compress(range(cuts), flags)]
+    out.sort(key=lambda t: -t[0])  # stable: ties stay in mask order
+    return out
 
 
 def _pair_matrix(n: int, entries: Iterable[tuple[int, int, int]]) -> list[list[int]]:
@@ -197,8 +214,8 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
             residual = 2 - sum((mask >> u ^ mask >> v) & 1
                                for u, v, _c in fixed)
             if residual > 0:
-                lp.add_column([(k, 1) for k, (u, v, _c) in enumerate(free)
-                               if (mask >> u ^ mask >> v) & 1], -residual)
+                lp.add_column([k for k, (u, v, _c) in enumerate(free)
+                               if (mask >> u ^ mask >> v) & 1], 1, -residual)
         priced = len(pool)
         try:
             x, scale = lp.optimise()
@@ -215,7 +232,7 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
         new_bounds = [k for k, v in enumerate(x) if v > scale]
         if new_bounds:
             for k in new_bounds:
-                lp.add_column([(k, -1)], 1)
+                lp.add_column([k], -1, 1)
             continue
 
         cross_value = _pair_matrix(
@@ -224,7 +241,6 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
         if not violated:
             return FractionalEdgeVector(
                 slots=tuple(free), values=tuple(Fraction(v, scale) for v in x))
-        violated.sort(key=lambda t: (-t[0], t[1]))
         known = set(pool)
         added = 0
         for _deficit, mask in violated:

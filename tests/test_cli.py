@@ -153,6 +153,16 @@ def test_compare_empty_glob(tmp_path):
     assert lines[0] == ",".join(COMPARE_COLUMNS)
 
 
+def test_compare_empty_glob_with_oracle_exits_usage(tmp_path, capsys):
+    # an oracle check over no instance checks nothing, so it cannot pass
+    out = tmp_path / "x.csv"
+    assert run(["compare", "--algo", "metric3", "--in",
+                str(tmp_path / "nomatch*.smc"), "--out", str(out),
+                "--oracle"]) == EXIT_USAGE
+    assert "nothing to check" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_budget_exceeded(tmp_path):
     big = tmp_path / "big.smc"
     run(["gen", "euclidean", "9", "4,5", "1", "--out", str(big)])
@@ -183,6 +193,14 @@ def test_probe_cli(tmp_path):
                                                    for row in report.rows]
     assert [r["counterexample"] == "yes" for r in parsed] == [
         row.counterexample for row in report.rows]
+
+
+def test_probe_negative_trials_exits_usage(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run(["probe", "--seed", "1", "--trials", "-1",
+                "--out", str(out)]) == EXIT_USAGE
+    assert "--trials must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_adversarial_tie_break_flag(tmp_path):

@@ -221,12 +221,12 @@ def test_column_lp_matches_cold_solves_after_each_batch(lp):
     bounded = set()
     for new_rows, bounds in batches:
         for coeffs, r in new_rows:
-            dual.add_column([(k, 1) for k, a in enumerate(coeffs) if a], -r)
+            dual.add_column([k for k, a in enumerate(coeffs) if a], 1, -r)
             rows.append((coeffs, GE, r))
         for k in bounds:
             if k not in bounded:
                 bounded.add(k)
-                dual.add_column([(k, -1)], 1)
+                dual.add_column([k], -1, 1)
                 rows.append(([int(j == k) for j in range(len(c))], LE, 1))
         best = vertex_optimum(c, rows)
         cold = solve_min_lp(c, rows)
@@ -246,14 +246,14 @@ def test_column_lp_prices_and_reprices():
     # and at (1, 0, 1); a + c >= 2 leaves (1, 0, 1) alone, and a <= 1
     # keeps it
     dual = ColumnLp([2, 3, 1])
-    dual.add_column([(0, 1), (1, 1)], -1)
-    dual.add_column([(1, 1), (2, 1)], -1)
+    dual.add_column([0, 1], 1, -1)
+    dual.add_column([1, 2], 1, -1)
     x, den = dual.optimise()
     assert sum(c * v for c, v in zip([2, 3, 1], x)) == 3 * den
-    dual.add_column([(0, 1), (2, 1)], -2)
+    dual.add_column([0, 2], 1, -2)
     x, den = dual.optimise()
     assert (x, den) == ([1, 0, 1], 1)
-    dual.add_column([(0, -1)], 1)
+    dual.add_column([0], -1, 1)
     assert dual.optimise() == ([1, 0, 1], 1)
 
 
@@ -276,9 +276,22 @@ def test_certificate_rejects_a_corrupted_answer(monkeypatch, corrupt, message):
     monkeypatch.setattr(ColumnLp, "_solution",
                         lambda lp: corrupt(*solution(lp)))
     dual = ColumnLp([1, 1])
-    dual.add_column([(0, 1), (1, 1)], -1)
-    dual.add_column([(0, 1)], -1)
+    dual.add_column([0, 1], 1, -1)
+    dual.add_column([0], 1, -1)
     with pytest.raises(SmcError, match=message):
+        dual.optimise()
+
+
+def test_certificate_reads_the_coefficient_of_a_bound_column(monkeypatch):
+    # min x0 over x0 >= 1 and x0 <= 1 has the optimum x0 = 1; the price
+    # x0 = 2 meets the cut column and breaks the bound column alone
+    solution = ColumnLp._solution
+    monkeypatch.setattr(ColumnLp, "_solution", lambda lp: (
+        lambda x, xs, w, ws: ([v + xs for v in x], xs, w, ws))(*solution(lp)))
+    dual = ColumnLp([1])
+    dual.add_column([0], 1, -1)
+    dual.add_column([0], -1, 1)
+    with pytest.raises(SmcError, match="prices violate a column"):
         dual.optimise()
 
 

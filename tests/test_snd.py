@@ -6,7 +6,8 @@ from random import Random
 import pytest
 
 from smcycle._simplex import GE, ColumnLp, solve_min_lp
-from smcycle.core import WeightClass, generate_instance, validate_instance
+from smcycle.core import (WeightClass, cover_cost, generate_instance,
+                          validate_instance)
 from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
 from smcycle.oracle import brute_force_snd
@@ -215,7 +216,10 @@ def gray_scan(n, group_masks, value, fixed, scale):
 
 
 def test_scan_cuts_matches_direct_enumeration():
+    # the scan returns the violated cuts of the Gray-code walk, most
+    # violated first and ties in mask order
     rng = Random(8)
+    cases = []
     for trial in range(300):
         n = rng.randint(2, 8)
         scale = rng.choice((1, 2, 6))
@@ -224,9 +228,59 @@ def test_scan_cuts_matches_direct_enumeration():
                                  if rng.random() < 0.3))
         value = _pair_matrix(n, ((u, v, rng.randint(0, scale))
                                  for u in range(n) for v in range(u + 1, n)))
-        masks = req.group_masks()
-        assert _scan_cuts(n, masks, value, fixed, scale) \
-            == gray_scan(n, masks, value, fixed, scale)
+        cases.append((n, req.group_masks(), value, fixed, scale))
+    # n up to 12, and a scale of 2^70 for fields wider than 8 bytes
+    for trial in range(16):
+        n = 9 + trial % 4 if trial < 12 else rng.randint(2, 7)
+        scale = 2 ** 70 + trial if trial % 3 == 0 else rng.choice((1, 6))
+        g, req = random_multigraph(rng, n)
+        fixed = _pair_matrix(n, ((u, v, 1) for u, v, _c in g.edges
+                                 if rng.random() < 0.2))
+        value = _pair_matrix(n, ((u, v, rng.randint(0, scale))
+                                 for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < 0.4))
+        cases.append((n, req.group_masks(), value, fixed, scale))
+    # groups holding vertex n - 1: a pair with vertex 0, and a singleton,
+    # which never splits a cut
+    for n in (2, 3, 6, 10):
+        rest = tuple(range(1, n - 1))
+        for groups in (((0, n - 1), rest), ((n - 1,), (0, *rest))):
+            req = SNDRequirements(n, tuple(g for g in groups if g))
+            value = _pair_matrix(n, ((u, v, rng.randint(0, 2))
+                                     for u in range(n)
+                                     for v in range(u + 1, n)))
+            cases.append((n, req.group_masks(), value,
+                          [[0] * n for _ in range(n)], 3))
+    # all-zero capacities: every splitting cut is violated by 2 * scale
+    for n in (2, 7, 12):
+        zero = [[0] * n for _ in range(n)]
+        masks = random_multigraph(rng, n)[1].group_masks()
+        splitting = [mask for mask in range(1, 1 << (n - 1))
+                     if any(0 < bin(mask & g).count("1") < size
+                            for g, size in masks)]
+        assert _scan_cuts(n, masks, zero, zero, 5) == [(10, mask)
+                                                      for mask in splitting]
+        cases.append((n, masks, zero, zero, 5))
+    for n, masks, value, fixed, scale in cases:
+        expected = sorted(gray_scan(n, masks, value, fixed, scale),
+                          key=lambda t: (-t[0], t[1]))
+        assert _scan_cuts(n, masks, value, fixed, scale) == expected
+    assert any(n == 12 for n, *_ in cases)
+    assert any(scale > 2 ** 64 and gray_scan(n, masks, value, fixed, scale)
+               for n, masks, value, fixed, scale in cases)
+
+
+def test_pinned_metric_cost_sum_above_desk_size():
+    # Regression pin above the oracle caps, where only the cut scan sees
+    # 2^(n-1) cuts: recorded with the Gray-code walk this scan replaced
+    specs = [(10, [3, 3, 4]), (11, [3, 4, 4]), (12, [3, 3, 3, 3]),
+             (13, [4, 4, 5]), (14, [3, 3, 4, 4]), (15, [3, 4, 4, 4]),
+             (16, [3, 3, 3, 3, 4])]
+    costs = {(seed, n): cover_cost(inst, approx_metric(inst)[0])
+             for seed in (1, 2) for n, sizes in specs
+             for inst in [generate_instance("euclidean", n, sizes, seed)]}
+    assert costs[(1, 16)] == 3825
+    assert sum(costs.values()) == 33100
 
 
 def scaled(inst, factor, delta):
@@ -264,11 +318,10 @@ def test_warm_rounds_match_cold_solves(monkeypatch):
     assert len(rounds) > 300
     for cost, columns, x, den in rounds:
         rows = []
-        for groups, column_cost in columns:
+        for ks, a, column_cost in columns:
             coeffs = [0] * len(cost)
-            for a, ks in groups:
-                for k in ks:
-                    coeffs[k] = a
+            for k in ks:
+                coeffs[k] = a
             rows.append((coeffs, GE, -column_cost))
         cold = solve_min_lp(cost, rows)
         assert cold.status == "optimal"
