@@ -258,8 +258,12 @@ class ColumnLp:
         self.rhs, _ = _integers(rhs)
         # each column added as (its rows, their coefficient, its cost)
         self.columns: list[tuple[list[int], int, int]] = []
-        self.rows = [[int(i == k) for k in range(m)] + [b]
-                     for i, b in enumerate(self.rhs)]
+        self.rows = []
+        for i, b in enumerate(self.rhs):
+            row = [0] * (m + 1)
+            row[i] = 1
+            row[m] = b
+            self.rows.append(row)
         self.basis = list(range(m))  # the slack of row i has index n + i
         self.z = [0] * (m + 1)
         self.zs = 1  # scale of z

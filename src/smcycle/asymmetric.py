@@ -25,7 +25,7 @@ from .core import (CycleCover, Instance, Weight, components, cover_cost,
                    euler_shortcut, make_cover, validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import minimal_edge_cover
-from .twofactor import TwoFactorRequest, min_weight_directed_2factor
+from .twofactor import min_weight_directed_2factor
 
 
 def _group_contacts(inst: Instance, cover: CycleCover
@@ -191,7 +191,7 @@ def approx_asymmetric(inst: Instance, trace: list[str] | None = None
     """Iterated representative rounds on top of a minimum directed 2-factor."""
     if inst.symmetric:
         raise ValidationError("asymmetric pipeline needs a directed instance")
-    cover = min_weight_directed_2factor(TwoFactorRequest(inst, directed=True))
+    cover = min_weight_directed_2factor(inst)
     bound = iteration_bound(inst.n)
     etas = [eta(inst, cover)]
     inner_weights: list[Weight] = []

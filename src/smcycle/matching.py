@@ -1,11 +1,15 @@
 """Matching primitives shared by every solver pipeline.
 
-Minimum-weight perfect matching and maximum-cardinality matching are backed
-by networkx's blossom implementation, which works symbolically and therefore
-stays exact on int and Fraction weights.  The bipartite assignment solver,
-the minimal edge cover and the maximum simple 2-matching (Tutte's degree
-gadget solved by an int-indexed Edmonds cardinality blossom, warm-started by
-a greedy path forest) are implemented here directly.
+This is the only module that imports networkx.  Its blossom implementation,
+which works symbolically and therefore stays exact on int and Fraction
+weights, backs two calls: ``min_weight_perfect_matching`` (the metric
+T-join and the oracles) and ``max_cardinality_matching`` (under
+``minimal_edge_cover`` in the asymmetric loop).  The rest is implemented
+here directly: the int-indexed Edmonds cardinality blossom
+``_augment_matching``, which solves the maximum simple 2-matching (Tutte's
+degree gadget, warm-started by a greedy path forest) and the {1,2}
+pipeline's attachment matching, the bipartite assignment solver and the
+minimal edge cover.
 
 All functions are pure and deterministic for a fixed input.
 """

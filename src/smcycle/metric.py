@@ -3,8 +3,7 @@
 Pipeline: 2-approximate survivable-network subgraph (requirements 2 inside
 each group), bridge pruning, minimum T-join on the odd-degree set inside the
 subgraph, Eulerian doubling, and a metric shortcut of each component down to
-a cycle.  The T-join stage can be swapped for a minimum-weight perfect
-matching on the complete graph over T, which is the comparison variant.
+a cycle.
 
 Stage invariants asserted on every run: T-join parity, w(J) <= w(G')/2 on
 the pruned subgraph, and shortcut cost never above the Eulerian weight.
@@ -15,7 +14,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 from .core import (CycleCover, Instance, Weight, cover_cost, euler_shortcut,
                    make_cover, validate_solution)
@@ -162,12 +160,10 @@ def double_and_shortcut(g: EdgeSubgraph, join: TJoin, inst: Instance) -> CycleCo
     return _euler_shortcut(g.n, slots, inst)
 
 
-def approx_metric(inst: Instance, join_mode: Literal["tjoin", "matching"] = "tjoin",
-                  trace: list[str] | None = None) -> tuple[CycleCover, MetricStages]:
+def approx_metric(inst: Instance, trace: list[str] | None = None
+                  ) -> tuple[CycleCover, MetricStages]:
     """Survivable-network subgraph + T-join + Eulerian shortcut.
 
-    ``join_mode='matching'`` swaps the T-join for a minimum-weight perfect
-    matching over the odd set in the complete graph, the comparison variant.
     Returns the cover and the stage record.
     """
     if not inst.symmetric:
@@ -176,20 +172,10 @@ def approx_metric(inst: Instance, join_mode: Literal["tjoin", "matching"] = "tjo
     raw = jain_round(inst, req, trace=trace)
     pruned = prune_bridges(raw, req)
     odd = odd_degree_set(pruned)
-
-    if join_mode == "tjoin":
-        join = min_t_join(pruned, inst, odd)
-    elif join_mode == "matching":
-        cand = [(a, b, inst.w(a, b)) for i, a in enumerate(sorted(odd))
-                for b in sorted(odd)[i + 1:]]
-        mate = min_weight_perfect_matching(cand, vertices=odd) if odd else set()
-        join = TJoin(edges=frozenset((min(u, v), max(u, v)) for u, v in mate))
-    else:
-        raise ValidationError(f"unknown join mode {join_mode!r}")
-
+    join = min_t_join(pruned, inst, odd)
     join_weight = join.weight(inst)
     pruned_weight = pruned.weight(inst)
-    if join_mode == "tjoin" and Fraction(join_weight) > Fraction(pruned_weight, 2):
+    if Fraction(join_weight) > Fraction(pruned_weight, 2):
         raise SmcError("T-join heavier than half the pruned subgraph")
 
     cover = double_and_shortcut(pruned, join, inst)

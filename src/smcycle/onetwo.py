@@ -26,9 +26,8 @@ from .core import (CycleCover, Instance, Weight, WeightClass, components,
                    count_weight2_edges, cover_cost, make_cover,
                    validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
-from .matching import max_cardinality_matching
-from .twofactor import (TwoFactorRequest, min_weight_2factor,
-                        min_weight_triangle_free_2factor)
+from .matching import _augment_matching
+from .twofactor import min_weight_2factor, min_weight_triangle_free_2factor
 
 ADVERSARIAL_MAX_RUNS = 20000
 
@@ -149,22 +148,16 @@ def _property2_violation(inst: Instance, nonpure: _WCycle,
     return None
 
 
-def special_2factor(inst: Instance, base: CycleCover | None = None
-                    ) -> SpecialTwoFactor:
+def special_2factor(inst: Instance, base: CycleCover) -> SpecialTwoFactor:
     """Minimum 2-factor with the two structural properties of the pipeline.
 
-    Starts from a minimum-weight 2-factor (or the provided one), joins
-    nonpure cycles pairwise, then applies the 2-edge/1-edge exchange until
-    no 1-edge leaves a 2-edge endpoint of the nonpure cycle into a pure
-    cycle.  Neither step increases the weight; both shrink the cycle count.
+    Starts from the minimum-weight 2-factor ``base``, joins nonpure cycles
+    pairwise, then applies the 2-edge/1-edge exchange until no 1-edge
+    leaves a 2-edge endpoint of the nonpure cycle into a pure cycle.
+    Neither step increases the weight; both shrink the cycle count.
     """
     if inst.weight_class is not WeightClass.ONE_TWO:
         raise ValidationError("special 2-factor needs {1,2} weights")
-    if base is None:
-        if inst.pair_groups():
-            base = min_weight_2factor(TwoFactorRequest(inst, allow_pair_2cycles=True))
-        else:
-            base = min_weight_2factor(TwoFactorRequest(inst))
     start_weight = cover_cost(inst, base)
     work = [_WCycle(list(c), is_pair=f)
             for c, f in zip(base.cycles, base.pair_flags)]
@@ -249,14 +242,25 @@ def build_B(inst: Instance, factor: SpecialTwoFactor) -> list[tuple[int, int]]:
 
 def maximum_b_matching(b_edges: Sequence[tuple[int, int]]
                        ) -> list[tuple[int, int]]:
-    """Maximum matching of B as (cycle, vertex) pairs."""
-    mate = max_cardinality_matching([(("v", v), ("c", ci)) for v, ci in b_edges])
-    out = []
-    for a, b in mate:
-        v = a[1] if a[0] == "v" else b[1]
-        ci = a[1] if a[0] == "c" else b[1]
-        out.append((ci, v))
-    return sorted(out)
+    """Maximum matching of B as sorted (cycle, vertex) pairs.
+
+    Nodes 0..k-1 are the cycles in ascending index order and k.. the
+    vertices; the blossom search roots at each cycle in turn and scans its
+    vertices in the order of ``b_edges``.
+    """
+    cycles = sorted({ci for _, ci in b_edges})
+    verts = sorted({v for v, _ in b_edges})
+    k = len(cycles)
+    cycle_node = {ci: i for i, ci in enumerate(cycles)}
+    vert_node = {v: k + i for i, v in enumerate(verts)}
+    adj: list[list[int]] = [[] for _ in range(k + len(verts))]
+    for v, ci in b_edges:
+        adj[cycle_node[ci]].append(vert_node[v])
+        adj[vert_node[v]].append(cycle_node[ci])
+    mate = [-1] * len(adj)
+    _augment_matching(adj, mate)
+    return [(ci, verts[mate[i] - k])
+            for i, ci in enumerate(cycles) if mate[i] != -1]
 
 
 @dataclass(frozen=True)
@@ -861,22 +865,16 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
 
 
 def _base_factor(inst: Instance, variant: str) -> CycleCover:
-    allow = bool(inst.pair_groups())
     if variant == "ratio-7-6":
-        req = TwoFactorRequest(inst, triangle_free=True, allow_pair_2cycles=allow) \
-            if allow else TwoFactorRequest(inst, triangle_free=True)
-        return min_weight_triangle_free_2factor(req)
-    req = TwoFactorRequest(inst, allow_pair_2cycles=allow) if allow \
-        else TwoFactorRequest(inst)
-    return min_weight_2factor(req)
+        return min_weight_triangle_free_2factor(inst)
+    return min_weight_2factor(inst)
 
 
 def _enumerate_min_2factors(inst: Instance, variant: str) -> list[CycleCover]:
     """All minimum-weight (triangle-free for 7/6) 2-factors, desk scale."""
     from .oracle import enumerate_optimal_2factors
-    return enumerate_optimal_2factors(
-        inst, triangle_free=(variant == "ratio-7-6"),
-        allow_pair_2cycles=bool(inst.pair_groups()))
+    return enumerate_optimal_2factors(inst,
+                                      triangle_free=(variant == "ratio-7-6"))
 
 
 def _enumerate_maximum_matchings(b_edges: list[tuple[int, int]]

@@ -1,9 +1,11 @@
 """Desk-scale exact solvers used as ground truth by the test suites.
 
-Budgets are hard errors, never silent truncation: every solver refuses
-inputs beyond its cap.  Two independent routes exist for the multicycle
-optimum (group clustering with Held-Karp, and raw permutation enumeration)
-so the oracles can cross-check each other.
+Budgets are hard errors, never silent truncation: every enumerating
+solver refuses inputs beyond its cap.  Two independent routes exist for the
+multicycle optimum (group clustering with Held-Karp, and raw permutation
+enumeration) so the oracles can cross-check each other.  The minimum
+2-factor has an enumeration and, for sizes beyond its cap, the polynomial
+degree-gadget reduction to weighted perfect matching.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .core import (CycleCover, Instance, Weight, cover_cost, find,
                    generate_instance, make_cover, validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import min_weight_perfect_matching
+from .twofactor import _walk_degree2
 
 
 @dataclass(frozen=True)
@@ -205,17 +208,19 @@ def brute_force_smc_permutation(inst: Instance, budget: OracleBudget = DEFAULT_B
 
 
 def brute_force_2factor(inst: Instance, triangle_free: bool = False,
-                        directed: bool = False, allow_pair_2cycles: bool = False,
                         budget: OracleBudget = DEFAULT_BUDGET) -> Weight:
-    """Exact minimum over all (triangle-free) 2-factors by cycle enumeration."""
+    """Exact minimum over all (triangle-free) 2-factors by cycle enumeration.
+
+    Directed on an asymmetric instance; on a symmetric one a pair 2-cycle
+    is allowed for each size-2 group.
+    """
+    directed = not inst.symmetric
     cap = budget.twofactor_directed_max_n if directed else budget.twofactor_max_n
     if inst.n > cap:
         raise BudgetExceededError(f"2-factor oracle capped at n={cap}, got {inst.n}")
-    if directed == inst.symmetric:
-        raise ValidationError("direction flag does not match the instance")
     deadline = budget.deadline()
     n = inst.n
-    pair_set = {frozenset(p) for p in inst.pair_groups()} if allow_pair_2cycles else set()
+    pair_set = {frozenset(p) for p in inst.pair_groups()}
     min_incident = [min(min(inst.w(v, u), inst.w(u, v))
                         for u in range(n) if u != v) for v in range(n)]
 
@@ -273,10 +278,10 @@ def brute_force_2factor(inst: Instance, triangle_free: bool = False,
 
 
 def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False,
-                               allow_pair_2cycles: bool = False,
                                budget: OracleBudget = DEFAULT_BUDGET,
                                limit: int = 20000) -> list[CycleCover]:
-    """Every undirected 2-factor attaining the minimum weight (desk scale).
+    """Every undirected 2-factor attaining the minimum weight (desk scale),
+    with a pair 2-cycle allowed for each size-2 group.
 
     Supports the adversarial tie-break searches; enumeration order is
     canonical (each cycle anchored at its smallest vertex, orientation
@@ -288,13 +293,11 @@ def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False,
     if not inst.symmetric:
         raise ValidationError("2-factor enumeration handles symmetric instances")
     best = brute_force_2factor(inst, triangle_free=triangle_free,
-                               allow_pair_2cycles=allow_pair_2cycles,
                                budget=OracleBudget(
                                    twofactor_max_n=budget.twofactor_max_n + 3,
                                    time_limit_s=budget.time_limit_s))
     n = inst.n
-    pair_set = ({frozenset(p) for p in inst.pair_groups()}
-                if allow_pair_2cycles else set())
+    pair_set = {frozenset(p) for p in inst.pair_groups()}
     out: list[CycleCover] = []
 
     def rec(uncov: int, acc: Weight, cycles: list[tuple[tuple[int, ...], bool]]):
@@ -332,6 +335,50 @@ def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False,
 
     rec((1 << n) - 1, 0, [])
     return out
+
+
+def gadget_2factor(inst: Instance) -> CycleCover:
+    """Minimum-weight undirected 2-factor by reduction to perfect matching.
+
+    The polynomial reference for the {1,2} route of
+    ``twofactor.min_weight_2factor`` above the enumeration caps; it takes
+    any symmetric weights.
+
+    Gadget: two core nodes per vertex; per edge e=uv two nodes e_u, e_v with
+    a weight-0 link between them and weight w(e) links to the cores of u and
+    v.  A perfect matching selects e exactly when e_u and e_v are both
+    matched to cores, paying 2 w(e), so the minimum matching selects a
+    minimum 2-factor.  Duplicated pair edges enter as two parallel gadgets;
+    selecting both realizes the pair 2-cycle.
+    """
+    if not inst.symmetric:
+        raise ValidationError("the 2-factor gadget handles symmetric instances")
+    edges = [(i, j, inst.w(i, j))
+             for i in range(inst.n) for j in range(i + 1, inst.n)]
+    edges += [(u, v, inst.w(u, v)) for u, v in inst.pair_groups()]
+    gadget = []
+    for k, (u, v, w) in enumerate(edges):
+        gadget.append((("e", k, 0), ("e", k, 1), 0))
+        for t in (0, 1):
+            gadget.append((("e", k, 0), ("c", u, t), w))
+            gadget.append((("e", k, 1), ("c", v, t), w))
+    mate = min_weight_perfect_matching(gadget)
+
+    matched_to_core = set()
+    for a, b in mate:
+        for x, y in ((a, b), (b, a)):
+            if x[0] == "e" and y[0] == "c":
+                matched_to_core.add((x[1], x[2]))
+    for k in range(len(edges)):
+        if ((k, 0) in matched_to_core) != ((k, 1) in matched_to_core):
+            raise ValidationError("gadget matching selected half an edge")
+    chosen = [(edges[k][0], edges[k][1]) for k in range(len(edges))
+              if (k, 0) in matched_to_core]
+    cycles, paths = _walk_degree2(range(inst.n), chosen)
+    if paths:
+        raise ValidationError("selected edges are not a 2-factor")
+    return make_cover(cycles, directed=False,
+                      pair_flags=[len(c) == 2 for c in cycles])
 
 
 # ---------------------------------------------------------------------------

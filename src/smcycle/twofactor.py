@@ -1,59 +1,37 @@
 """Minimum-weight 2-factor computation.
 
-Four routes live here:
+Each route takes only the instance.  A pair 2-cycle, the doubled edge of a
+size-2 terminal group, is allowed exactly when the instance has size-2
+groups, as in the problem definition.  Three routes live here:
 
-* {1,2} minimum 2-factor: a maximum simple 2-matching of the weight-1 graph
-  H (plus a second copy of each allowed pair-group 1-edge), found by
-  ``matching.max_simple_2matching``, with its paths chained by 2-edges;
-* undirected minimum-weight 2-factor for other weights via the classical
-  degree-gadget reduction to minimum-weight perfect matching (two core
-  nodes per vertex, two nodes per edge);
-* directed minimum-weight 2-factor via an exact assignment between
-  out-copies and in-copies with self-arcs forbidden;
-* minimum-weight triangle-free 2-factor for {1,2} weights, reduced to a
-  maximum-size triangle-free simple 2-matching of the weight-1 subgraph.
-  The 2-matching subroutine sits behind a swappable interface whose default
-  is an exact branch-and-bound, so the whole route stays exact at desk
-  scale.
+* ``min_weight_2factor``: {1,2} minimum 2-factor from a maximum simple
+  2-matching of the weight-1 graph H (plus a second copy of each pair-group
+  1-edge), found by ``matching.max_simple_2matching``, with its paths
+  chained by 2-edges;
+* ``min_weight_directed_2factor``: directed minimum-weight 2-factor via an
+  exact assignment between out-copies and in-copies with self-arcs
+  forbidden;
+* ``min_weight_triangle_free_2factor``: {1,2} minimum 2-factor with no
+  3-cycle, from a maximum triangle-free simple 2-matching of the weight-1
+  graph, found by an exact branch-and-bound capped at
+  ``TRIANGLE_FREE_BRUTE_MAX_N`` vertices.
 
 Both {1,2} routes close their 2-matching with one component/chain/repair
-step, ``_cycles_from_2matching``, whose docstring proves it exact.
+step, ``_cycles_from_2matching``, whose docstring proves it exact.  The
+degree-gadget reduction to weighted perfect matching, their exact reference
+above the enumeration caps, is ``oracle.gadget_2factor``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (CycleCover, Instance, Weight, WeightClass, cover_cost,
                    make_cover)
-from .errors import BudgetExceededError, ValidationError
-from .matching import (max_simple_2matching, min_cost_bipartite_perfect_matching,
-                       min_weight_perfect_matching)
-
-TwoMatchingSolver = Callable[[Sequence[int], set[frozenset[int]]], set[frozenset[int]]]
+from .errors import BudgetExceededError, SmcError, ValidationError
+from .matching import max_simple_2matching, min_cost_bipartite_perfect_matching
 
 TRIANGLE_FREE_BRUTE_MAX_N = 12
-
-
-@dataclass(frozen=True)
-class TwoFactorRequest:
-    instance: Instance
-    directed: bool = False
-    triangle_free: bool = False
-    allow_pair_2cycles: bool = False
-
-    def __post_init__(self):
-        inst = self.instance
-        if self.directed and inst.symmetric:
-            raise ValidationError("directed 2-factor requested on a symmetric instance")
-        if not self.directed and not inst.symmetric:
-            raise ValidationError("undirected 2-factor requested on an asymmetric instance")
-        if self.triangle_free and inst.weight_class is not WeightClass.ONE_TWO:
-            raise ValidationError("triangle-free 2-factors are supported for "
-                                  "{1,2} weights only")
-        if self.allow_pair_2cycles and not inst.pair_groups():
-            raise ValidationError("pair 2-cycles allowed but no size-2 group exists")
 
 
 def _walk_degree2(vertices: Sequence[int], edges: Sequence[tuple[int, int]]
@@ -150,93 +128,37 @@ def _cycles_from_2matching(inst: Instance, vertices: Sequence[int],
     return splice(0, 0, chain)
 
 
-def _pair_cover(cycles: list[list[int]]) -> CycleCover:
-    return make_cover(cycles, directed=False,
-                      pair_flags=[len(c) == 2 for c in cycles])
+def min_weight_2factor(inst: Instance) -> CycleCover:
+    """{1,2} minimum 2-factor from a maximum simple 2-matching of H+.
 
-
-def _one_two_2factor(inst: Instance, allow_pairs: bool) -> CycleCover:
-    """{1,2} minimum 2-factor from a maximum simple 2-matching of H+."""
+    H is the weight-1 graph and H+ adds a second copy of the 1-edge of each
+    size-2 group; taking both copies gives that group's pair 2-cycle.
+    """
+    if inst.weight_class is not WeightClass.ONE_TWO:
+        raise ValidationError("{1,2} 2-factors need one-two weights")
     n = inst.n
     w = inst.weights
+    pairs = inst.pair_groups()
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if w[i][j] == 1]
-    pairs = inst.pair_groups() if allow_pairs else []
     edges += [(u, v) for u, v in pairs if w[u][v] == 1]
     chosen = [edges[k] for k in max_simple_2matching(n, edges)]
     cycles = _cycles_from_2matching(inst, range(n), chosen, 3,
                                     frozenset(frozenset(p) for p in pairs))
     if cycles is None:
         raise ValidationError("no 2-factor exists")
-    return _pair_cover(cycles)
+    return make_cover(cycles, directed=False,
+                      pair_flags=[len(c) == 2 for c in cycles])
 
 
-def _gadget_2factor(inst: Instance, allow_pairs: bool) -> CycleCover:
-    """Minimum-weight 2-factor by reduction to perfect matching.
-
-    Gadget: two core nodes per vertex; per edge e=uv two nodes e_u, e_v with
-    a weight-0 link between them and weight w(e) links to the cores of u and
-    v.  A perfect matching selects e exactly when e_u and e_v are both
-    matched to cores, paying 2 w(e), so the minimum matching selects a
-    minimum 2-factor.  Duplicated pair edges enter as two parallel gadgets;
-    selecting both realizes the pair 2-cycle.
-    """
-    edges = [(i, j, inst.w(i, j))
-             for i in range(inst.n) for j in range(i + 1, inst.n)]
-    if allow_pairs:
-        edges += [(u, v, inst.w(u, v)) for u, v in inst.pair_groups()]
-    gadget = []
-    for k, (u, v, w) in enumerate(edges):
-        gadget.append((("e", k, 0), ("e", k, 1), 0))
-        for t in (0, 1):
-            gadget.append((("e", k, 0), ("c", u, t), w))
-            gadget.append((("e", k, 1), ("c", v, t), w))
-    mate = min_weight_perfect_matching(gadget)
-
-    matched_to_core = set()
-    for a, b in mate:
-        for x, y in ((a, b), (b, a)):
-            if x[0] == "e" and y[0] == "c":
-                matched_to_core.add((x[1], x[2]))
-    for k in range(len(edges)):
-        if ((k, 0) in matched_to_core) != ((k, 1) in matched_to_core):
-            raise ValidationError("gadget matching selected half an edge")
-    chosen = [(edges[k][0], edges[k][1]) for k in range(len(edges))
-              if (k, 0) in matched_to_core]
-    cycles, paths = _walk_degree2(range(inst.n), chosen)
-    if paths:
-        raise ValidationError("selected edges are not a 2-factor")
-    return _pair_cover(cycles)
-
-
-def min_weight_2factor(req: TwoFactorRequest) -> CycleCover:
-    """Undirected minimum-weight 2-factor.
-
-    {1,2} instances go through a maximum simple 2-matching of the weight-1
-    graph (``_cycles_from_2matching``); other weights through the weighted
-    degree gadget.
-    """
-    if req.directed:
-        raise ValidationError("use min_weight_directed_2factor for digraphs")
-    inst = req.instance
-    if inst.n < 3 and not req.allow_pair_2cycles:
-        raise ValidationError("no 2-factor on fewer than 3 vertices without pair 2-cycles")
-    if inst.weight_class is WeightClass.ONE_TWO:
-        return _one_two_2factor(inst, req.allow_pair_2cycles)
-    return _gadget_2factor(inst, req.allow_pair_2cycles)
-
-
-def min_weight_directed_2factor(req: TwoFactorRequest) -> CycleCover:
+def min_weight_directed_2factor(inst: Instance) -> CycleCover:
     """Directed minimum-weight 2-factor via min-cost assignment.
 
     Every vertex gets in-degree = out-degree = 1; self-arcs are forbidden.
     Directed 2-cycles are allowed.
     """
-    if not req.directed:
-        raise ValidationError("use min_weight_2factor for undirected instances")
-    inst = req.instance
+    if inst.symmetric:
+        raise ValidationError("directed 2-factor needs an asymmetric instance")
     n = inst.n
-    if n < 2:
-        raise ValidationError("directed 2-factor needs at least 2 vertices")
     costs = [list(row) for row in inst.weights]
     for i in range(n):
         costs[i][i] = None
@@ -266,8 +188,8 @@ def brute_force_triangle_free_2matching(vertices: Sequence[int],
                                         ) -> set[frozenset[int]]:
     """Maximum-size simple 2-matching of H with no 3-cycle, by branch and bound.
 
-    Default backend for the triangle-free pipeline; refuses more than
-    TRIANGLE_FREE_BRUTE_MAX_N vertices instead of degrading.
+    Refuses more than TRIANGLE_FREE_BRUTE_MAX_N vertices instead of
+    degrading.
     """
     vs = list(vertices)
     if len(vs) > TRIANGLE_FREE_BRUTE_MAX_N:
@@ -337,46 +259,30 @@ def brute_force_triangle_free_2matching(vertices: Sequence[int],
     return {frozenset((vs[u], vs[v])) for u, v in best}
 
 
-def _triangle_free_core(inst: Instance, active: Sequence[int],
-                        solver: TwoMatchingSolver) -> list[list[int]] | None:
-    """Triangle-free 2-factor on the active vertices, no pair 2-cycles.
+def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
+    """Minimum-weight {1,2} 2-factor among those with no length-3 cycle.
 
-    Returns the cycles, or None when infeasible (fewer than 4 active
-    vertices): a maximum triangle-free simple 2-matching of the weight-1
-    subgraph, closed by ``_cycles_from_2matching`` with cycles of length
-    at least 4.
-    """
-    active = sorted(active)
-    h_edges = {frozenset((u, v)) for i, u in enumerate(active)
-               for v in active[i + 1:] if inst.w(u, v) == 1}
-    matching = solver(active, h_edges)
-    return _cycles_from_2matching(inst, active,
-                                  [tuple(e) for e in matching], 4)
-
-
-def triangle_free_from_simple_2matching(
-        inst: Instance, allow_pair_2cycles: bool = False,
-        solver: TwoMatchingSolver = brute_force_triangle_free_2matching
-) -> CycleCover:
-    """Appendix-style reduction to a triangle-free simple 2-matching.
-
-    Pair 2-cycles, when allowed, are handled by branching over the subset of
-    size-2 groups realized as duplicated-pair cycles; each branch solves the
-    reduced instance independently, so the result stays exact.
+    A pair 2-cycle is not a triangle.  Every subset of the size-2 groups is
+    tried as the set of pair 2-cycles; on the other vertices a maximum
+    triangle-free simple 2-matching of the weight-1 graph is closed by
+    ``_cycles_from_2matching`` with cycles of length at least 4.  Each
+    branch is exact, so the cheapest one is.
     """
     if inst.weight_class is not WeightClass.ONE_TWO:
-        raise ValidationError("triangle-free 2-factors are supported for "
-                              "{1,2} weights only")
-    pairs = inst.pair_groups() if allow_pair_2cycles else []
-
+        raise ValidationError("{1,2} 2-factors need one-two weights")
+    pairs = inst.pair_groups()
     best_cost: Weight | None = None
     best_cover: CycleCover | None = None
     for mask in range(1 << len(pairs)):
         committed = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         removed = {v for p in committed for v in p}
         active = [v for v in range(inst.n) if v not in removed]
-        cycles = _triangle_free_core(inst, active, solver)
-        if cycles is None:
+        h_edges = {frozenset((u, v)) for i, u in enumerate(active)
+                   for v in active[i + 1:] if inst.w(u, v) == 1}
+        matching = brute_force_triangle_free_2matching(active, h_edges)
+        cycles = _cycles_from_2matching(inst, active,
+                                        [tuple(e) for e in matching], 4)
+        if cycles is None:  # 1 to 3 active vertices
             continue
         all_cycles = [list(p) for p in committed] + cycles
         flags = [True] * len(committed) + [False] * len(cycles)
@@ -387,23 +293,7 @@ def triangle_free_from_simple_2matching(
             best_cover = cover
     if best_cover is None:
         raise ValidationError("no triangle-free 2-factor exists")
-    return best_cover
-
-
-def min_weight_triangle_free_2factor(req: TwoFactorRequest,
-                                     solver: TwoMatchingSolver =
-                                     brute_force_triangle_free_2matching
-                                     ) -> CycleCover:
-    """Minimum-weight 2-factor among those with no length-3 cycle.
-
-    A flagged pair 2-cycle is not a triangle and remains legal when the
-    request allows it.
-    """
-    if not req.triangle_free:
-        raise ValidationError("request does not ask for a triangle-free 2-factor")
-    cover = triangle_free_from_simple_2matching(
-        req.instance, allow_pair_2cycles=req.allow_pair_2cycles, solver=solver)
-    for cyc, flag in zip(cover.cycles, cover.pair_flags):
+    for cyc, flag in zip(best_cover.cycles, best_cover.pair_flags):
         if not flag and len(cyc) < 4:
-            raise ValidationError("triangle-free pipeline produced a short cycle")
-    return cover
+            raise SmcError("triangle-free route produced a short cycle")
+    return best_cover

@@ -21,8 +21,7 @@ from smcycle.oracle import (brute_force_2factor, brute_force_smc,
                             brute_force_snd, brute_force_steiner_forest,
                             approx_steiner_forest, matching_vs_opt_probe)
 from smcycle.snd import EdgeSubgraph, build_requirements, jain_round, prune_bridges
-from smcycle.twofactor import (TwoFactorRequest, min_weight_2factor,
-                               min_weight_directed_2factor,
+from smcycle.twofactor import (min_weight_2factor, min_weight_directed_2factor,
                                min_weight_triangle_free_2factor)
 
 
@@ -191,24 +190,23 @@ def test_criterion_6_subroutine_oracles():
     for trial in range(200):
         n = rng.choice((5, 6, 7, 8))
         sizes = [2, n - 2] if n >= 5 else [n]
-        inst = generate_instance("one-two", n, sizes, seed=rng.randrange(1 << 30))
-        got = cover_cost(inst, min_weight_2factor(TwoFactorRequest(inst)))
-        assert got == brute_force_2factor(inst)
-        got = cover_cost(inst, min_weight_2factor(
-            TwoFactorRequest(inst, allow_pair_2cycles=True)))
-        assert got == brute_force_2factor(inst, allow_pair_2cycles=True)
+        paired = generate_instance("one-two", n, sizes, seed=rng.randrange(1 << 30))
+        # the same matrix with one group: no pair 2-cycle is legal
+        single = validate_instance(n, paired.weights, True, WeightClass.ONE_TWO,
+                                   [list(range(n))])
+        for inst in (single, paired):
+            got = cover_cost(inst, min_weight_2factor(inst))
+            assert got == brute_force_2factor(inst)
         if n >= 5:
-            got = cover_cost(inst, min_weight_triangle_free_2factor(
-                TwoFactorRequest(inst, triangle_free=True)))
-            assert got == brute_force_2factor(inst, triangle_free=True)
+            got = cover_cost(single, min_weight_triangle_free_2factor(single))
+            assert got == brute_force_2factor(single, triangle_free=True)
     rng = Random(60_003)
     for trial in range(200):
         n = rng.choice((4, 5, 6, 7))
         inst = generate_instance("asymmetric", n, [n] if n != 4 else [2, 2],
                                  seed=rng.randrange(1 << 30))
-        got = cover_cost(inst, min_weight_directed_2factor(
-            TwoFactorRequest(inst, directed=True)))
-        assert got == brute_force_2factor(inst, directed=True)
+        got = cover_cost(inst, min_weight_directed_2factor(inst))
+        assert got == brute_force_2factor(inst)
 
     # T-joins vs subset enumeration
     rng = Random(60_004)
@@ -261,7 +259,7 @@ def test_criterion_7_structural_invariants():
         n = rng.randint(5, 9)
         inst = generate_instance("one-two", n, _random_sizes(rng, n),
                                  seed=rng.randrange(1 << 30))
-        f = special_2factor(inst)
+        f = special_2factor(inst, min_weight_2factor(inst))
         nonpure = [i for i, p in enumerate(f.pure) if not p]
         assert len(nonpure) <= 1
         for ci, cyc in enumerate(f.cover.cycles):

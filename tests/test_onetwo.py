@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -11,7 +12,8 @@ from smcycle.core import (WeightClass, count_weight2_edges, cover_cost,
 from smcycle.errors import ValidationError
 from smcycle.onetwo import (approx_onetwo, build_B, build_D_and_Dprime,
                             maximum_b_matching, special_2factor)
-from smcycle.oracle import brute_force_smc
+from smcycle.oracle import brute_force_2factor, brute_force_smc
+from smcycle.twofactor import min_weight_2factor
 
 
 def one_two_from_ones(n, ones, groups):
@@ -36,7 +38,7 @@ def test_special_2factor_all_ones():
     inst = generate_instance("one-two", 6, [3, 3], seed=0)
     w = [[0 if i == j else 1 for j in range(6)] for i in range(6)]
     inst = validate_instance(6, w, True, WeightClass.ONE_TWO, [[0, 1, 2], [3, 4, 5]])
-    f = special_2factor(inst)
+    f = special_2factor(inst, min_weight_2factor(inst))
     assert all(f.pure)
     assert cover_cost(inst, f.cover) == 6
 
@@ -46,7 +48,7 @@ def test_special_2factor_merges_two_nonpure_triangles():
     # two nonpure triangles (or equivalent), which must merge into one cycle
     ones = [(0, 1), (1, 2), (3, 4), (4, 5)]
     inst = one_two_from_ones(6, ones, [[0, 1, 2], [3, 4, 5]])
-    f = special_2factor(inst)
+    f = special_2factor(inst, min_weight_2factor(inst))
     nonpure = [i for i, p in enumerate(f.pure) if not p]
     assert len(nonpure) <= 1
     assert cover_cost(inst, f.cover) == 8  # 4 ones + 2 twos
@@ -58,18 +60,16 @@ def test_special_2factor_weight_is_minimum():
         n = rng.choice((5, 6, 7, 8, 9))
         sizes = [n] if n % 2 else [2, n - 2]
         inst = generate_instance("one-two", n, sizes, seed=rng.randrange(10 ** 6))
-        f = special_2factor(inst)
+        f = special_2factor(inst, min_weight_2factor(inst))
         # properties are asserted inside; re-check purity bookkeeping here
         assert sum(1 for p in f.pure if not p) <= 1
-        from smcycle.oracle import brute_force_2factor
-        assert cover_cost(inst, f.cover) == brute_force_2factor(
-            inst, allow_pair_2cycles=bool(inst.pair_groups()))
+        assert cover_cost(inst, f.cover) == brute_force_2factor(inst)
 
 
 def test_build_b_definition():
     inst = tightness_instance()
     base = make_cover([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-    f = special_2factor(inst, base=base)
+    f = special_2factor(inst, base)
     assert all(f.pure)
     edges = set(build_B(inst, f))
     assert edges == {(3, 0), (8, 0), (2, 1), (6, 1), (5, 2), (0, 2)}
@@ -84,14 +84,33 @@ def test_b_skips_respecting_cycles():
     # single group in one pure cycle: nothing to attach
     w = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
     inst = validate_instance(5, w, True, WeightClass.ONE_TWO, [[0, 1, 2, 3, 4]])
-    f = special_2factor(inst)
+    f = special_2factor(inst, min_weight_2factor(inst))
     assert build_B(inst, f) == []
+
+
+def test_maximum_b_matching_against_subset_enumeration():
+    # random bipartite B (vertex, cycle) with at most 12 edges; cycle and
+    # vertex labels overlap, as build_B's do
+    rng = Random(12)
+    for trial in range(300):
+        cells = [(v, ci) for v in range(rng.randint(1, 6))
+                 for ci in range(rng.randint(1, 5))]
+        b_edges = sorted(rng.sample(cells, rng.randint(0, min(12, len(cells)))))
+        matching = maximum_b_matching(b_edges)
+        assert matching == sorted(matching)
+        assert {(v, ci) for ci, v in matching} <= set(b_edges)
+        assert len({ci for ci, _ in matching}) == len(matching)
+        assert len({v for _, v in matching}) == len(matching)
+        best = max(k for k in range(len(b_edges) + 1)
+                   for sub in combinations(b_edges, k)
+                   if len({v for v, _ in sub}) == len({ci for _, ci in sub}) == k)
+        assert len(matching) == best
 
 
 def test_digraph_shapes_on_tightness_instance():
     inst = tightness_instance()
     base = make_cover([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-    f = special_2factor(inst, base=base)
+    f = special_2factor(inst, base)
     matching = maximum_b_matching(build_B(inst, f))
     assert len(matching) == 3
     dig = build_D_and_Dprime(inst, f, matching)
@@ -198,7 +217,7 @@ def test_seven_six_variant_within_ratio():
 def test_e2_decomposition_matches_core_helper():
     inst = tightness_instance()
     base = make_cover([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-    f = special_2factor(inst, base=base)
+    f = special_2factor(inst, base)
     assert count_weight2_edges(inst, f.cover) == 0
     assert cover_cost(inst, f.cover) == 9
 

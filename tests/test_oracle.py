@@ -63,7 +63,7 @@ def test_2factor_lower_bounds_smc():
     for trial in range(30):
         n = rng.choice((5, 6, 7))
         inst = generate_instance("one-two", n, [2, n - 2], seed=rng.randrange(10 ** 6))
-        opt2f = brute_force_2factor(inst, allow_pair_2cycles=True)
+        opt2f = brute_force_2factor(inst)
         opt_smc, _ = brute_force_smc(inst)
         assert opt2f <= opt_smc
 

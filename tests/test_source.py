@@ -31,3 +31,21 @@ def test_core_holds_the_only_union_find():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and node.name == "find"]
     assert [f.split(":")[0] for f in found] == ["core.py"], found
+
+
+def test_only_matching_imports_networkx():
+    # networkx stays behind the matching layer: every other module goes
+    # through smcycle.matching
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "networkx" for name in names):
+                found.append(path.name)
+    assert found == ["matching.py"], found

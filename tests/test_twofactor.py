@@ -7,12 +7,10 @@ import pytest
 from smcycle.core import (WeightClass, cover_cost, generate_instance,
                           validate_instance)
 from smcycle.errors import BudgetExceededError, ValidationError
-from smcycle.oracle import brute_force_2factor
-from smcycle.twofactor import (TwoFactorRequest,
-                               brute_force_triangle_free_2matching,
+from smcycle.oracle import brute_force_2factor, gadget_2factor
+from smcycle.twofactor import (brute_force_triangle_free_2matching,
                                min_weight_2factor, min_weight_directed_2factor,
-                               min_weight_triangle_free_2factor,
-                               triangle_free_from_simple_2matching)
+                               min_weight_triangle_free_2factor)
 
 
 def one_two_instance(n, bits, groups):
@@ -42,55 +40,67 @@ def check_two_factor_shape(inst, cover, triangle_free=False):
 
 def test_unit_triangle():
     w = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    inst = validate_instance(3, w, True, WeightClass.GENERAL_METRIC, [[0, 1, 2]])
-    cover = min_weight_2factor(TwoFactorRequest(inst))
+    inst = validate_instance(3, w, True, WeightClass.ONE_TWO, [[0, 1, 2]])
+    cover = min_weight_2factor(inst)
     assert cover.cycles == ((0, 1, 2),) or cover.cycles == ((0, 2, 1),)
     assert cover_cost(inst, cover) == 3
 
 
+# the far weight between two pairs, its weight class and the route taking it
+ROUTES = ((2, WeightClass.ONE_TWO, min_weight_2factor),
+          (9, WeightClass.GENERAL_METRIC, gadget_2factor))
+
+
 def test_pair_2cycle_when_cheapest():
-    # two far-apart pairs: doubling each pair edge beats any 4-cycle
-    w = [[0, 1, 9, 9], [1, 0, 9, 9], [9, 9, 0, 1], [9, 9, 1, 0]]
-    inst = validate_instance(4, w, True, WeightClass.GENERAL_METRIC,
-                             [[0, 1], [2, 3]])
-    cover = min_weight_2factor(TwoFactorRequest(inst, allow_pair_2cycles=True))
-    assert cover_cost(inst, cover) == 4
-    assert sorted(cover.cycles) == [(0, 1), (2, 3)]
-    assert all(cover.pair_flags)
+    # two far-apart pairs: doubling each pair edge beats any 4-cycle, on
+    # {1,2} weights and, through the gadget, on general metric ones
+    for big, klass, route in ROUTES:
+        w = [[0, 1, big, big], [1, 0, big, big],
+             [big, big, 0, 1], [big, big, 1, 0]]
+        inst = validate_instance(4, w, True, klass, [[0, 1], [2, 3]])
+        cover = route(inst)
+        assert cover_cost(inst, cover) == 4
+        assert sorted(cover.cycles) == [(0, 1), (2, 3)]
+        assert all(cover.pair_flags)
 
 
 def test_pair_2cycles_disallowed_forces_big_cycle():
-    w = [[0, 1, 9, 9], [1, 0, 9, 9], [9, 9, 0, 1], [9, 9, 1, 0]]
-    inst = validate_instance(4, w, True, WeightClass.GENERAL_METRIC,
-                             [[0, 1], [2, 3]])
-    cover = min_weight_2factor(TwoFactorRequest(inst))
-    assert len(cover.cycles) == 1
-    assert cover_cost(inst, cover) == 20
+    # the same weights with no size-2 group: no pair 2-cycle is legal
+    for big, klass, route in ROUTES:
+        w = [[0, 1, big, big], [1, 0, big, big],
+             [big, big, 0, 1], [big, big, 1, 0]]
+        inst = validate_instance(4, w, True, klass, [[0, 1, 2, 3]])
+        cover = route(inst)
+        assert len(cover.cycles) == 1
+        assert cover_cost(inst, cover) == 2 + 2 * big
 
 
 def test_undirected_matches_oracle():
+    # each instance with a size-2 group, and its matrix with one group
     rng = Random(5)
     for trial in range(60):
         n = rng.choice((4, 5, 6, 7, 8))
         sizes = [2, n - 2] if n > 4 or rng.random() < 0.5 else [2, 2]
-        inst = generate_instance("one-two", n, sizes, seed=rng.randrange(10 ** 6))
-        for allow in (False, True):
-            req = TwoFactorRequest(inst, allow_pair_2cycles=allow) if allow else \
-                TwoFactorRequest(inst)
-            cover = min_weight_2factor(req)
+        paired = generate_instance("one-two", n, sizes, seed=rng.randrange(10 ** 6))
+        single = validate_instance(n, paired.weights, True, WeightClass.ONE_TWO,
+                                   [list(range(n))])
+        for inst in (single, paired):
+            cover = min_weight_2factor(inst)
             check_two_factor_shape(inst, cover)
-            if not allow:
+            if inst is single:
                 assert not any(cover.pair_flags)
-            assert cover_cost(inst, cover) == brute_force_2factor(
-                inst, allow_pair_2cycles=allow)
+            assert cover_cost(inst, cover) == brute_force_2factor(inst)
 
 
 def test_undirected_matches_oracle_metric():
+    # the degree-gadget reference against the enumeration, general weights
     rng = Random(6)
     for trial in range(20):
         n = rng.choice((5, 6, 7))
-        inst = generate_instance("euclidean", n, [n], seed=rng.randrange(10 ** 6))
-        cover = min_weight_2factor(TwoFactorRequest(inst))
+        sizes = [n] if trial % 2 else [2, n - 2]
+        inst = generate_instance("euclidean", n, sizes, seed=rng.randrange(10 ** 6))
+        cover = gadget_2factor(inst)
+        check_two_factor_shape(inst, cover)
         assert cover_cost(inst, cover) == brute_force_2factor(inst)
 
 
@@ -115,56 +125,54 @@ def test_one_two_pairs_of_weight_1_become_pair_2cycles():
     ones = {(0, 1), (2, 3), (4, 5), (5, 6), (4, 6)}
     bits = [1 if (i, j) in ones else 0 for i in range(7) for j in range(i + 1, 7)]
     inst = one_two_instance(7, bits, [[0, 1], [2, 3], [4, 5, 6]])
-    cover = min_weight_2factor(TwoFactorRequest(inst, allow_pair_2cycles=True))
+    cover = min_weight_2factor(inst)
     assert sorted(zip(cover.cycles, cover.pair_flags)) == [
         ((0, 1), True), ((2, 3), True), ((4, 5, 6), False)]
     assert cover_cost(inst, cover) == 7
 
 
 def test_one_two_route_matches_oracle():
-    # n = 9 is one case in 50: the oracle takes ~36 ms there, 6 ms at n = 8
+    # n = 9 is one case in 50: the oracle takes ~36 ms there, 6 ms at n = 8.
+    # Each matrix is solved with its groups when they include a size-2 one,
+    # and (n >= 3) with one group, where no pair 2-cycle is legal.
     rng = Random(2024)
     cases = 0
     for trial in range(2000):
         n = 9 if trial % 50 == 0 else 2 + trial % 7
         bits, groups = random_one_two(rng, n, rng.random())
-        inst = one_two_instance(n, bits, groups)
-        for allow in (False, True):
-            if (allow and not inst.pair_groups()) or (n < 3 and not allow):
-                continue
-            cover = min_weight_2factor(
-                TwoFactorRequest(inst, allow_pair_2cycles=allow))
+        paired = one_two_instance(n, bits, groups)
+        insts = [paired] if paired.pair_groups() else []
+        if n >= 3:
+            insts.append(one_two_instance(n, bits, [list(range(n))]))
+        for inst in insts:
+            cover = min_weight_2factor(inst)
             check_two_factor_shape(inst, cover)
-            if not allow:
+            if inst is not paired:
                 assert not any(cover.pair_flags)
-            assert cover_cost(inst, cover) == brute_force_2factor(
-                inst, allow_pair_2cycles=allow)
+            assert cover_cost(inst, cover) == brute_force_2factor(inst)
             cases += 1
     assert cases >= 2500
 
 
 def test_one_two_route_matches_gadget_route():
-    # the same {1,2} matrix validated as general-metric takes the gadget
+    # the degree gadget is the exact reference above the enumeration caps;
+    # with pairs False the matrix gets one group, so no pair 2-cycle is legal
     rng = Random(77)
-    for n, density, allow in ((10, 0.1, True), (14, 0.3, False),
+    for n, density, pairs in ((10, 0.1, True), (14, 0.3, False),
                               (18, 0.05, True), (22, 0.6, False),
                               (27, 0.15, True), (33, 0.02, False),
                               (40, 0.08, False)):
         bits, groups = random_one_two(rng, n, density)
-        inst = one_two_instance(n, bits, groups)
-        metric = validate_instance(n, inst.weights, True,
-                                   WeightClass.GENERAL_METRIC, inst.groups)
-        allow = allow and bool(inst.pair_groups())
-        cover = min_weight_2factor(TwoFactorRequest(inst, allow_pair_2cycles=allow))
+        inst = one_two_instance(n, bits, groups if pairs else [list(range(n))])
+        cover = min_weight_2factor(inst)
         check_two_factor_shape(inst, cover)
-        assert cover_cost(inst, cover) == cover_cost(metric, min_weight_2factor(
-            TwoFactorRequest(metric, allow_pair_2cycles=allow)))
+        assert cover_cost(inst, cover) == cover_cost(inst, gadget_2factor(inst))
 
 
 def test_directed_two_vertices():
     w = [[0, 3], [4, 0]]
     inst = validate_instance(2, w, False, WeightClass.ASYMMETRIC_METRIC, [[0, 1]])
-    cover = min_weight_directed_2factor(TwoFactorRequest(inst, directed=True))
+    cover = min_weight_directed_2factor(inst)
     assert cover.cycles == ((0, 1),)
     assert cover_cost(inst, cover) == 7
 
@@ -175,7 +183,7 @@ def test_directed_matches_oracle():
         n = rng.choice((3, 4, 5, 6, 7))
         sizes = [n] if n != 4 else [2, 2]
         inst = generate_instance("asymmetric", n, sizes, seed=rng.randrange(10 ** 6))
-        cover = min_weight_directed_2factor(TwoFactorRequest(inst, directed=True))
+        cover = min_weight_directed_2factor(inst)
         assert cover.directed
         seen = set()
         for cyc in cover.cycles:
@@ -183,7 +191,7 @@ def test_directed_matches_oracle():
             assert not seen.intersection(cyc)
             seen.update(cyc)
         assert seen == set(range(n))
-        assert cover_cost(inst, cover) == brute_force_2factor(inst, directed=True)
+        assert cover_cost(inst, cover) == brute_force_2factor(inst)
 
 
 def test_triangle_free_c4_in_k4():
@@ -192,8 +200,7 @@ def test_triangle_free_c4_in_k4():
                     (0, 2): 0, (1, 3): 0}
     bits = [bits_by_pair[(i, j)] for i in range(4) for j in range(i + 1, 4)]
     inst = one_two_instance(4, bits, [[0, 1, 2, 3]])
-    req = TwoFactorRequest(inst, triangle_free=True)
-    cover = min_weight_triangle_free_2factor(req)
+    cover = min_weight_triangle_free_2factor(inst)
     check_two_factor_shape(inst, cover, triangle_free=True)
     assert cover_cost(inst, cover) == 4
 
@@ -201,7 +208,7 @@ def test_triangle_free_c4_in_k4():
 def test_triangle_free_all_ones():
     bits = [1] * 15
     inst = one_two_instance(6, bits, [[0, 1, 2, 3, 4, 5]])
-    cover = min_weight_triangle_free_2factor(TwoFactorRequest(inst, triangle_free=True))
+    cover = min_weight_triangle_free_2factor(inst)
     check_two_factor_shape(inst, cover, triangle_free=True)
     assert cover_cost(inst, cover) == 6
 
@@ -210,7 +217,7 @@ def test_triangle_free_infeasible_on_three_vertices():
     bits = [1, 1, 1]
     inst = one_two_instance(3, bits, [[0, 1, 2]])
     with pytest.raises(ValidationError):
-        min_weight_triangle_free_2factor(TwoFactorRequest(inst, triangle_free=True))
+        min_weight_triangle_free_2factor(inst)
 
 
 def test_triangle_free_matches_oracle():
@@ -219,8 +226,7 @@ def test_triangle_free_matches_oracle():
         n = rng.choice((4, 5, 6, 7, 8, 9))
         sizes = [n]
         inst = generate_instance("one-two", n, sizes, seed=rng.randrange(10 ** 6))
-        cover = min_weight_triangle_free_2factor(
-            TwoFactorRequest(inst, triangle_free=True))
+        cover = min_weight_triangle_free_2factor(inst)
         check_two_factor_shape(inst, cover, triangle_free=True)
         assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
 
@@ -231,11 +237,9 @@ def test_triangle_free_with_pairs_matches_oracle():
         n = rng.choice((6, 7, 8))
         sizes = [2, n - 2]
         inst = generate_instance("one-two", n, sizes, seed=rng.randrange(10 ** 6))
-        req = TwoFactorRequest(inst, triangle_free=True, allow_pair_2cycles=True)
-        cover = min_weight_triangle_free_2factor(req)
+        cover = min_weight_triangle_free_2factor(inst)
         check_two_factor_shape(inst, cover, triangle_free=True)
-        assert cover_cost(inst, cover) == brute_force_2factor(
-            inst, triangle_free=True, allow_pair_2cycles=True)
+        assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
 
 
 def test_adapter_returns_unchanged_2factor():
@@ -243,7 +247,7 @@ def test_adapter_returns_unchanged_2factor():
     ones = {(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)}
     bits = [1 if (i, j) in ones else 0 for i in range(8) for j in range(i + 1, 8)]
     inst = one_two_instance(8, bits, [[0, 1, 2, 3], [4, 5, 6, 7]])
-    cover = triangle_free_from_simple_2matching(inst)
+    cover = min_weight_triangle_free_2factor(inst)
     assert cover_cost(inst, cover) == 8
     assert sorted(len(c) for c in cover.cycles) == [4, 4]
 
@@ -253,7 +257,7 @@ def test_adapter_joins_paths_with_2_edges():
     ones = {(0, 1), (1, 2), (3, 4), (4, 5)}
     bits = [1 if (i, j) in ones else 0 for i in range(6) for j in range(i + 1, 6)]
     inst = one_two_instance(6, bits, [[0, 1, 2], [3, 4, 5]])
-    cover = triangle_free_from_simple_2matching(inst)
+    cover = min_weight_triangle_free_2factor(inst)
     check_two_factor_shape(inst, cover, triangle_free=True)
     # four 1-edges survive, two junction edges weigh 2: cost 6 + 2 = 8
     assert cover_cost(inst, cover) == 8
