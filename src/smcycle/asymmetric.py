@@ -19,13 +19,12 @@ ceil(log_{4/3} n) + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .core import (CycleCover, Instance, Weight, components, cover_cost,
                    euler_shortcut, make_cover, validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import minimal_edge_cover
-from .twofactor import min_weight_directed_2factor
+from .twofactor import directed_2factor_cycles, min_weight_directed_2factor
 
 
 def _group_contacts(inst: Instance, cover: CycleCover
@@ -72,14 +71,18 @@ def representatives(inst: Instance, cover: CycleCover) -> RepresentativeSet:
         raise ValidationError("no cycle splits a group: nothing to represent")
 
     lowest = [low for low, _splits in contacts]
-    aux_edges = []
+    # two cycles are adjacent when some group meets both; scanning the
+    # groups in index order, the first to pair them is their lowest shared
+    meeting: list[list[int]] = [[] for _ in inst.groups]
+    for ci in offending:
+        for gi in lowest[ci]:
+            meeting[gi].append(ci)
     shared_group: dict[tuple[int, int], int] = {}
-    for i, ci in enumerate(offending):
-        for cj in offending[i + 1:]:
-            shared = lowest[ci].keys() & lowest[cj].keys()
-            if shared:
-                aux_edges.append((ci, cj))
-                shared_group[(ci, cj)] = min(shared)
+    for gi, cycles in enumerate(meeting):
+        for k, ci in enumerate(cycles):
+            for cj in cycles[k + 1:]:
+                shared_group.setdefault((ci, cj), gi)
+    aux_edges = sorted(shared_group)
     cover_edges = minimal_edge_cover(aux_edges, vertices=offending)
 
     chosen: set[int] = set()
@@ -204,9 +207,12 @@ def approx_asymmetric(inst: Instance, trace: list[str] | None = None
         reps = representatives(inst, cover)
         rep_sets.append(reps.vertices)
         order = sorted(reps.vertices)
-        sub = _induced_directed_2factor(inst, order)
-        inner_weights.append(sum(inst.w(u, v) for u, v in sub))
-        overlay = list(sub)
+        if len(order) < 2:
+            raise SmcError("representative set smaller than 2")
+        inner = directed_2factor_cycles(inst, order)
+        overlay = [(cyc[i - 1], cyc[i]) for cyc in inner
+                   for i in range(len(cyc))]
+        inner_weights.append(sum(inst.w(u, v) for u, v in overlay))
         for cyc in cover.cycles:
             L = len(cyc)
             overlay.extend((cyc[i], cyc[(i + 1) % L]) for i in range(L))
@@ -230,17 +236,3 @@ def approx_asymmetric(inst: Instance, trace: list[str] | None = None
                               cover=cover)
     return cover, stages
 
-
-def _induced_directed_2factor(inst: Instance, order: list[int]
-                              ) -> list[tuple[int, int]]:
-    """Minimum directed 2-factor on the sub-digraph induced by ``order``."""
-    from .matching import min_cost_bipartite_perfect_matching
-    k = len(order)
-    if k < 2:
-        raise SmcError("representative set smaller than 2")
-    pick = itemgetter(*order)
-    costs = [list(pick(inst.weights[v])) for v in order]
-    for i in range(k):
-        costs[i][i] = None
-    succ, _total = min_cost_bipartite_perfect_matching(costs)
-    return [(order[i], order[succ[i]]) for i in range(k)]

@@ -1,15 +1,15 @@
 """Matching primitives shared by every solver pipeline.
 
-This is the only module that imports networkx.  Its blossom implementation,
-which works symbolically and therefore stays exact on int and Fraction
-weights, backs two calls: ``min_weight_perfect_matching`` (the metric
-T-join and the oracles) and ``max_cardinality_matching`` (under
-``minimal_edge_cover`` in the asymmetric loop).  The rest is implemented
-here directly: the int-indexed Edmonds cardinality blossom
-``_augment_matching``, which solves the maximum simple 2-matching (Tutte's
-degree gadget, warm-started by a greedy path forest) and the {1,2}
-pipeline's attachment matching, the bipartite assignment solver and the
-minimal edge cover.
+This is the only module that imports networkx, and only
+``min_weight_perfect_matching`` (the metric T-join and the oracles) calls
+it: its weighted blossom works symbolically and therefore stays exact on int
+and Fraction weights.  The rest is implemented here directly: the
+int-indexed Edmonds cardinality blossom ``_augment_matching``, which solves
+the maximum simple 2-matching (Tutte's degree gadget, warm-started by a
+greedy path forest), the {1,2} pipeline's attachment matching and
+``max_cardinality_matching`` (under ``minimal_edge_cover`` in the
+asymmetric loop), the bipartite assignment solver and the minimal edge
+cover.
 
 All functions are pure and deterministic for a fixed input.
 """
@@ -17,6 +17,7 @@ All functions are pure and deterministic for a fixed input.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
@@ -77,17 +78,30 @@ def min_weight_perfect_matching(edges: Sequence[WeightedEdge],
 
 
 def max_cardinality_matching(edges: Sequence[WeightedEdge | Edge]) -> set[Edge]:
-    """Maximum-cardinality matching on a general simple graph."""
-    g = nx.Graph()
+    """Maximum-cardinality matching on a general graph.
+
+    Parallel copies of an edge count as one edge, and a weight, if given,
+    is ignored.  The vertices are numbered in order of first appearance and
+    :func:`_augment_matching` grows an empty matching over that numbering.
+    """
+    index: dict[Hashable, int] = {}
+    pairs = []
     for e in edges:
         u, v = e[0], e[1]
         if u == v:
             raise ValidationError("self-loop in matching input")
-        g.add_edge(u, v, weight=1)
-    if g.number_of_edges() == 0:
-        return set()
-    mate = nx.max_weight_matching(g, maxcardinality=True, weight="weight")
-    return _canonical_pairs(mate)
+        pairs.append((index.setdefault(u, len(index)),
+                      index.setdefault(v, len(index))))
+    adj: list[list[int]] = [[] for _ in index]
+    for a, b in pairs:
+        if b not in adj[a]:
+            adj[a].append(b)
+            adj[b].append(a)
+    mate = [-1] * len(adj)
+    _augment_matching(adj, mate)
+    names = list(index)
+    return _canonical_pairs((names[x], names[m])
+                            for x, m in enumerate(mate) if m > x)
 
 
 _EVEN, _ODD = 1, 2
@@ -262,7 +276,9 @@ def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction 
     update, and every comparison sees the same difference, so the
     tie-breaks are those of the eager form: the search takes the first
     column with the least distance, and a column's ``way`` changes only on
-    a strict improvement.
+    a strict improvement.  A settled column stays in the distance list
+    under a mark above every free distance, so each step of the search is
+    one C-level ``min`` and ``index``.
     """
     n = len(costs)
     if any(len(row) != n for row in costs):
@@ -275,38 +291,49 @@ def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction 
         raise ValidationError("cost matrix has no allowed cell")
     # any assignment through a forbidden cell must beat every finite one
     big = 2 * sum(sum(map(abs, filter(None, row))) for row in costs) + 1
-    a = [[big if c is None else c for c in row] if k else row
-         for row, k in zip(costs, forbidden)]
+    a = []
+    for row, k in zip(costs, forbidden):
+        if k:
+            row = list(row)
+            j = -1
+            for _ in range(k):
+                j = row.index(None, j + 1)
+                row[j] = big
+        a.append(row)
 
     u = [0] * n            # row potentials
     v = [0] * (n + 1)      # column potentials; column n is the virtual root
     row_of = [-1] * (n + 1)
     for i in range(n):
         row_of[n] = i
-        ui = u[i]
-        # the phase's first scan, from the root, sets every distance
-        dist = [x - ui - y for x, y in zip(a[i], v)]
-        dist.append(0)
+        # the phase's first scan, from the root, sets every distance; row
+        # i's potential is still 0, so it is a[i] - v
+        dist = list(map(sub, a[i], v))
+        # distances only fall, so a settled column marked above the first
+        # scan is never the least again
+        mark = max(dist) + 1
+        dist.append(mark)
         way = [n] * n
         free = list(range(n))
-        tree = [n]
+        tree = [(n, 0)]        # settled columns with their distances
         while True:
-            j1 = min(free, key=dist.__getitem__)
+            reach = min(dist)
+            j1 = dist.index(reach)
             i0 = row_of[j1]
             if i0 < 0:
                 break
             free.remove(j1)
-            tree.append(j1)
+            tree.append((j1, reach))
+            dist[j1] = mark
             row = a[i0]
-            off = dist[j1] - u[i0]
+            off = reach - u[i0]
             for j in free:
                 cur = row[j] - v[j] + off
                 if cur < dist[j]:
                     dist[j] = cur
                     way[j] = j1
-        reach = dist[j1]
-        for j in tree:
-            d = reach - dist[j]
+        for j, dj in tree:
+            d = reach - dj
             u[row_of[j]] += d
             v[j] -= d
         while j1 != n:
@@ -345,7 +372,7 @@ def minimal_edge_cover(edges: Sequence[WeightedEdge | Edge],
         if x not in adj:
             raise ValidationError(f"vertex {x!r} is isolated: no edge cover")
 
-    mate = max_cardinality_matching([(e[0], e[1]) for e in edges])
+    mate = max_cardinality_matching(edges)
     covered = set()
     for u, v in mate:
         covered.add(u)

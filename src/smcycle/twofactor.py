@@ -10,7 +10,8 @@ groups, as in the problem definition.  Three routes live here:
   chained by 2-edges;
 * ``min_weight_directed_2factor``: directed minimum-weight 2-factor via an
   exact assignment between out-copies and in-copies with self-arcs
-  forbidden;
+  forbidden, by ``directed_2factor_cycles``, which also serves the
+  representative sub-digraphs of the asymmetric loop;
 * ``min_weight_triangle_free_2factor``: {1,2} minimum 2-factor with no
   3-cycle, from a maximum triangle-free simple 2-matching of the weight-1
   graph, found by an exact branch-and-bound capped at
@@ -24,6 +25,7 @@ above the enumeration caps, is ``oracle.gadget_2factor``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .core import (CycleCover, Instance, Weight, WeightClass, cover_cost,
@@ -158,25 +160,43 @@ def min_weight_directed_2factor(inst: Instance) -> CycleCover:
     """
     if inst.symmetric:
         raise ValidationError("directed 2-factor needs an asymmetric instance")
-    n = inst.n
-    costs = [list(row) for row in inst.weights]
-    for i in range(n):
+    return make_cover(directed_2factor_cycles(inst, range(inst.n)),
+                      directed=True)
+
+
+def directed_2factor_cycles(inst: Instance, order: Sequence[int]
+                            ) -> list[tuple[int, ...]]:
+    """Cycles of a minimum directed 2-factor of the sub-digraph induced by
+    ``order``, an ascending list of distinct vertices (all of them, or at
+    least two).
+
+    One assignment between out-copies and in-copies with self-arcs
+    forbidden; each cycle starts at its lowest vertex, in order of that
+    vertex.
+    """
+    k = len(order)
+    if k == inst.n:
+        costs = [list(row) for row in inst.weights]
+    else:
+        pick = itemgetter(*order)
+        costs = [list(pick(row)) for row in pick(inst.weights)]
+    for i in range(k):
         costs[i][i] = None
     succ, _total = min_cost_bipartite_perfect_matching(costs)
-    seen = [False] * n
+    seen = [False] * k
     cycles = []
-    for start in range(n):
+    for start in range(k):
         if seen[start]:
             continue
-        cyc = [start]
+        cyc = [order[start]]
         seen[start] = True
         cur = succ[start]
         while cur != start:
-            cyc.append(cur)
+            cyc.append(order[cur])
             seen[cur] = True
             cur = succ[cur]
         cycles.append(tuple(cyc))
-    return make_cover(cycles, directed=True)
+    return cycles
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,26 @@ def test_max_matching_path():
     assert len(m) == 1
 
 
+def labelled_variants(rng, edges):
+    """The graph as given, with parallel copies (either orientation, some
+    weighted), and under string and tuple vertex names: (label, edges)."""
+    copies = list(edges)
+    for u, v in rng.sample(edges, min(3, len(edges))):
+        copies.append((v, u) if rng.random() < 0.5 else (u, v, 7))
+    rng.shuffle(copies)
+    for label in (lambda x: x, lambda x: f"v{x}", lambda x: ("t", x % 3, x)):
+        for variant in (edges, copies):
+            yield label, [(label(e[0]), label(e[1])) + tuple(e[2:])
+                          for e in variant]
+
+
+def assert_canonical_subset(pairs, edges):
+    # every pair is an input edge, written in repr order
+    known = {frozenset(e[:2]) for e in edges}
+    for u, v in pairs:
+        assert repr(u) <= repr(v) and frozenset((u, v)) in known
+
+
 def test_max_matching_agrees_with_brute_force():
     rng = Random(13)
     for trial in range(40):
@@ -139,9 +159,16 @@ def test_max_matching_agrees_with_brute_force():
         for u, v in itertools.combinations(range(n), 2):
             if rng.random() < 0.25:
                 edges.append((u, v))
-        m = max_cardinality_matching(edges)
-        assert_is_matching(m)
-        assert len(m) == brute_max_matching_size(n, edges)
+        expected = brute_max_matching_size(n, edges)
+        for label, variant in labelled_variants(rng, edges):
+            m = max_cardinality_matching(variant)
+            assert_is_matching(m)
+            assert_canonical_subset(m, variant)
+            assert len(m) == expected
+            if variant:
+                u = variant[0][0]
+                with pytest.raises(ValidationError):
+                    max_cardinality_matching(variant + [(u, u)])
 
 
 def blossom_matching(n, edges, initial=()):
@@ -355,9 +382,10 @@ def _assignment_outcome(solve, costs):
 
 def _random_costs(rng):
     """Square matrix, n <= 12: few distinct values (heavy ties), None
-    cells, negatives, Fractions, sometimes an all-forbidden row."""
+    cells, small and large negatives, Fractions, sometimes an
+    all-forbidden row."""
     n = rng.randint(0, 12)
-    kind = rng.choice(("ties", "signed", "fractions", "wide"))
+    kind = rng.choice(("ties", "signed", "fractions", "wide", "negative"))
     p_none = rng.choice((0, 0.1, 0.3, 0.7))
 
     def cell():
@@ -369,6 +397,8 @@ def _random_costs(rng):
             return rng.randint(-4, 4)
         if kind == "fractions":
             return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if kind == "negative":
+            return -rng.randrange(10 ** 15)
         return rng.randrange(10 ** 6)
 
     costs = [[cell() for _ in range(n)] for _ in range(n)]
@@ -377,9 +407,27 @@ def _random_costs(rng):
     return costs
 
 
+FIXED_COSTS = (
+    # several forbidden cells in every row
+    [[None, 3, None, 1, None], [2, None, None, 5, 0], [None, None, 4, 0, None],
+     [1, 1, None, None, 2], [None, 0, 0, None, None]],
+    # Fractions, rows given as tuples
+    [(Fraction(1, 3), Fraction(-2, 7), None), (Fraction(5, 2), None, 0),
+     (None, Fraction(1, 3), Fraction(1, 3))],
+    # large negative costs next to forbidden cells
+    [[-10 ** 18, None, -3], [None, -10 ** 17, -10 ** 18],
+     [-5, -10 ** 18, None]],
+    # a row with every cell forbidden
+    [[1, 2, 3], [None, None, None], [4, 5, 6]],
+)
+
+
 def test_assignment_matches_eager_potentials():
     rng = Random(2024)
     outcomes = set()
+    for costs in FIXED_COSTS:
+        assert (_assignment_outcome(min_cost_bipartite_perfect_matching, costs)
+                == _assignment_outcome(eager_assignment, costs))
     for _ in range(2000):
         costs = _random_costs(rng)
         expected = _assignment_outcome(eager_assignment, costs)
@@ -442,16 +490,23 @@ def test_edge_cover_properties_random():
         if any(d == 0 for d in deg.values()):
             continue
         checked += 1
-        cover = minimal_edge_cover(edges, vertices=range(n))
-        cdeg = cover_degrees(range(n), cover)
-        # covers every vertex
-        assert all(d >= 1 for d in cdeg.values())
-        # size n - max matching
-        assert len(cover) == n - brute_max_matching_size(n, edges)
-        # inclusion-minimal: each edge has an endpoint of cover-degree 1
-        for u, v in cover:
-            assert cdeg[u] == 1 or cdeg[v] == 1
-        # at least half the vertices are covered exactly once
-        once = sum(1 for d in cdeg.values() if d == 1)
-        assert 2 * once >= n
+        expected = n - brute_max_matching_size(n, edges)
+        for label, variant in labelled_variants(rng, edges):
+            vertices = [label(x) for x in range(n)]
+            cover = minimal_edge_cover(variant, vertices=vertices)
+            assert_canonical_subset(cover, variant)
+            cdeg = cover_degrees(vertices, cover)
+            # covers every vertex
+            assert all(d >= 1 for d in cdeg.values())
+            # size n - max matching
+            assert len(cover) == expected
+            # inclusion-minimal: each edge has an endpoint of cover-degree 1
+            for u, v in cover:
+                assert cdeg[u] == 1 or cdeg[v] == 1
+            # at least half the vertices are covered exactly once
+            once = sum(1 for d in cdeg.values() if d == 1)
+            assert 2 * once >= n
+            with pytest.raises(ValidationError):
+                minimal_edge_cover(variant + [(vertices[0], vertices[0])],
+                                   vertices=vertices)
     assert checked >= 100

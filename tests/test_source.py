@@ -49,3 +49,20 @@ def test_only_matching_imports_networkx():
             if any(name.split(".")[0] == "networkx" for name in names):
                 found.append(path.name)
     assert found == ["matching.py"], found
+
+
+def test_networkx_backs_only_the_weighted_perfect_matching():
+    # inside matching, networkx serves min_weight_perfect_matching alone;
+    # every other matching runs on the own blossom
+    path = next(p for p in SOURCES if p.name == "matching.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for top in tree.body:
+        if (isinstance(top, ast.FunctionDef)
+                and top.name == "min_weight_perfect_matching"):
+            continue
+        found += [f"matching.py:{node.lineno}" for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("nx", "networkx")]
+    assert found == [], found
