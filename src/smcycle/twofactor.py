@@ -167,19 +167,15 @@ def min_weight_directed_2factor(inst: Instance) -> CycleCover:
 def directed_2factor_cycles(inst: Instance, order: Sequence[int]
                             ) -> list[tuple[int, ...]]:
     """Cycles of a minimum directed 2-factor of the sub-digraph induced by
-    ``order``, an ascending list of distinct vertices (all of them, or at
-    least two).
+    ``order``, an ascending list of at least two distinct vertices.
 
     One assignment between out-copies and in-copies with self-arcs
     forbidden; each cycle starts at its lowest vertex, in order of that
     vertex.
     """
     k = len(order)
-    if k == inst.n:
-        costs = [list(row) for row in inst.weights]
-    else:
-        pick = itemgetter(*order)
-        costs = [list(pick(row)) for row in pick(inst.weights)]
+    pick = itemgetter(*order)
+    costs = [list(pick(row)) for row in pick(inst.weights)]
     for i in range(k):
         costs[i][i] = None
     succ, _total = min_cost_bipartite_perfect_matching(costs)
