@@ -166,9 +166,14 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
+    if not algos:
+        raise ValidationError(f"--algo {args.algo!r} names no algorithm")
     for a in algos:
         if a not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {a!r}")
+    if args.budget_n is not None and args.budget_n < 2:
+        raise ValidationError(f"--budget-n must be >= 2 (an instance has at "
+                              f"least two vertices), got {args.budget_n}")
     paths = sorted(globmod.glob(args.instances))
     if args.oracle and not paths:
         raise ValidationError(f"no instance file matches {args.instances!r}: "

@@ -23,9 +23,12 @@ rows, and every answer carries the strong-duality certificate of
 dual values are feasible, and the two objectives agree.  An unbounded dual
 means the cut LP is infeasible.
 
-Separation scores all 2^(n-1) cuts at once, one packed field per cut, in a
-few big-int operations (``_scan_cuts``), and pools up to 12 of the most
-violated per round; n is capped at ``CUT_ENUMERATION_MAX_N``.
+An empty pool starts as the degree cuts x(delta(v)) >= 2, one per vertex:
+every vertex lies in a group of size >= 2, so each splits a group.
+Separation then scores all 2^(n-1) cuts at once, one packed field per cut,
+in a few big-int operations (``_scan_cuts``), and pools up to 12 of the
+most violated per round until none is violated, so the answer is the
+optimum over every cut; n is capped at ``CUT_ENUMERATION_MAX_N``.
 
 Duplicated pair edges appear as two parallel slots capped at 1 each, which
 is how a doubled pair edge (the length-2 cycle of the solution format)
@@ -45,7 +48,6 @@ from .errors import BudgetExceededError, SmcError, ValidationError
 
 EdgeSlot = tuple[int, int, int]  # (u, v, copy) with u < v
 
-HALF = Fraction(1, 2)
 CUT_ENUMERATION_MAX_N = 16
 
 
@@ -110,13 +112,21 @@ class EdgeSubgraph:
 
 @dataclass(frozen=True)
 class FractionalEdgeVector:
+    """x_e = numerators[k] / scale for the slot e = slots[k], with int
+    numerators in [0, scale] over one positive int ``scale``."""
+
     slots: tuple[EdgeSlot, ...]
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    scale: int
 
     def __post_init__(self):
-        for v in self.values:
-            if not 0 <= v <= 1:
-                raise ValidationError(f"fractional edge value {v} outside [0,1]")
+        if type(self.scale) is not int or self.scale <= 0:
+            raise ValidationError(f"edge value scale {self.scale!r} is not "
+                                  "a positive int")
+        for v in self.numerators:
+            if type(v) is not int or not 0 <= v <= self.scale:
+                raise ValidationError(f"fractional edge value {v!r}/"
+                                      f"{self.scale} outside [0,1]")
 
 
 def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
@@ -198,8 +208,10 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
     """Exact optimum of the residual cut LP, by lazy constraint generation
     on its dual (see the module docstring).
 
-    ``cut_pool`` (vertex masks) carries cuts discovered earlier; newly
-    separated cuts are appended so successive solves warm-start.
+    ``cut_pool`` (vertex masks) carries cuts discovered earlier; an empty
+    pool is first filled with the degree cuts (that of vertex n-1 is the
+    mask of every other vertex), and newly separated cuts are appended so
+    successive solves warm-start.
     """
     free = [s for s in edge_slots(inst) if s not in fixed]
     cost = [inst.w(u, v) for u, v, _c in free]
@@ -208,6 +220,10 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
     fixed_cross = _pair_matrix(inst.n, ((u, v, 1) for u, v, _c in fixed))
 
     pool = cut_pool if cut_pool is not None else []
+    if not pool:
+        pool.extend(1 << v for v in range(inst.n - 1))
+        if inst.n > 2:  # at n = 2 vertex 1 has the cut of vertex 0
+            pool.append((1 << inst.n - 1) - 1)
     priced = 0  # pool[:priced] have their columns
     while True:
         for mask in pool[priced:]:
@@ -239,8 +255,8 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
             inst.n, ((u, v, xk) for (u, v, _c), xk in zip(free, x)))
         violated = _scan_cuts(inst.n, group_masks, cross_value, fixed_cross, scale)
         if not violated:
-            return FractionalEdgeVector(
-                slots=tuple(free), values=tuple(Fraction(v, scale) for v in x))
+            return FractionalEdgeVector(slots=tuple(free),
+                                        numerators=tuple(x), scale=scale)
         known = set(pool)
         added = 0
         for _deficit, mask in violated:
@@ -268,12 +284,12 @@ def jain_round(inst: Instance, req: SNDRequirements,
     iterations = 0
     while True:
         x = solve_cut_lp(inst, req, fixed, cut_pool=pool, trace=trace)
-        if all(v == 0 for v in x.values):
+        if not any(x.numerators):
             break
         iterations += 1
         if iterations > len(slots):
             raise SmcError("rounding did not terminate within |E| iterations")
-        take = {s for s, v in zip(x.slots, x.values) if v >= HALF}
+        take = {s for s, v in zip(x.slots, x.numerators) if 2 * v >= x.scale}
         if not take:
             raise SmcError("rounding-stall: no edge reached 1/2 in an optimal "
                            "extreme point; this signals an LP or separation bug")

@@ -172,6 +172,29 @@ def test_compare_budget_exceeded(tmp_path):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("algo", [",", " , ", ""])
+def test_compare_without_algorithm_exits_usage(tmp_path, capsys, algo):
+    inst = tmp_path / "i.smc"
+    run(["gen", "euclidean", "5", "2,3", "1", "--out", str(inst)])
+    out = tmp_path / "r.csv"
+    assert run(["compare", "--algo", algo, "--in", str(inst),
+                "--out", str(out)]) == EXIT_USAGE
+    assert "names no algorithm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["-1", "0", "1"])
+def test_compare_budget_below_two_exits_usage(tmp_path, capsys, budget):
+    inst = tmp_path / "i.smc"
+    run(["gen", "euclidean", "5", "2,3", "1", "--out", str(inst)])
+    out = tmp_path / "r.csv"
+    assert run(["compare", "--algo", "metric3", "--in", str(inst),
+                "--out", str(out), "--oracle", "--budget-n", budget]) \
+        == EXIT_USAGE
+    assert "--budget-n must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probe_cli(tmp_path):
     out = tmp_path / "probe.csv"
     assert run(["probe", "--seed", "9", "--trials", "0",

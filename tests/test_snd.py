@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from smcycle._simplex import GE, ColumnLp, solve_min_lp
+from smcycle._simplex import GE, LE, ColumnLp, solve_min_lp
 from smcycle.core import (WeightClass, cover_cost, generate_instance,
                           validate_instance)
 from smcycle.errors import SmcError
@@ -43,30 +43,35 @@ def test_requirements_shape():
         == [list(g) for g in inst.groups]
 
 
+def values(x):
+    return [Fraction(v, x.scale) for v in x.numerators]
+
+
+def lp_value(inst, x):
+    return sum(inst.w(u, v) * val for (u, v, _c), val in zip(x.slots, values(x)))
+
+
 def test_pair_group_lp_uses_both_copies():
     inst = validate_instance(2, [[0, 5], [5, 0]], True,
                              WeightClass.GENERAL_METRIC, [[0, 1]])
     req = build_requirements(inst)
     x = solve_cut_lp(inst, req)
-    assert list(zip(x.slots, x.values)) == [((0, 1, 0), 1), ((0, 1, 1), 1)]
-    assert sum(inst.w(u, v) * val
-               for (u, v, _c), val in zip(x.slots, x.values)) == 10
+    assert list(zip(x.slots, values(x))) == [((0, 1, 0), 1), ((0, 1, 1), 1)]
+    assert lp_value(inst, x) == 10
 
 
 def test_triangle_lp_is_integral():
     inst = unit_metric(3, [[0, 1, 2]])
     req = build_requirements(inst)
     x = solve_cut_lp(inst, req)
-    assert all(v == 1 for v in x.values)
+    assert all(v == 1 for v in values(x))
 
 
 def test_two_far_triangles_lp_value():
     inst = two_far_triangles()
     req = build_requirements(inst)
     x = solve_cut_lp(inst, req)
-    value = sum(inst.w(u, v) * val
-                for (u, v, _c), val in zip(x.slots, x.values))
-    assert value == 6
+    assert lp_value(inst, x) == 6
     assert brute_force_snd(inst) == 6
 
 
@@ -155,8 +160,8 @@ def test_lp_values_stay_in_unit_box():
         inst = generate_instance("euclidean", n, sizes, seed=rng.randrange(10 ** 6))
         req = build_requirements(inst)
         x = solve_cut_lp(inst, req)
-        assert all(0 <= v <= 1 for v in x.values)
-        assert any(v >= Fraction(1, 2) for v in x.values)
+        assert all(0 <= v <= 1 for v in values(x))
+        assert any(v >= Fraction(1, 2) for v in values(x))
 
 
 def random_multigraph(rng, n):
@@ -291,6 +296,53 @@ def scaled(inst, factor, delta):
     return validate_instance(inst.n, w, True, inst.weight_class, inst.groups)
 
 
+def test_seeded_cut_lp_is_the_full_cut_lp():
+    # the pool starts from the degree cuts, yet the answer is the optimum
+    # over every group-splitting cut, each as an explicit row of a cold solve
+    rng = Random(43)
+    sizes = {2: [[2]], 3: [[3]], 4: [[2, 2], [4]], 5: [[2, 3], [5]],
+             6: [[2, 2, 2], [3, 3], [2, 4]], 7: [[3, 4], [2, 2, 3], [2, 5]]}
+    checked = paired = 0
+    for trial in range(36):
+        n = 2 + trial % 6
+        inst = generate_instance("euclidean", n, rng.choice(sizes[n]),
+                                 rng.randrange(10 ** 6))
+        if trial % 3 == 1:
+            inst = scaled(inst, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                          Fraction(rng.randint(0, 5), rng.randint(1, 7)))
+        req = build_requirements(inst)
+        slots = edge_slots(inst)
+        some = rng.randint(1, min(3, len(slots) - 1))
+        for fixed in (set(), set(rng.sample(slots, some))):
+            pool = []
+            x = solve_cut_lp(inst, req, fixed, cut_pool=pool)
+            sides = [{v for v in range(n) if mask >> v & 1}
+                     for mask in pool[:n]]
+            if n == 2:
+                assert pool == [1]
+            else:
+                assert [min(side, set(range(n)) - side, key=len)
+                        for side in sides] == [{v} for v in range(n)]
+            free = [s for s in slots if s not in fixed]
+            rows = [([int(k == j) for j in range(len(free))], LE, 1)
+                    for k in range(len(free))]
+            for mask in range(1, 1 << (n - 1)):
+                if not any(0 < bin(mask & g).count("1") < size
+                           for g, size in req.group_masks()):
+                    continue
+                residual = 2 - sum((mask >> u ^ mask >> v) & 1
+                                   for u, v, _c in fixed)
+                if residual > 0:
+                    rows.append(([(mask >> u ^ mask >> v) & 1
+                                  for u, v, _c in free], GE, residual))
+            cold = solve_min_lp([inst.w(u, v) for u, v, _c in free], rows)
+            assert cold.status == "optimal"
+            assert cold.objective == lp_value(inst, x)
+            checked += 1
+            paired += bool(inst.pair_groups())
+    assert checked == 72 and paired >= 20
+
+
 def test_warm_rounds_match_cold_solves(monkeypatch):
     # every separation round of metric3, re-optimised from the previous
     # basis, reaches the optimum a cold two-phase solve finds for the same
@@ -305,7 +357,7 @@ def test_warm_rounds_match_cold_solves(monkeypatch):
 
     monkeypatch.setattr(ColumnLp, "optimise", spy)
     rng = Random(31)
-    for trial in range(60):
+    for trial in range(80):
         n = 5 + trial % 5
         sizes = rng.choice({5: [[2, 3], [5]], 6: [[3, 3], [2, 2, 2]],
                             7: [[3, 4], [2, 2, 3]], 8: [[4, 4], [2, 3, 3]],
