@@ -2,10 +2,13 @@
 
 Budgets are hard errors, never silent truncation: every enumerating
 solver refuses inputs beyond its cap.  Two independent routes exist for the
-multicycle optimum (group clustering with Held-Karp, and raw permutation
-enumeration) so the oracles can cross-check each other.  The minimum
-2-factor has an enumeration and, for sizes beyond its cap, the polynomial
-degree-gadget reduction to weighted perfect matching.
+multicycle optimum (group clustering priced by Held-Karp, and raw
+permutation enumeration) so the oracles can cross-check each other.  The
+clustering route builds one Held-Karp table per terminal group, shared by
+every cluster whose first group it is, and a fixed table ceiling that no
+budget lifts bounds its memory.  The minimum 2-factor has an enumeration
+and, for sizes beyond its cap, the polynomial degree-gadget reduction to
+weighted perfect matching.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 from random import Random
 
 from .core import (CycleCover, Instance, Weight, cover_cost, find,
@@ -43,6 +47,10 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
+# brute_force_smc refuses larger n whatever the budget: its largest Held-Karp
+# table holds 2^(n-1) rows
+SMC_TABLE_MAX_N = 16
+
 
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
@@ -65,54 +73,55 @@ def _group_partitions(k: int):
         yield rest + [[v]]
 
 
-def _min_hamiltonian(inst: Instance, verts: tuple[int, ...],
-                     deadline: float | None) -> tuple[Weight, list[int]]:
-    """Cheapest single cycle through all of ``verts`` (pair 2-cycle at s=2)."""
-    s = len(verts)
-    if s == 2:
-        u, v = verts
-        cost = inst.w(u, v) + inst.w(v, u)
-        return cost, [u, v]
-    start = verts[0]
-    others = verts[1:]
-    m = s - 1
-    full = (1 << m) - 1
-    dp: list[dict[int, Weight]] = [dict() for _ in range(1 << m)]
-    parent: list[dict[int, int]] = [dict() for _ in range(1 << m)]
-    for j in range(m):
-        dp[1 << j][j] = inst.w(start, others[j])
-    for mask in range(1, full + 1):
+def _path_table(inst: Instance, verts: list[int], bits: list[list[int]],
+                deadline: float | None) -> list[list[Weight]]:
+    """Held-Karp over ``verts``, bit t of a mask standing for ``verts[t + 1]``.
+
+    ``dp[mask][i]`` is the cheapest path that starts at ``verts[0]``, visits
+    exactly the vertices of ``mask`` and ends at the vertex of bit
+    ``bits[mask][i]``; ``bits[mask]`` lists the set bits of ``mask`` in
+    increasing order.
+    """
+    start, others = verts[0], verts[1:]
+    weights = inst.weights
+    # into[j](i): weight of the arc from others[i] into others[j]
+    into = [[weights[u][v] for u in others].__getitem__ for v in others]
+    first = weights[start]
+    dp: list[list[Weight]] = [[]]
+    for t, v in enumerate(others):
         _check_deadline(deadline)
-        row = dp[mask]
-        for j, cost in row.items():
-            vj = others[j]
-            rest = full & ~mask
-            k = rest
-            while k:
-                low = k & -k
-                t = low.bit_length() - 1
-                k ^= low
-                cand = cost + inst.w(vj, others[t])
-                cur = dp[mask | low].get(t)
-                if cur is None or cand < cur:
-                    dp[mask | low][t] = cand
-                    parent[mask | low][t] = j
-    best = None
-    best_j = -1
-    for j, cost in dp[full].items():
-        total = cost + inst.w(others[j], start)
-        if best is None or total < best:
-            best = total
-            best_j = j
-    order = []
-    mask, j = full, best_j
-    while j is not None and mask:
-        order.append(others[j])
-        pj = parent[mask].get(j)
-        mask &= ~(1 << j)
-        j = pj
-    order.reverse()
-    return best, [start] + order
+        dp.append([first[v]])
+        # the masks with top bit t are the masks below 2^t, plus t
+        for mask in range((1 << t) + 1, 2 << t):
+            _check_deadline(deadline)
+            row = []
+            for j in bits[mask]:
+                prev = mask ^ (1 << j)
+                row.append(min(map(add, dp[prev], map(into[j], bits[prev]))))
+            dp.append(row)
+    return dp
+
+
+def _walk_back(inst: Instance, verts: list[int], bits: list[list[int]],
+               dp: list[list[Weight]], mask: int, at: int) -> list[int]:
+    """The cycle from ``verts[0]`` along the path of ``dp[mask][at]``; each
+    predecessor is the entry that sums to the current one."""
+    weights = inst.weights
+    path = []
+    while True:
+        j = bits[mask][at]
+        v = verts[j + 1]
+        path.append(v)
+        prev = mask ^ (1 << j)
+        if not prev:
+            break
+        cost = dp[mask][at]
+        at = next(i for i, t in enumerate(bits[prev])
+                  if dp[prev][i] + weights[verts[t + 1]][v] == cost)
+        mask = prev
+    path.append(verts[0])
+    path.reverse()
+    return path
 
 
 def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
@@ -121,36 +130,57 @@ def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
 
     Every feasible cover's cycles are unions of whole terminal groups, so
     the optimum is the best way to cluster groups, with one cheapest cycle
-    per cluster.
+    per cluster.  A cluster's cycle can start at the first vertex of its
+    first group, so one Held-Karp table per group, from that vertex over
+    that group and every later one, prices every cluster that the group
+    starts with a read-off; the optimum's cycles are walked back through
+    the tables.  The first table has 2^(n-1) rows, so no budget lets n
+    exceed ``SMC_TABLE_MAX_N``.
     """
     directed = not inst.symmetric
-    cap = budget.smc_directed_max_n if directed else budget.smc_max_n
+    cap = min(budget.smc_directed_max_n if directed else budget.smc_max_n,
+              SMC_TABLE_MAX_N)
     if inst.n > cap:
         raise BudgetExceededError(f"smc oracle capped at n={cap}, got {inst.n}")
     deadline = budget.deadline()
 
-    cycle_cache: dict[tuple[int, ...], tuple[Weight, list[int]]] = {}
+    # group gi holds the positions off[gi] .. off[gi + 1] - 1 of flat, and its
+    # table runs over flat[off[gi]:]
+    flat = [v for g in inst.groups for v in g]
+    off = [0]
+    for g in inst.groups:
+        off.append(off[-1] + len(g))
+    span = [(1 << b) - (1 << a) for a, b in zip(off, off[1:])]
+    bits: list[list[int]] = [[]]
+    for t in range(inst.n - 1):
+        bits += [b + [t] for b in bits]
+    tables = [_path_table(inst, flat[a:], bits, deadline) for a in off[:-1]]
 
-    def cluster_cycle(groups_idx: tuple[int, ...]) -> tuple[Weight, list[int]]:
-        verts = tuple(sorted(v for gi in groups_idx for v in inst.groups[gi]))
-        hit = cycle_cache.get(verts)
-        if hit is None:
-            hit = _min_hamiltonian(inst, verts, deadline)
-            cycle_cache[verts] = hit
-        return hit
+    def close(cluster: tuple[int, ...]) -> tuple[Weight, int, int]:
+        """Cost, mask and last-vertex entry of the cluster's cheapest cycle."""
+        a = off[cluster[0]]
+        mask = sum(span[c] for c in cluster) >> (a + 1)
+        weights = inst.weights
+        costs = [cost + weights[flat[a + 1 + t]][flat[a]]
+                 for cost, t in zip(tables[cluster[0]][mask], bits[mask])]
+        best = min(costs)
+        return best, mask, costs.index(best)
 
+    closed: dict[tuple[int, ...], tuple[Weight, int, int]] = {}
     best_cost: Weight | None = None
-    best_cycles: list[list[int]] | None = None
+    best_clusters: list[tuple[int, ...]] = []
     for partition in _group_partitions(len(inst.groups)):
+        clusters = [tuple(c) for c in partition]
         total: Weight = 0
-        cycles = []
-        for cluster in partition:
-            cost, order = cluster_cycle(tuple(sorted(cluster)))
-            total += cost
-            cycles.append(order)
+        for cluster in clusters:
+            if cluster not in closed:
+                closed[cluster] = close(cluster)
+            total += closed[cluster][0]
         if best_cost is None or total < best_cost:
             best_cost = total
-            best_cycles = cycles
+            best_clusters = clusters
+    best_cycles = [_walk_back(inst, flat[off[c[0]]:], bits, tables[c[0]],
+                              *closed[c][1:]) for c in best_clusters]
     flags = [not directed and len(c) == 2 for c in best_cycles]
     cover = make_cover(best_cycles, directed=directed, pair_flags=flags)
     report = validate_solution(inst, cover)

@@ -297,15 +297,15 @@ def jain_round(inst: Instance, req: SNDRequirements,
             trace.append(f"round {iterations}: fixing {sorted(take)}")
         fixed |= take
     sub = EdgeSubgraph(n=inst.n, edges=tuple(sorted(fixed)))
-    _assert_feasible(sub, req)
+    _assert_feasible(sub, req, _bridges(sub))
     return sub
 
 
-def _assert_feasible(g: EdgeSubgraph, req: SNDRequirements) -> None:
+def _assert_feasible(g: EdgeSubgraph, req: SNDRequirements,
+                     bridges: set[tuple[int, int]]) -> None:
     """Raise unless every group lies in one 2-edge-connected component of
-    ``g``: two vertices are 2-edge-connected exactly when they share a
-    component once the bridges are removed."""
-    bridges = _bridges(g)
+    ``g``, given the bridges of ``g``: two vertices are 2-edge-connected
+    exactly when they share a component once the bridges are removed."""
     bridgeless = EdgeSubgraph(n=g.n, edges=tuple(
         e for e in g.edges if (e[0], e[1]) not in bridges))
     component = [0] * g.n
@@ -363,6 +363,6 @@ def prune_bridges(g: EdgeSubgraph, req: SNDRequirements) -> EdgeSubgraph:
         current = EdgeSubgraph(n=g.n, edges=tuple(sorted(edges)))
         bad = _bridges(current)
         if not bad:
-            _assert_feasible(current, req)
+            _assert_feasible(current, req, bad)
             return current
         edges = [e for e in edges if (e[0], e[1]) not in bad]

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
 
-from smcycle.core import (WeightClass, cover_cost, generate_instance,
-                          validate_instance, validate_solution)
+from smcycle.core import (WeightClass, cover_cost, format_instance,
+                          generate_instance, parse_instance, validate_instance,
+                          validate_solution)
 from smcycle.errors import BudgetExceededError
-from smcycle.oracle import (OracleBudget, approx_steiner_forest,
+from smcycle.oracle import (SMC_TABLE_MAX_N, OracleBudget, approx_steiner_forest,
                             brute_force_2factor, brute_force_smc,
                             brute_force_smc_permutation, brute_force_snd,
                             brute_force_steiner_forest, matching_vs_opt_probe)
@@ -22,26 +27,123 @@ def test_smc_pair_instance():
     assert cover.pair_flags == (True,)
 
 
+def _fraction_scaled(inst, d):
+    """The instance with every weight divided by d; a file round trip then
+    reads the whole ones back as int, so rows mix int and Fraction."""
+    w = [[Fraction(x, d) for x in row] for row in inst.weights]
+    scaled = validate_instance(inst.n, w, inst.symmetric, inst.weight_class,
+                               inst.groups)
+    return parse_instance(format_instance(scaled))
+
+
+def _clustered(rng, sizes, directed):
+    """Groups placed around scattered centres, so that optima often hold
+    several cycles; w(u, v) = ceil|uv| + lift[v] + 1 is a metric, and an
+    asymmetric one when the lifts differ."""
+    n = sum(sizes)
+    order = list(range(n))
+    rng.shuffle(order)
+    point = [None] * n
+    groups = []
+    for size in sizes:
+        cx, cy = rng.randrange(3000), rng.randrange(3000)
+        group, order = order[:size], order[size:]
+        for v in group:
+            point[v] = (cx + rng.randrange(60), cy + rng.randrange(60))
+        groups.append(group)
+    lift = [rng.randrange(1, 40) if directed else 0 for _ in range(n)]
+    w = [[0 if u == v else math.ceil(math.dist(point[u], point[v])) + lift[v] + 1
+          for v in range(n)] for u in range(n)]
+    cls = WeightClass.ASYMMETRIC_METRIC if directed else WeightClass.GENERAL_METRIC
+    return validate_instance(n, w, not directed, cls, groups)
+
+
+def _cluster_reference(inst):
+    """Multicycle optimum as the best clustering of the groups, each
+    cluster closed by its cheapest cycle over every vertex order."""
+    def cycle(verts):
+        first, rest = verts[0], verts[1:]
+        return min(sum(inst.w(a, b) for a, b in zip(order, order[1:] + order[:1]))
+                   for order in ([first] + list(p) for p in permutations(rest)))
+
+    def best(groups):
+        if not groups:
+            return 0
+        head, rest = groups[0], groups[1:]
+        return min(cycle(head + sum(chosen, ())) + best([g for g in rest if g not in chosen])
+                   for r in range(len(rest) + 1)
+                   for chosen in map(list, combinations(rest, r)))
+    return best(list(inst.groups))
+
+
 def test_smc_oracles_agree():
     rng = Random(3)
-    for trial in range(50):
+    shapes = {4: [[2, 2]], 5: [[2, 3]], 6: [[2, 2, 2], [3, 3], [6], [2, 4]],
+              7: [[3, 4], [2, 5], [7], [2, 2, 3]]}
+    seen = Counter()
+    for trial in range(120):
         n = rng.choice((4, 5, 6, 7))
-        sizes = {4: [2, 2], 5: [2, 3], 6: rng.choice([[2, 2, 2], [3, 3], [6]]),
-                 7: rng.choice([[3, 4], [2, 5], [7]])}[n]
-        kind = rng.choice(("euclidean", "one-two", "asymmetric"))
-        if kind == "asymmetric" and n > 7:
-            continue
-        inst = generate_instance(kind, n, sizes, seed=rng.randrange(10 ** 6))
+        sizes = rng.choice(shapes[n])
+        kind = rng.choice(("euclidean", "one-two", "asymmetric", "clustered"))
+        if kind == "clustered":
+            inst = _clustered(rng, sizes, directed=rng.random() < 0.5)
+        else:
+            inst = generate_instance(kind, n, sizes, seed=rng.randrange(10 ** 6))
+        if kind != "one-two" and trial % 3 == 0:
+            inst = _fraction_scaled(inst, rng.choice((2, 3, 7)))
+            seen["fraction"] += 1
         cost, cover = brute_force_smc(inst)
         assert validate_solution(inst, cover).feasible
         assert cover_cost(inst, cover) == cost
         assert cost == brute_force_smc_permutation(inst)
+        seen["directed"] += cover.directed
+        seen["pair cycle"] += any(cover.pair_flags)
+        # a cycle without the first group's start is read from a later table
+        seen["later table"] += len(cover.cycles) >= 2
+        seen["three groups, several cycles"] += (len(inst.groups) >= 3
+                                                 and len(cover.cycles) >= 2)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_smc_four_groups_match_cluster_reference():
+    # n = 8 is past the permutation oracle
+    rng = Random(5)
+    seen = Counter()
+    for trial in range(16):
+        sizes = [2, 2, 2, 2] if trial % 2 else [2, 2, 4]
+        if trial % 4 < 2:
+            inst = _clustered(rng, sizes, directed=trial % 8 < 4)
+        else:
+            kind = ("euclidean", "one-two", "asymmetric")[trial % 3]
+            inst = generate_instance(kind, 8, sizes, seed=rng.randrange(10 ** 6))
+        if trial % 3 == 0 and inst.weight_class is not WeightClass.ONE_TWO:
+            inst = _fraction_scaled(inst, 3)
+        cost, cover = brute_force_smc(inst)
+        assert cost == _cluster_reference(inst)
+        seen[len(cover.cycles)] += 1
+    assert sum(c for k, c in seen.items() if k >= 3) >= 3, seen
 
 
 def test_smc_budget():
     inst = generate_instance("one-two", 9, [3, 6], seed=0)
     with pytest.raises(BudgetExceededError):
         brute_force_smc(inst, OracleBudget(smc_max_n=8))
+
+
+def test_smc_time_limit():
+    inst = generate_instance("euclidean", 9, [4, 5], seed=0)
+    with pytest.raises(BudgetExceededError, match="time ceiling"):
+        brute_force_smc(inst, OracleBudget(time_limit_s=0))
+
+
+def test_smc_table_ceiling_holds_above_any_budget():
+    budget = OracleBudget(smc_max_n=40, smc_directed_max_n=40)
+    n = SMC_TABLE_MAX_N + 1
+    for kind, sizes in (("euclidean", [5, 6, 6]), ("asymmetric", [8, 9])):
+        inst = generate_instance(kind, n, sizes, seed=1)
+        with pytest.raises(BudgetExceededError,
+                           match=f"capped at n={SMC_TABLE_MAX_N}, got {n}"):
+            brute_force_smc(inst, budget)
 
 
 def test_2factor_trivial_cases():

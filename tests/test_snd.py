@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from smcycle import snd
 from smcycle._simplex import GE, LE, ColumnLp, solve_min_lp
 from smcycle.core import (WeightClass, cover_cost, generate_instance,
                           validate_instance)
@@ -12,7 +13,7 @@ from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
 from smcycle.oracle import brute_force_snd
 from smcycle.snd import (EdgeSubgraph, SNDRequirements, _assert_feasible,
-                         _pair_matrix, _scan_cuts, build_requirements,
+                         _bridges, _pair_matrix, _scan_cuts, build_requirements,
                          edge_slots, jain_round, prune_bridges, solve_cut_lp)
 
 
@@ -144,6 +145,28 @@ def test_jain_outputs_prune_clean():
         assert all(d >= 2 for d in pruned.degrees())
 
 
+def test_metric_solve_searches_bridges_twice(monkeypatch):
+    # jain_round checks its subgraph, and prune_bridges checks feasibility
+    # against the bridge set of its last pass instead of searching again
+    searches = []
+    bridges = snd._bridges
+
+    def spy(g):
+        searches.append(g)
+        return bridges(g)
+
+    monkeypatch.setattr(snd, "_bridges", spy)
+    rng = Random(7)
+    for trial in range(20):
+        n = rng.choice((5, 6, 7, 8, 9))
+        sizes = {5: [2, 3], 6: [3, 3], 7: [3, 4], 8: [2, 3, 3], 9: [3, 3, 3]}[n]
+        inst = generate_instance("euclidean", n, sizes, seed=rng.randrange(10 ** 6))
+        searches.clear()
+        _cover, stages = approx_metric(inst)
+        assert stages.pruned == stages.snd_subgraph
+        assert searches == [stages.snd_subgraph] * 2
+
+
 def test_edge_slots_include_pair_duplicates():
     inst = generate_instance("euclidean", 5, [2, 3], seed=3)
     slots = edge_slots(inst)
@@ -194,7 +217,7 @@ def test_feasibility_check_matches_cut_scan():
         zero = [[0] * g.n for _ in range(g.n)]
         scan_ok = not _scan_cuts(g.n, req.group_masks(), zero, fixed, 1)
         try:
-            _assert_feasible(g, req)
+            _assert_feasible(g, req, _bridges(g))
             check_ok = True
         except SmcError:
             check_ok = False

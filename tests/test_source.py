@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import smcycle
@@ -66,3 +67,19 @@ def test_networkx_backs_only_the_weighted_perfect_matching():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in ("nx", "networkx")]
     assert found == [], found
+
+
+def test_tracer_targets_exist():
+    # perfbench/tracer.py wraps each (module, function) of TARGETS with
+    # getattr, so a renamed function breaks the traced benchmark runs
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                   == ["TARGETS"])
+    assert targets
+    missing = [f"{module}.{function}" for module, function in targets
+               if not hasattr(importlib.import_module(f"smcycle.{module}"),
+                              function)]
+    assert missing == []
