@@ -202,24 +202,23 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
                               code="partition-overlap")
     norm_groups.sort()
 
-    if symmetric:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if w[i][j] != w[j][i]:
-                    raise ValidationError(
-                        f"asymmetric weights at ({i},{j}) in symmetric instance")
+    if symmetric and tuple(zip(*w)) != w:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if w[i][j] != w[j][i])
+        raise ValidationError(
+            f"asymmetric weights at ({i},{j}) in symmetric instance")
     if weight_class in (WeightClass.GENERAL_METRIC, WeightClass.ONE_TWO) and not symmetric:
         raise ValidationError(f"weight class {weight_class.value} requires symmetry")
     if weight_class is WeightClass.ASYMMETRIC_METRIC and symmetric:
         raise ValidationError("asymmetric-metric instances must set symmetric=False")
 
     if weight_class is WeightClass.ONE_TWO:
-        for i in range(n):
-            for j in range(n):
-                if i != j and w[i][j] not in (1, 2):
-                    raise ValidationError(
-                        f"weight {w[i][j]} at ({i},{j}) outside {{1,2}}",
-                        code="weight-class-violation")
+        for i, row in enumerate(w):
+            if row.count(1) + row.count(2) - (row[i] in (1, 2)) < n - 1:
+                j = next(j for j, x in enumerate(row)
+                         if j != i and x not in (1, 2))
+                raise ValidationError(f"weight {row[j]} at ({i},{j}) outside "
+                                      "{1,2}", code="weight-class-violation")
     else:
         _check_triangles(n, w, low, all_int)
 

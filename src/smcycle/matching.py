@@ -3,10 +3,12 @@
 This is the only module that imports networkx, and only
 ``min_weight_perfect_matching`` (the metric T-join and the oracles) calls
 it: its weighted blossom works symbolically and therefore stays exact on int
-and Fraction weights.  The rest is implemented here directly: the
-int-indexed Edmonds cardinality blossom ``_augment_matching``, which solves
-the maximum simple 2-matching (Tutte's degree gadget, warm-started by a
-greedy path forest), the {1,2} pipeline's attachment matching and
+and Fraction weights.  The rest is implemented here directly: the maximum
+simple 2-matching (a greedy path forest and short augmenting paths on
+bitmasks of the multigraph, which close every vertex on dense inputs, and
+otherwise Tutte's degree gadget warm-started by their matching), the
+int-indexed Edmonds cardinality blossom ``_augment_matching``, which grows
+that gadget matching, the {1,2} pipeline's attachment matching and
 ``max_cardinality_matching`` (under ``minimal_edge_cover`` in the
 asymmetric loop), the bipartite assignment solver and the minimal edge
 cover.
@@ -17,6 +19,7 @@ All functions are pure and deterministic for a fixed input.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import sub
 from typing import Hashable, Iterable, Sequence
 
@@ -212,28 +215,136 @@ def _augment_matching(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
 def max_simple_2matching(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     """Indices, ascending, of a maximum simple 2-matching of a multigraph.
 
-    A simple 2-matching is a set of edges meeting every vertex at most
-    twice; ``edges`` may hold parallel copies, and taking both copies of an
-    edge gives a 2-cycle.  Tutte's gadget: two core nodes per vertex, two
-    nodes x_k, y_k per edge k = uv joined to each other and to both cores of
-    u and v respectively.  A gadget matching has |E| + (number of edges
-    whose x_k and y_k are both matched to cores) edges, so a maximum one
-    selects a maximum 2-matching.  The warm start scans edges in order and
-    takes one when both ends have degree < 2 and it joins two different
-    paths, so it never closes a cycle; taken edges start matched to cores,
-    the rest to their twin, leaving exposed only the free cores.
+    A simple 2-matching M is a set of edges meeting every vertex at most
+    twice; ``edges`` may hold parallel copies, and taking two copies of an
+    edge gives a 2-cycle.  M is grown on the vertex pairs, each with its
+    number of copies, in three stages, each from the matching of the one
+    before:
+
+    * a greedy path forest: for each vertex u in turn, the pairs uv with
+      v > u in order of v, taken while u and v have degree < 2 and uv
+      joins two different paths;
+    * short augmenting paths, while some vertex e has degree < 2: take an
+      unused copy e-f to another short vertex f (length 1), or else an
+      alternating path e-x, x-y in M, y-f with unused copies of e-x and
+      y-f, x saturated and f short, adding e-x and y-f and dropping x-y
+      (length 3).  f = e only when e has degree 0.  Each step adds one
+      edge and leaves every degree at most 2: f != x, as x is saturated
+      and f is not, and y != e, as e has no unused copy to a short vertex
+      once length 1 has failed.  The probes are ANDs of the bitmask of the
+      pairs at a vertex that have an unused copy with the bitmask of the
+      short vertices, all taken before x-y is dropped.  A vertex where
+      neither step applies is passed over until a later step changes M;
+    * unless every vertex now has degree 2, Tutte's gadget: two core nodes
+      per vertex, two nodes x_k, y_k per edge k = uv joined to each other
+      and to both cores of u and v respectively.  A gadget matching has
+      |E| + (number of edges whose x_k and y_k are both matched to cores)
+      edges, so a maximum one selects a maximum 2-matching.  The edges of M
+      start matched to the cores of their incidence slots, the rest to
+      their twin, leaving exposed only the free cores, and
+      ``_augment_matching`` grows that matching.
+
+    Exactness: degrees sum to 2|M| <= 2n, so an M that gives every vertex
+    degree 2 has |M| = n and is maximum.  Any other M only warm-starts the
+    blossom search, which reaches a maximum gadget matching from any start.
     """
+    m = len(edges)
+    bit = [1 << v for v in range(n)]
+    free = [0] * n  # bit w of free[v]: the pair vw has an unused copy
+    for u, v in edges:
+        free[u] |= bit[v]
+        free[v] |= bit[u]
+    copies: dict[tuple[int, int], int] = {}  # pairs with parallel copies
+    if sum(map(int.bit_count, free)) < 2 * m:
+        seen = set()
+        for u, v in edges:
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen:
+                copies[pair] = copies.get(pair, 1) + 1
+            seen.add(pair)
+
     degree = [0] * n
+    ends: list[list[int]] = [[] for _ in range(n)]  # M-neighbours, repeated
+    short = (1 << n) - 1  # the vertices of degree < 2
+
+    def take(u: int, v: int) -> None:
+        nonlocal short
+        for a, b in ((u, v), (v, u)):
+            ends[a].append(b)
+            degree[a] += 1
+            if degree[a] == 2:
+                short ^= bit[a]
+        if ends[u].count(v) == copies.get((u, v) if u < v else (v, u), 1):
+            free[u] ^= bit[v]
+            free[v] ^= bit[u]
+
+    def drop(x: int, y: int) -> None:
+        nonlocal short
+        if ends[x].count(y) == copies.get((x, y) if x < y else (y, x), 1):
+            free[x] |= bit[y]
+            free[y] |= bit[x]
+        for a, b in ((x, y), (y, x)):
+            ends[a].remove(b)
+            if degree[a] == 2:
+                short ^= bit[a]
+            degree[a] -= 1
+
+    def step(e: int) -> bool:
+        reach = free[e] & short
+        if reach:
+            take(e, (reach & -reach).bit_length() - 1)
+            return True
+        via = free[e] & ~short
+        while via:
+            x = (via & -via).bit_length() - 1
+            via ^= bit[x]
+            for y in ends[x]:
+                reach = free[y] & short
+                if degree[e]:
+                    reach &= ~bit[e]
+                if reach:
+                    drop(x, y)
+                    take(e, x)
+                    take(y, (reach & -reach).bit_length() - 1)
+                    return True
+        return False
+
     other_end = list(range(n))  # each path endpoint names the other one
-    taken = []  # (edge, core of u, core of v)
-    for k, (u, v) in enumerate(edges):
-        if degree[u] < 2 and degree[v] < 2 and other_end[u] != v:
-            a, b = other_end[u], other_end[v]
-            other_end[a] = b
-            other_end[b] = a
-            taken.append((k, 2 * u + degree[u], 2 * v + degree[v]))
-            degree[u] += 1
-            degree[v] += 1
+    for u in range(n):
+        later = free[u] & short >> (u + 1) << (u + 1)
+        while later and degree[u] < 2:
+            v = (later & -later).bit_length() - 1
+            later ^= bit[v]
+            if other_end[u] != v:
+                a, b = other_end[u], other_end[v]
+                other_end[a] = b
+                other_end[b] = a
+                take(u, v)
+
+    grown = True
+    while short and grown:
+        grown = False
+        pending = short
+        while pending:
+            e = (pending & -pending).bit_length() - 1
+            pending ^= bit[e]
+            while degree[e] < 2 and step(e):
+                grown = True
+
+    # each pair of M takes its first copies in edge order
+    wanted = {}
+    for u in range(n):
+        for v in ends[u]:
+            wanted[u, v] = wanted.get((u, v), 0) + 1
+    chosen = []
+    for k in compress(range(m), map(wanted.__contains__, edges)):
+        u, v = edges[k]
+        if wanted[u, v]:
+            wanted[u, v] -= 1
+            wanted[v, u] -= 1
+            chosen.append(k)
+    if not short:
+        return chosen
 
     cores = 2 * n
     adj: list[list[int]] = [[] for _ in range(cores)]
@@ -248,12 +359,15 @@ def max_simple_2matching(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
         adj[2 * v + 1].append(x + 1)
         mate.append(x + 1)
         mate.append(x)
-    for k, core_u, core_v in taken:
-        for node, core in ((cores + 2 * k, core_u), (cores + 2 * k + 1, core_v)):
+    slot = [0] * n
+    for k in chosen:
+        for node, v in enumerate(edges[k], cores + 2 * k):
+            core = 2 * v + slot[v]
+            slot[v] += 1
             mate[node] = core
             mate[core] = node
     _augment_matching(adj, mate)
-    return [k for k in range(len(edges))
+    return [k for k in range(m)
             if 0 <= mate[cores + 2 * k] < cores
             and 0 <= mate[cores + 2 * k + 1] < cores]
 

@@ -130,18 +130,17 @@ class FractionalEdgeVector:
 
 
 def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
-               cross_value: Sequence[Sequence[int]],
-               cross_fixed: Sequence[Sequence[int]],
+               caps: Iterable[tuple[int, int, int]],
                scale: int) -> list[tuple[int, int]]:
     """Return (deficit, cut_mask) for every violated cut, sorted by
     (-deficit, cut_mask).
 
     A cut W (vertex n-1 always outside) is violated when it splits some
     group and its capacity cut(W) < need = 2 * scale; its deficit is
-    need - cut(W).  Capacities are read from ``cross_value + scale *
-    cross_fixed``; both matrices have zero diagonals, as ``_pair_matrix``
-    builds them, and no negative cell (x is certified >= 0 and the fixed
-    counts are >= 0), which the arithmetic below relies on.
+    need - cut(W).  ``caps`` lists (u, v, c) with u != v: the capacity
+    between u and v is the sum of the c of its triples, and no c is
+    negative (x is certified >= 0 and a fixed edge counts ``scale``), which
+    the arithmetic below relies on.
 
     All 2^(n-1) cuts are scored at once in packed ints.  Field i, bits
     [i * width, (i + 1) * width) from the low end, belongs to the cut whose
@@ -164,8 +163,7 @@ def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
         raise BudgetExceededError(
             f"cut enumeration capped at n={CUT_ENUMERATION_MAX_N}")
     cuts = 1 << (n - 1)
-    cap = [(u, v, c) for u in range(n) for v in range(u + 1, n)
-           if (c := cross_value[u][v] + scale * cross_fixed[u][v])]
+    cap = [t for t in caps if t[2]]
     need = 2 * scale
     total = sum(c for _u, _v, c in cap)
     size = (max(total, need, n).bit_length() + 9) // 8
@@ -193,14 +191,6 @@ def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
     return out
 
 
-def _pair_matrix(n: int, entries: Iterable[tuple[int, int, int]]) -> list[list[int]]:
-    m = [[0] * n for _ in range(n)]
-    for u, v, x in entries:
-        m[u][v] += x
-        m[v][u] += x
-    return m
-
-
 def solve_cut_lp(inst: Instance, req: SNDRequirements,
                  fixed: frozenset[EdgeSlot] | set[EdgeSlot] = frozenset(),
                  cut_pool: list[int] | None = None,
@@ -217,7 +207,6 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
     cost = [inst.w(u, v) for u, v, _c in free]
     lp = ColumnLp(cost)
     group_masks = req.group_masks()
-    fixed_cross = _pair_matrix(inst.n, ((u, v, 1) for u, v, _c in fixed))
 
     pool = cut_pool if cut_pool is not None else []
     if not pool:
@@ -251,9 +240,9 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
                 lp.add_column([k], -1, 1)
             continue
 
-        cross_value = _pair_matrix(
-            inst.n, ((u, v, xk) for (u, v, _c), xk in zip(free, x)))
-        violated = _scan_cuts(inst.n, group_masks, cross_value, fixed_cross, scale)
+        caps = [(u, v, xk) for (u, v, _c), xk in zip(free, x)]
+        caps += [(u, v, scale) for u, v, _c in fixed]
+        violated = _scan_cuts(inst.n, group_masks, caps, scale)
         if not violated:
             return FractionalEdgeVector(slots=tuple(free),
                                         numerators=tuple(x), scale=scale)

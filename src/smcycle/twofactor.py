@@ -6,8 +6,9 @@ groups, as in the problem definition.  Three routes live here:
 
 * ``min_weight_2factor``: {1,2} minimum 2-factor from a maximum simple
   2-matching of the weight-1 graph H (plus a second copy of each pair-group
-  1-edge), found by ``matching.max_simple_2matching``, with its paths
-  chained by 2-edges;
+  1-edge), found by ``matching.max_simple_2matching`` (short augmenting
+  paths on H, and Tutte's gadget only when they leave a vertex of degree
+  < 2), with its paths chained by 2-edges;
 * ``min_weight_directed_2factor``: directed minimum-weight 2-factor via an
   exact assignment between out-copies and in-copies with self-arcs
   forbidden, by ``directed_2factor_cycles``, which also serves the

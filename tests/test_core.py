@@ -62,6 +62,52 @@ def test_one_two_weight_class_enforced():
     assert err.value.code == "weight-class-violation"
 
 
+def first_bad_cell(n, w):
+    """Reference for the symmetry and {1,2} checks: the error of the first
+    offending cell in row-major order, with its code, or None."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i][j] != w[j][i]:
+                return (f"asymmetric weights at ({i},{j}) in symmetric "
+                        "instance", "validation")
+    for i in range(n):
+        for j in range(n):
+            if i != j and w[i][j] not in (1, 2):
+                return (f"weight {w[i][j]} at ({i},{j}) outside {{1,2}}",
+                        "weight-class-violation")
+    return None
+
+
+def test_symmetry_and_one_two_checks_report_the_first_cell():
+    # a few cells of a symmetric {1,2} matrix overwritten, alone or with
+    # their mirror cell, the diagonal included (it is ignored), also by
+    # Fractions equal to 1 or 2
+    rng = Random(12)
+    values = (1, 2, 0, 3, Fraction(1), Fraction(2), Fraction(3, 2))
+    outcomes = {None: 0, "validation": 0, "weight-class-violation": 0}
+    for trial in range(600):
+        n = rng.randint(2, 7)
+        w = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w[i][j] = w[j][i] = rng.choice((1, 2))
+        for _ in range(rng.randint(0, 3)):
+            i, j, x = rng.randrange(n), rng.randrange(n), rng.choice(values)
+            w[i][j] = x
+            if rng.random() < 0.6:
+                w[j][i] = x
+        expected = first_bad_cell(n, w)
+        if expected is None:
+            validate_instance(n, w, True, WeightClass.ONE_TWO, [range(n)])
+            outcomes[None] += 1
+        else:
+            with pytest.raises(ValidationError) as err:
+                validate_instance(n, w, True, WeightClass.ONE_TWO, [range(n)])
+            assert (str(err.value), err.value.code) == expected
+            outcomes[expected[1]] += 1
+    assert min(outcomes.values()) >= 100
+
+
 def test_pair_two_cycle_is_feasible():
     inst = pair_instance()
     cover = make_cover([[0, 1]], pair_flags=[True])

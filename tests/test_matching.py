@@ -247,35 +247,79 @@ def test_blossom_agrees_with_exhaustive():
 
 
 def brute_max_2matching_size(n, edges):
-    best = 0
-    for mask in range(1 << len(edges)):
-        deg = [0] * n
-        for k, (u, v) in enumerate(edges):
-            if mask >> k & 1:
-                deg[u] += 1
-                deg[v] += 1
-        if max(deg, default=0) <= 2:
-            best = max(best, bin(mask).count("1"))
-    return best
+    """Exhaustive over the edges: the set of reachable degree vectors, two
+    bits per vertex; every way to a vector takes the same number of edges."""
+    reach = {0}
+    for u, v in edges:
+        step = (1 << 2 * u) + (1 << 2 * v)
+        reach |= {s + step for s in reach
+                  if (s >> 2 * u & 3) < 2 and (s >> 2 * v & 3) < 2}
+    return max(sum(s >> 2 * x & 3 for x in range(n)) for s in reach) // 2
 
 
-def test_max_simple_2matching_agrees_with_exhaustive():
+def checked_2matching(n, edges):
+    """Run ``max_simple_2matching`` and check that its answer is a simple
+    2-matching: distinct ascending indices, every degree at most 2."""
+    chosen = max_simple_2matching(n, edges)
+    assert chosen == sorted(set(chosen))
+    assert all(0 <= k < len(edges) for k in chosen)
+    deg = [0] * n
+    for k in chosen:
+        deg[edges[k][0]] += 1
+        deg[edges[k][1]] += 1
+    assert max(deg, default=0) <= 2
+    return chosen
+
+
+def test_max_simple_2matching_agrees_with_exhaustive(gadget_calls):
+    # n <= 8 at edge densities 0.1-0.9, in shuffled order and either
+    # orientation, with a parallel copy on any edge
     rng = Random(61)
-    for trial in range(400):
-        n = rng.randint(2, 6)
+    closed = 0
+    for trial in range(500):
+        n = rng.randint(2, 8)
+        density = rng.uniform(0.1, 0.9)
         edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
-                 if rng.random() < 0.5]
-        # parallel copies, as for doubled pair edges
-        for u, v in list(edges[:2]):
-            edges.append((u, v))
-        chosen = max_simple_2matching(n, edges)
-        assert chosen == sorted(set(chosen))
-        deg = [0] * n
-        for k in chosen:
-            deg[edges[k][0]] += 1
-            deg[edges[k][1]] += 1
-        assert max(deg, default=0) <= 2
+                 if rng.random() < density]
+        edges += [e for e in edges if rng.random() < 0.2]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        searches = len(gadget_calls)
+        chosen = checked_2matching(n, edges)
         assert len(chosen) == brute_max_2matching_size(n, edges)
+        if len(gadget_calls) == searches:
+            assert len(chosen) == n
+            closed += 1
+    # both ends of the stage: closed without the gadget, and fallen back
+    assert 100 <= closed <= 400
+
+
+def test_max_simple_2matching_short_path_cases(gadget_calls):
+    # after the greedy path 3-0-1-2, length 1 closes the cycle 0-1-2-3 and
+    # leaves 4 alone with both neighbours saturated.  Only the length-3
+    # path 4-0, 0-1 in M, 1-4 reaches degree 2 everywhere (f = e, as 4 has
+    # degree 0)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]
+    assert checked_2matching(5, edges) == [1, 2, 3, 4, 5]
+    # the greedy path 2-1-0-3-6-5-4 ends at e = 2 (degree 1), whose only
+    # other neighbour 3 is saturated: the length-3 path 2-3, 3-0 in M, 0-4
+    # closes the 7-cycle.  Probed after dropping 3-0, 0's least short
+    # neighbour with an unused copy would be 3 itself, and f = x = 3 would
+    # give 3 degree 3; the probes come before the drop
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4), (4, 5), (5, 6),
+             (3, 6)]
+    assert checked_2matching(7, edges) == [0, 1, 2, 4, 6, 7, 8]
+    # a pair group's second copy closes its 2-cycle; a single copy cannot
+    edges = [(0, 1), (2, 3), (3, 4), (2, 4), (0, 1)]
+    assert checked_2matching(5, edges) == [0, 1, 2, 3, 4]
+    assert not gadget_calls
+    assert checked_2matching(2, [(0, 1)]) == [0]
+    assert len(gadget_calls) == 1
+    # the greedy path 2-0-1-4-3 leaves 2 and 3 short.  From e = 2 (degree
+    # 1), 2-1, 1-4 in M, 4-2 would end at e itself and give it degree 3;
+    # 3 has no other neighbour, so 4 edges are the maximum
+    edges = [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)]
+    assert len(checked_2matching(5, edges)) == 4
 
 
 def test_assignment_one_by_one():

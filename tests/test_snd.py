@@ -13,7 +13,7 @@ from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
 from smcycle.oracle import brute_force_snd
 from smcycle.snd import (EdgeSubgraph, SNDRequirements, _assert_feasible,
-                         _bridges, _pair_matrix, _scan_cuts, build_requirements,
+                         _bridges, _scan_cuts, build_requirements,
                          edge_slots, jain_round, prune_bridges, solve_cut_lp)
 
 
@@ -213,9 +213,8 @@ def test_feasibility_check_matches_cut_scan():
     outcomes = {True: 0, False: 0}
     for trial in range(2400):
         g, req = random_multigraph(rng, rng.randint(2, 9))
-        fixed = _pair_matrix(g.n, ((u, v, 1) for u, v, _c in g.edges))
-        zero = [[0] * g.n for _ in range(g.n)]
-        scan_ok = not _scan_cuts(g.n, req.group_masks(), zero, fixed, 1)
+        caps = [(u, v, 1) for u, v, _c in g.edges]
+        scan_ok = not _scan_cuts(g.n, req.group_masks(), caps, 1)
         try:
             _assert_feasible(g, req, _bridges(g))
             check_ok = True
@@ -226,16 +225,14 @@ def test_feasibility_check_matches_cut_scan():
     assert min(outcomes.values()) >= 400
 
 
-def gray_scan(n, group_masks, value, fixed, scale):
+def gray_scan(n, group_masks, caps, scale):
     """Reference for ``_scan_cuts``: every cut of the same Gray-code order,
-    its capacity summed from scratch."""
+    its capacity summed from scratch over the (u, v, c) triples."""
     out = []
     mask = 0
     for i in range(1, 1 << (n - 1)):
         mask ^= i & -i
-        cap = sum(value[u][v] + scale * fixed[u][v]
-                  for u in range(n) for v in range(n)
-                  if mask >> u & 1 and not mask >> v & 1)
+        cap = sum(c for u, v, c in caps if (mask >> u ^ mask >> v) & 1)
         splits = any(0 < bin(mask & gmask).count("1") < size
                      for gmask, size in group_masks)
         if splits and cap < 2 * scale:
@@ -245,57 +242,62 @@ def gray_scan(n, group_masks, value, fixed, scale):
 
 def test_scan_cuts_matches_direct_enumeration():
     # the scan returns the violated cuts of the Gray-code walk, most
-    # violated first and ties in mask order
+    # violated first and ties in mask order.  As in ``solve_cut_lp``, the
+    # capacities are one triple per slot value and one per fixed edge
+    # (counting ``scale``), in either orientation, with zero values and
+    # parallel triples
     rng = Random(8)
     cases = []
+
+    def triples(n, g, scale, p_fixed, p_value):
+        caps = [(v, u, rng.randint(0, scale)) if rng.random() < 0.5
+                else (u, v, rng.randint(0, scale))
+                for u in range(n) for v in range(u + 1, n)
+                if rng.random() < p_value]
+        caps += [(u, v, scale) for u, v, _c in g.edges
+                 if rng.random() < p_fixed]
+        rng.shuffle(caps)
+        return caps
+
     for trial in range(300):
         n = rng.randint(2, 8)
         scale = rng.choice((1, 2, 6))
         g, req = random_multigraph(rng, n)
-        fixed = _pair_matrix(n, ((u, v, 1) for u, v, _c in g.edges
-                                 if rng.random() < 0.3))
-        value = _pair_matrix(n, ((u, v, rng.randint(0, scale))
-                                 for u in range(n) for v in range(u + 1, n)))
-        cases.append((n, req.group_masks(), value, fixed, scale))
+        cases.append((n, req.group_masks(), triples(n, g, scale, 0.3, 1),
+                      scale))
     # n up to 12, and a scale of 2^70 for fields wider than 8 bytes
     for trial in range(16):
         n = 9 + trial % 4 if trial < 12 else rng.randint(2, 7)
         scale = 2 ** 70 + trial if trial % 3 == 0 else rng.choice((1, 6))
         g, req = random_multigraph(rng, n)
-        fixed = _pair_matrix(n, ((u, v, 1) for u, v, _c in g.edges
-                                 if rng.random() < 0.2))
-        value = _pair_matrix(n, ((u, v, rng.randint(0, scale))
-                                 for u in range(n) for v in range(u + 1, n)
-                                 if rng.random() < 0.4))
-        cases.append((n, req.group_masks(), value, fixed, scale))
+        cases.append((n, req.group_masks(), triples(n, g, scale, 0.2, 0.4),
+                      scale))
     # groups holding vertex n - 1: a pair with vertex 0, and a singleton,
     # which never splits a cut
     for n in (2, 3, 6, 10):
         rest = tuple(range(1, n - 1))
         for groups in (((0, n - 1), rest), ((n - 1,), (0, *rest))):
             req = SNDRequirements(n, tuple(g for g in groups if g))
-            value = _pair_matrix(n, ((u, v, rng.randint(0, 2))
-                                     for u in range(n)
-                                     for v in range(u + 1, n)))
-            cases.append((n, req.group_masks(), value,
-                          [[0] * n for _ in range(n)], 3))
+            caps = [(u, v, rng.randint(0, 2))
+                    for u in range(n) for v in range(u + 1, n)]
+            cases.append((n, req.group_masks(), caps, 3))
     # all-zero capacities: every splitting cut is violated by 2 * scale
     for n in (2, 7, 12):
-        zero = [[0] * n for _ in range(n)]
         masks = random_multigraph(rng, n)[1].group_masks()
         splitting = [mask for mask in range(1, 1 << (n - 1))
                      if any(0 < bin(mask & g).count("1") < size
                             for g, size in masks)]
-        assert _scan_cuts(n, masks, zero, zero, 5) == [(10, mask)
-                                                      for mask in splitting]
-        cases.append((n, masks, zero, zero, 5))
-    for n, masks, value, fixed, scale in cases:
-        expected = sorted(gray_scan(n, masks, value, fixed, scale),
+        for caps in ([], [(0, n - 1, 0)]):
+            assert _scan_cuts(n, masks, caps, 5) == [(10, mask)
+                                                     for mask in splitting]
+        cases.append((n, masks, [], 5))
+    for n, masks, caps, scale in cases:
+        expected = sorted(gray_scan(n, masks, caps, scale),
                           key=lambda t: (-t[0], t[1]))
-        assert _scan_cuts(n, masks, value, fixed, scale) == expected
+        assert _scan_cuts(n, masks, caps, scale) == expected
     assert any(n == 12 for n, *_ in cases)
-    assert any(scale > 2 ** 64 and gray_scan(n, masks, value, fixed, scale)
-               for n, masks, value, fixed, scale in cases)
+    assert any(scale > 2 ** 64 and gray_scan(n, masks, caps, scale)
+               for n, masks, caps, scale in cases)
 
 
 def test_pinned_metric_cost_sum_above_desk_size():

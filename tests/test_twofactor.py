@@ -154,19 +154,32 @@ def test_one_two_route_matches_oracle():
     assert cases >= 2500
 
 
-def test_one_two_route_matches_gadget_route():
+def test_one_two_route_matches_gadget_route(gadget_calls):
     # the degree gadget is the exact reference above the enumeration caps;
-    # with pairs False the matrix gets one group, so no pair 2-cycle is legal
+    # with pairs False the matrix gets one group, so no pair 2-cycle is
+    # legal, and the dense cases (density 0.5) with pairs split the vertices
+    # into size-2 groups.  The sparse cases leave short vertices that only
+    # the blossom search on Tutte's gadget closes; on the dense ones short
+    # augmenting paths reach degree 2 everywhere and no search runs
     rng = Random(77)
     for n, density, pairs in ((10, 0.1, True), (14, 0.3, False),
                               (18, 0.05, True), (22, 0.6, False),
                               (27, 0.15, True), (33, 0.02, False),
-                              (40, 0.08, False)):
+                              (40, 0.08, False), (30, 0.5, True),
+                              (38, 0.5, False), (44, 0.5, True)):
         bits, groups = random_one_two(rng, n, density)
+        if density == 0.5 and pairs:
+            order = [v for g in groups for v in g]
+            groups = [order[i:i + 2] for i in range(0, n, 2)]
         inst = one_two_instance(n, bits, groups if pairs else [list(range(n))])
+        before = len(gadget_calls)
         cover = min_weight_2factor(inst)
         check_two_factor_shape(inst, cover)
         assert cover_cost(inst, cover) == cover_cost(inst, gadget_2factor(inst))
+        if density == 0.5:
+            assert len(gadget_calls) == before and cover_cost(inst, cover) == n
+        elif density != 0.6:
+            assert len(gadget_calls) > before
 
 
 def test_directed_two_vertices():
