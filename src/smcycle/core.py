@@ -80,9 +80,6 @@ class Instance:
         """Size-2 groups, each eligible for a duplicated pair edge."""
         return [(g[0], g[1]) for g in self.groups if len(g) == 2]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class CycleCover:

@@ -39,14 +39,6 @@ def _canonical_pairs(pairs: Iterable[Edge]) -> set[Edge]:
     return out
 
 
-def matching_weight(edges: Sequence[WeightedEdge], matching: set[Edge]):
-    lookup = {}
-    for u, v, w in edges:
-        lookup[(u, v)] = w
-        lookup[(v, u)] = w
-    return sum(lookup[e] for e in matching)
-
-
 def min_weight_perfect_matching(edges: Sequence[WeightedEdge],
                                 vertices: Iterable[Hashable] | None = None
                                 ) -> set[Edge]:

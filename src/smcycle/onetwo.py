@@ -98,12 +98,6 @@ class SpecialTwoFactor:
     cover: CycleCover
     pure: tuple[bool, ...]
 
-    def nonpure_index(self) -> int | None:
-        for i, p in enumerate(self.pure):
-            if not p:
-                return i
-        return None
-
 
 def _merge_two_nonpure(inst: Instance, x: _WCycle, y: _WCycle) -> _WCycle:
     """Remove one 2-edge from each cycle, reconnect into a single cycle."""
@@ -766,6 +760,7 @@ class OneTwoStages:
 
 
 def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
+                     b_edges: list[tuple[int, int]],
                      matching: list[tuple[int, int]],
                      break_choice: dict[int, tuple[int, int]] | None = None,
                      worst: bool = False,
@@ -807,7 +802,7 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
     report = validate_solution(inst, cover)
     if not report.feasible:
         raise SmcError(f"pipeline produced infeasible cover: {report.violations}")
-    return OneTwoStages(factor=factor, b_edges=tuple(build_B(inst, factor)),
+    return OneTwoStages(factor=factor, b_edges=tuple(b_edges),
                         matching=tuple(sorted(matching)), digraph=dig,
                         c_p=c_p, factor_weight=factor_weight,
                         factor_two_edges=e2,
@@ -837,8 +832,10 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
     tf = variant == "ratio-7-6"
     if tie_break == "lex":
         factor = special_2factor(inst, base=_base_factor(inst, variant))
-        matching = maximum_b_matching(build_B(inst, factor))
-        stages = _run_join_phases(inst, factor, matching, triangle_free_factor=tf)
+        b_edges = build_B(inst, factor)
+        stages = _run_join_phases(inst, factor, b_edges,
+                                  maximum_b_matching(b_edges),
+                                  triangle_free_factor=tf)
         return stages.cover, stages
     if tie_break != "adversarial":
         raise ValidationError(f"unknown tie break {tie_break!r}")
@@ -854,8 +851,9 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
                 if runs > ADVERSARIAL_MAX_RUNS:
                     raise BudgetExceededError(
                         "adversarial tie-break search exceeded its run budget")
-                stages = _run_join_phases(inst, factor, matching, break_choice,
-                                          worst=True, triangle_free_factor=tf)
+                stages = _run_join_phases(inst, factor, b_edges, matching,
+                                          break_choice, worst=True,
+                                          triangle_free_factor=tf)
                 if worst is None or cover_cost(inst, stages.cover) > cover_cost(
                         inst, worst.cover):
                     worst = stages

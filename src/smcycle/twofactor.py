@@ -15,11 +15,12 @@ groups, as in the problem definition.  Three routes live here:
   representative sub-digraphs of the asymmetric loop;
 * ``min_weight_triangle_free_2factor``: {1,2} minimum 2-factor with no
   3-cycle, from a maximum triangle-free simple 2-matching of the weight-1
-  graph, found by an exact branch-and-bound capped at
-  ``TRIANGLE_FREE_BRUTE_MAX_N`` vertices.
+  graph, found per connected component by a branch and bound whose every
+  node is one ``max_simple_2matching`` call, under a node budget.
 
-Both {1,2} routes close their 2-matching with one component/chain/repair
-step, ``_cycles_from_2matching``, whose docstring proves it exact.  The
+Both {1,2} routes thus share one 2-matching core, and close their
+2-matching with one component/chain/repair step,
+``_cycles_from_2matching``, whose docstring proves it exact.  The
 degree-gadget reduction to weighted perfect matching, their exact reference
 above the enumeration caps, is ``oracle.gadget_2factor``.
 """
@@ -29,12 +30,12 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass, cover_cost,
-                   make_cover)
+from .core import (CycleCover, Instance, Weight, WeightClass, components,
+                   cover_cost, make_cover)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import max_simple_2matching, min_cost_bipartite_perfect_matching
 
-TRIANGLE_FREE_BRUTE_MAX_N = 12
+TRIANGLE_FREE_NODE_BUDGET = 10_000
 
 
 def _walk_degree2(vertices: Sequence[int], edges: Sequence[tuple[int, int]]
@@ -86,22 +87,31 @@ def _cycles_from_2matching(inst: Instance, vertices: Sequence[int],
     forbidden except those pair 2-cycles; a 2-vertex cycle in the result is
     a pair 2-cycle.  Returns None when the vertices admit no such 2-factor.
 
-    Exactness for ``min_len`` 3 (n vertices, e2 weight-2 edges).  A
-    2-factor F has n edges, a pair 2-cycle counting twice, and its 1-edges
-    form a simple 2-matching of H+ with n - e2(F) edges, so
-    w(F) = n + e2(F) >= 2n - |M| for a maximum 2-matching M.  M splits into
-    cycles, which are legal, and p paths (a lone vertex is a path), so
-    |M| = n - p.  Chaining the paths by p junction edges into one cycle
-    costs at most |M| + 2p = 2n - |M|, which is optimal when the chain has
-    >= min_len vertices or is exactly a pair group.  A shorter chain (one
-    or two vertices) is spliced into a cycle of M between a vertex x that
-    one chain end reaches by a 1-edge (an escape) and x's successor y,
-    dropping the 1-edge xy: again at most 2n - |M|.  With no escape, no
-    chain vertex has a 1-edge leaving the chain and the chain is not an
-    allowed pair group, so counting the 2-edges at the chain vertices gives
-    e2 >= p + 1 for every 2-factor, which the splice into the first cycle
-    pays.  The same chain and splice serve ``min_len`` 4 on a maximum
-    triangle-free 2-matching.
+    Exactness (n vertices, e2 weight-2 edges).  A 2-factor F has n edges,
+    a pair 2-cycle counting twice, and its 1-edges form a simple 2-matching
+    of H+ with n - e2(F) edges, so w(F) = n + e2(F) >= 2n - |M| for a
+    maximum 2-matching M.  At ``min_len`` 4, M is a maximum triangle-free
+    2-matching and F's 1-edges form one too.  M splits into cycles, which
+    are legal, and p paths (a lone vertex is a path), so |M| = n - p.
+    Chaining the paths by p junction edges, all 2-edges as M is maximum,
+    into one cycle costs at most |M| + 2p = 2n - |M|, which is optimal when
+    the chain has >= min_len vertices or is exactly a pair group.  A
+    shorter chain is spliced into a cycle of M between a vertex x and x's
+    successor y, dropping the 1-edge xy, in an arrangement whose first
+    vertex reaches x by a 1-edge (an escape) and whose own edges weigh no
+    more than the chain's: again at most 2n - |M|.  The arrangements tried
+    are the chain, its reverse and, for a chain a, b, c, the orders b-a-c
+    and b-c-a.  When none has an escape, either no chain vertex has a
+    1-edge leaving the chain, or the chain is a path a-b-c whose chord ac
+    is a 2-edge and only b has one.  In the first case F has two or more
+    edges leaving the chain's k vertices, all 2-edges, as the chain is too
+    short for a cycle and not an allowed pair group; F's 1-edges inside the
+    chain form p paths or more (fewer would enlarge M), so F has at most
+    (k - p) + (n - k - 1) 1-edges and e2(F) >= p + 1.  In the second, a
+    and c each have b as their only 1-neighbour, so each meets a 2-edge of
+    F, and a single one would be ac, closing the triangle abc:
+    e2(F) >= 2 = p + 1.  The splice into the first cycle, at most one
+    above 2n - |M|, is then optimal.
     """
     cycles, paths = _walk_degree2(vertices, edges)
     for cyc in cycles:
@@ -120,9 +130,19 @@ def _cycles_from_2matching(inst: Instance, vertices: Sequence[int],
         merged = host[:pos + 1] + insert + host[pos + 1:]
         return [c for i, c in enumerate(cycles) if i != host_idx] + [merged]
 
-    # the chain goes in between host vertex v and its successor, so that
-    # the edge v-chain[0] is the escape
-    for arr in (chain, chain[::-1]):
+    def inner(arr: list[int]) -> Weight:
+        return sum(inst.w(a, b) for a, b in zip(arr, arr[1:]))
+
+    # the arrangement goes in between host vertex v and its successor, so
+    # that the edge v-arr[0] is the escape
+    arrangements = [chain, chain[::-1]]
+    if len(chain) == 3:
+        a, b, c = chain
+        arrangements += [[b, a, c], [b, c, a]]
+    own = inner(chain)
+    for arr in arrangements:
+        if inner(arr) > own:
+            continue
         u = arr[0]
         for ci, host in enumerate(cycles):
             for pos, v in enumerate(host):
@@ -200,80 +220,47 @@ def directed_2factor_cycles(inst: Instance, order: Sequence[int]
 # triangle-free route
 
 
-def brute_force_triangle_free_2matching(vertices: Sequence[int],
-                                        h_edges: set[frozenset[int]]
-                                        ) -> set[frozenset[int]]:
-    """Maximum-size simple 2-matching of H with no 3-cycle, by branch and bound.
+def _max_triangle_free_2matching(k: int, edges: list[tuple[int, int]]
+                                 ) -> list[tuple[int, int]]:
+    """Maximum simple 2-matching with no 3-cycle of a simple graph on
+    0..k-1, its ``edges`` given as pairs (i, j) with i < j.
 
-    Refuses more than TRIANGLE_FREE_BRUTE_MAX_N vertices instead of
-    degrading.
+    Branch and bound over ``max_simple_2matching``: a node bans a set of
+    edges and solves a maximum simple 2-matching of the rest.  A node no
+    larger than the incumbent is pruned; one with no 3-cycle becomes the
+    incumbent; any other gets three children, each banning one edge of its
+    first 3-cycle.  Exact: every triangle-free 2-matching of a node misses
+    some edge of that triangle, so it survives in one child, and a node's
+    size bounds every 2-matching of its subtree.  More than
+    ``TRIANGLE_FREE_NODE_BUDGET`` nodes raise BudgetExceededError: the
+    problem is polynomial (Hartvigsen 1984), but this search grows as 3^t
+    on a component whose maximum 2-matchings must each lose one edge of t
+    triangles, such as t triangles hung from one hub vertex.
     """
-    vs = list(vertices)
-    if len(vs) > TRIANGLE_FREE_BRUTE_MAX_N:
-        raise BudgetExceededError(
-            f"triangle-free 2-matching brute force capped at "
-            f"{TRIANGLE_FREE_BRUTE_MAX_N} vertices, got {len(vs)}")
-    index = {v: i for i, v in enumerate(vs)}
-    m = len(vs)
-    edges = sorted((min(index[a], index[b]), max(index[a], index[b]))
-                   for a, b in (tuple(e) for e in h_edges))
-
-    deg = [0] * m
-    chosen_adj: list[set[int]] = [set() for _ in range(m)]
-    chosen: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
-
-    # greedy incumbent, scanning edges in order
-    for u, v in edges:
-        if deg[u] < 2 and deg[v] < 2 and not (chosen_adj[u] & chosen_adj[v]):
-            deg[u] += 1
-            deg[v] += 1
-            chosen_adj[u].add(v)
-            chosen_adj[v].add(u)
-            chosen.append((u, v))
-    best = list(chosen)
-    for u, v in chosen:
-        deg[u] -= 1
-        deg[v] -= 1
-        chosen_adj[u].remove(v)
-        chosen_adj[v].remove(u)
-    chosen = []
-
-    suffix_inc = [[0] * (len(edges) + 1) for _ in range(m)]
-    for i in range(len(edges) - 1, -1, -1):
-        u, v = edges[i]
-        for x in range(m):
-            suffix_inc[x][i] = suffix_inc[x][i + 1] + (1 if x in (u, v) else 0)
-
-    def upper_bound(idx: int) -> int:
-        cap = 0
-        for x in range(m):
-            cap += min(2 - deg[x], suffix_inc[x][idx])
-        return len(chosen) + cap // 2
-
-    def rec(idx: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if idx == len(edges) or upper_bound(idx) <= len(best):
-            return
-        u, v = edges[idx]
-        if deg[u] < 2 and deg[v] < 2 and not (chosen_adj[u] & chosen_adj[v]):
-            deg[u] += 1
-            deg[v] += 1
-            chosen_adj[u].add(v)
-            chosen_adj[v].add(u)
-            chosen.append((u, v))
-            rec(idx + 1)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-            chosen_adj[u].remove(v)
-            chosen_adj[v].remove(u)
-        rec(idx + 1)
-
-    rec(0)
-    return {frozenset((vs[u], vs[v])) for u, v in best}
+    stack: list[tuple[int, frozenset[tuple[int, int]]]] = [(k, frozenset())]
+    nodes = 0
+    while stack:
+        bound, banned = stack.pop()
+        if bound <= len(best):
+            continue
+        nodes += 1
+        if nodes > TRIANGLE_FREE_NODE_BUDGET:
+            raise BudgetExceededError(
+                f"triangle-free 2-matching search exceeded "
+                f"{TRIANGLE_FREE_NODE_BUDGET} nodes")
+        kept = [e for e in edges if e not in banned]
+        chosen = [kept[i] for i in max_simple_2matching(k, kept)]
+        if len(chosen) <= len(best):
+            continue
+        cycles, _ = _walk_degree2(range(k), chosen)
+        triangle = next((c for c in cycles if len(c) == 3), None)
+        if triangle is None:
+            best = chosen
+            continue
+        a, b, c = sorted(triangle)
+        stack += [(len(chosen), banned | {e}) for e in ((a, b), (a, c), (b, c))]
+    return best
 
 
 def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
@@ -281,9 +268,11 @@ def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
 
     A pair 2-cycle is not a triangle.  Every subset of the size-2 groups is
     tried as the set of pair 2-cycles; on the other vertices a maximum
-    triangle-free simple 2-matching of the weight-1 graph is closed by
-    ``_cycles_from_2matching`` with cycles of length at least 4.  Each
-    branch is exact, so the cheapest one is.
+    triangle-free simple 2-matching of the weight-1 graph H is closed by
+    ``_cycles_from_2matching`` with cycles of length at least 4.  That
+    2-matching is the union of one per connected component of H, each from
+    ``_max_triangle_free_2matching``.  Each branch is exact, so the
+    cheapest one is.
     """
     if inst.weight_class is not WeightClass.ONE_TWO:
         raise ValidationError("{1,2} 2-factors need one-two weights")
@@ -294,11 +283,21 @@ def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
         committed = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         removed = {v for p in committed for v in p}
         active = [v for v in range(inst.n) if v not in removed]
-        h_edges = {frozenset((u, v)) for i, u in enumerate(active)
-                   for v in active[i + 1:] if inst.w(u, v) == 1}
-        matching = brute_force_triangle_free_2matching(active, h_edges)
-        cycles = _cycles_from_2matching(inst, active,
-                                        [tuple(e) for e in matching], 4)
+        rows = [inst.weights[v] for v in active]
+        h = [(i, j) for i, row in enumerate(rows)
+             for j in range(i + 1, len(active)) if row[active[j]] == 1]
+        comps = components(len(active), h)
+        # each vertex's component and its index there
+        where = {v: (ci, li) for ci, comp in enumerate(comps)
+                 for li, v in enumerate(comp)}
+        comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
+        for i, j in h:
+            ci, li = where[i]
+            comp_edges[ci].append((li, where[j][1]))
+        matching = [(active[comp[a]], active[comp[b]])
+                    for comp, sub in zip(comps, comp_edges) if sub
+                    for a, b in _max_triangle_free_2matching(len(comp), sub)]
+        cycles = _cycles_from_2matching(inst, active, matching, 4)
         if cycles is None:  # 1 to 3 active vertices
             continue
         all_cycles = [list(p) for p in committed] + cycles

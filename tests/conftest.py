@@ -18,3 +18,15 @@ def gadget_calls(monkeypatch):
     original = matching._augment_matching
     monkeypatch.setattr(matching, "_augment_matching", counting)
     return calls
+
+
+@pytest.fixture
+def matching_weight():
+    """Total weight of a matching, given as pairs, under weighted edges
+    (u, v, w) listed in either orientation."""
+    def weigh(edges, matching):
+        lookup = {}
+        for u, v, w in edges:
+            lookup[u, v] = lookup[v, u] = w
+        return sum(lookup[e] for e in matching)
+    return weigh

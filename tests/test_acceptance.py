@@ -14,7 +14,7 @@ from random import Random
 from smcycle.asymmetric import approx_asymmetric, eta, representatives
 from smcycle.core import (WeightClass, cover_cost, generate_instance,
                           make_cover, validate_instance, validate_solution)
-from smcycle.matching import (matching_weight, min_weight_perfect_matching)
+from smcycle.matching import min_weight_perfect_matching
 from smcycle.metric import approx_metric, doubled_subgraph_baseline, min_t_join
 from smcycle.onetwo import approx_onetwo, special_2factor
 from smcycle.oracle import (brute_force_2factor, brute_force_smc,
@@ -90,7 +90,7 @@ def test_criterion_1_feasibility_suite():
     _report("1 feasibility-suite")
 
 
-def test_criterion_2_metric_ratio():
+def test_criterion_2_metric_ratio(matching_weight):
     """300 euclidean instances with oracle: ratio <= 3, exact comparisons."""
     rng = Random(20_001)
     for trial in range(300):
@@ -169,7 +169,7 @@ def test_criterion_5_asymmetric():
     _report("5 asymmetric")
 
 
-def test_criterion_6_subroutine_oracles():
+def test_criterion_6_subroutine_oracles(matching_weight):
     """Matching, 2-factor variants, T-join, SND and Steiner forest each
     agree with brute force on >= 200 instances; the bound chain holds."""
     # minimum-weight perfect matching vs pairing enumeration

@@ -7,8 +7,8 @@ from random import Random
 import pytest
 
 from smcycle.errors import ValidationError
-from smcycle.matching import (_augment_matching, matching_weight,
-                              max_cardinality_matching, max_simple_2matching,
+from smcycle.matching import (_augment_matching, max_cardinality_matching,
+                              max_simple_2matching,
                               min_cost_bipartite_perfect_matching,
                               min_weight_perfect_matching, minimal_edge_cover)
 
@@ -70,13 +70,13 @@ def assert_is_matching(matching):
         used.add(v)
 
 
-def test_single_edge_matching():
+def test_single_edge_matching(matching_weight):
     m = min_weight_perfect_matching([(0, 1, 5)])
     assert m == {(0, 1)}
     assert matching_weight([(0, 1, 5)], m) == 5
 
 
-def test_k4_matching_picks_cheap_pair():
+def test_k4_matching_picks_cheap_pair(matching_weight):
     edges = [(0, 1, 1), (2, 3, 1), (0, 2, 2), (0, 3, 2), (1, 2, 2), (1, 3, 2)]
     m = min_weight_perfect_matching(edges)
     # the three perfect matchings cost 2, 4 and 4
@@ -95,7 +95,7 @@ def test_no_perfect_matching_detected():
         min_weight_perfect_matching([(0, 1, 1), (0, 2, 1), (0, 3, 1)])
 
 
-def test_min_matching_agrees_with_brute_force():
+def test_min_matching_agrees_with_brute_force(matching_weight):
     rng = Random(7)
     for trial in range(60):
         n = rng.choice((4, 6, 8, 10))

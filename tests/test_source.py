@@ -83,3 +83,22 @@ def test_tracer_targets_exist():
                if not hasattr(importlib.import_module(f"smcycle.{module}"),
                               function)]
     assert missing == []
+
+
+# The library's hard size caps.  ROADMAP treats each as a performance
+# defect, so a new one is added here on purpose or not at all; a
+# pipeline that outgrows its cap drops off this list.
+SIZE_CAPS = {"oracle.SMC_TABLE_MAX_N", "snd.CUT_ENUMERATION_MAX_N"}
+
+
+def test_size_caps_are_the_listed_ones():
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found |= {f"{path.stem}.{t.id}" for t in targets
+                      if isinstance(t, ast.Name) and t.id.endswith("_MAX_N")}
+    assert found == SIZE_CAPS

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
 
-from smcycle.core import (WeightClass, cover_cost, generate_instance,
-                          validate_instance)
+from smcycle.core import (WeightClass, cover_cost, format_instance,
+                          generate_instance, parse_instance, parse_solution,
+                          validate_instance, validate_solution)
 from smcycle.errors import BudgetExceededError, ValidationError
 from smcycle.oracle import brute_force_2factor, gadget_2factor
-from smcycle.twofactor import (brute_force_triangle_free_2matching,
-                               min_weight_2factor, min_weight_directed_2factor,
+from smcycle import twofactor
+from smcycle.cli import EXIT_BUDGET, EXIT_OK, main
+from smcycle.twofactor import (_max_triangle_free_2matching, min_weight_2factor,
+                               min_weight_directed_2factor,
                                min_weight_triangle_free_2factor)
 
 
@@ -277,28 +281,181 @@ def test_adapter_joins_paths_with_2_edges():
     assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
 
 
-def test_brute_2matching_budget():
-    with pytest.raises(BudgetExceededError):
-        brute_force_triangle_free_2matching(list(range(13)), set())
+def ones_instance(n, ones, groups=None):
+    """{1,2} instance whose weight-1 edges are the pairs in ``ones``."""
+    bits = [(i, j) in ones for i in range(n) for j in range(i + 1, n)]
+    return one_two_instance(n, bits, groups or [list(range(n))])
 
 
-def test_brute_2matching_respects_constraints():
+@pytest.mark.parametrize("n, ones, optimum", [
+    # the chain's middle vertex is its only escape: in the first, the path
+    # 3-6 and the lone 5 chain as 3, 6, 5, and only 6 has 1-edges into the
+    # cycle (to 0 and 1)
+    (7, "01 04 06 12 14 16 24 36", 9),
+    (8, "07 12 14 25 26 45 56 57", 10),
+])
+def test_triangle_free_splice_escapes_from_the_chain_middle(n, ones, optimum):
+    inst = ones_instance(n, {(int(e[0]), int(e[1])) for e in ones.split()})
+    cover = min_weight_triangle_free_2factor(inst)
+    check_two_factor_shape(inst, cover, triangle_free=True)
+    assert cover_cost(inst, cover) == optimum
+    assert brute_force_2factor(inst, triangle_free=True) == optimum
+
+
+def test_triangle_free_sparse_matches_oracle():
+    # sparse weight-1 graphs leave short chains that must be spliced into
+    # a cycle.  Odd trials plant one: a 1-edge ring through all but three
+    # vertices x, y, z, of which only x has 1-edges into the ring, so that
+    # the chain's middle is often its only escape.  Even trials are plain
+    # sparse graphs, every second one with a size-2 group.
+    rng = Random(31)
+    for trial in range(520):
+        order = list(range(4 + trial % 5 if trial % 40 else 9))
+        rng.shuffle(order)
+        n = len(order)
+        groups = [order]
+        if trial % 2 and n >= 7:
+            x, y, z, *ring = order
+            pairs = list(zip(ring, ring[1:] + ring[:1]))
+            pairs += [(u, v) for u in ring for v in ring
+                      if u < v and rng.random() < 0.1]
+            pairs += [(x, v) for v in ring if rng.random() < 0.5]
+            pairs += [e for e in ((x, y), (x, z), (y, z)) if rng.random() < 0.5]
+        else:
+            density = rng.uniform(0.15, 0.5)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < density]
+            if trial % 4 == 2 and n >= 6:
+                groups = [order[:2], order[2:]]
+        inst = ones_instance(n, {(min(e), max(e)) for e in pairs}, groups)
+        cover = min_weight_triangle_free_2factor(inst)
+        check_two_factor_shape(inst, cover, triangle_free=True)
+        assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
+
+
+def exhaustive_triangle_free_2matching(n, edges):
+    """Size of a largest triangle-free simple 2-matching, by trying every
+    edge subset that keeps each degree at most 2."""
+    best = 0
+    deg = [0] * n
+    adj = [set() for _ in range(n)]
+
+    def extend(k, size):
+        nonlocal best
+        if size + len(edges) - k <= best:
+            return
+        if k == len(edges):
+            best = size
+            return
+        u, v = edges[k]
+        if deg[u] < 2 and deg[v] < 2 and not adj[u] & adj[v]:
+            deg[u] += 1
+            deg[v] += 1
+            adj[u].add(v)
+            adj[v].add(u)
+            extend(k + 1, size + 1)
+            deg[u] -= 1
+            deg[v] -= 1
+            adj[u].remove(v)
+            adj[v].remove(u)
+        extend(k + 1, size)
+
+    extend(0, 0)
+    return best
+
+
+def test_triangle_free_2matching_is_maximum():
+    # odd trials plant disjoint triangles under sparse extra edges, so that
+    # maximum 2-matchings take triangles and the search must branch
     rng = Random(41)
-    for trial in range(40):
-        n = rng.choice((5, 6, 7, 8))
-        edges = {frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.5}
-        out = brute_force_triangle_free_2matching(list(range(n)), edges)
-        deg = {v: 0 for v in range(n)}
+    for trial in range(300):
+        if trial % 2:
+            n = rng.choice((6, 7, 8, 9))
+            order = list(range(n))
+            rng.shuffle(order)
+            planted = {tuple(sorted(p)) for i in range(0, n - 2, 3)
+                       for p in itertools.combinations(order[i:i + 3], 2)}
+            density = rng.uniform(0.1, 0.3)
+        else:
+            n = rng.choice((4, 5, 6, 7, 8))
+            planted = set()
+            density = rng.uniform(0.2, 0.9)
+        edges = sorted(planted | {(i, j) for i in range(n) for j in range(i + 1, n)
+                                  if rng.random() < density})
+        out = _max_triangle_free_2matching(n, edges)
+        assert len(set(out)) == len(out) and set(out) <= set(edges)
         adj = {v: set() for v in range(n)}
-        for e in out:
-            a, b = tuple(e)
-            assert e in edges
-            deg[a] += 1
-            deg[b] += 1
+        for a, b in out:
             adj[a].add(b)
             adj[b].add(a)
-        assert all(d <= 2 for d in deg.values())
-        for e in out:
-            a, b = tuple(e)
-            assert not (adj[a] & adj[b]), "triangle in 2-matching"
+        assert all(len(nbrs) <= 2 for nbrs in adj.values())
+        assert not any(adj[a] & adj[b] for a, b in out), "triangle in 2-matching"
+        assert len(out) == exhaustive_triangle_free_2matching(n, edges)
+
+
+@pytest.fixture
+def tree_nodes(monkeypatch):
+    """Sizes of the maximum simple 2-matchings the triangle-free search
+    solves, one per search node."""
+    calls = []
+
+    def counting(k, edges):
+        calls.append(k)
+        return original(k, edges)
+
+    original = twofactor.max_simple_2matching
+    monkeypatch.setattr(twofactor, "max_simple_2matching", counting)
+    return calls
+
+
+def test_triangle_free_searches_each_component(tree_nodes):
+    # k disjoint weight-1 triangles: each keeps two of its edges, so the
+    # optimum is n + k.  Searched as one graph they would take 3^k nodes;
+    # one component at a time, each takes 4 (itself and 3 children)
+    k = 7
+    ones = {(3 * t + a, 3 * t + b) for t in range(k)
+            for a, b in ((0, 1), (0, 2), (1, 2))}
+    inst = ones_instance(3 * k, ones)
+    cover = min_weight_triangle_free_2factor(inst)
+    check_two_factor_shape(inst, cover, triangle_free=True)
+    assert cover_cost(inst, cover) == 4 * k
+    assert len(tree_nodes) == 4 * k and set(tree_nodes) == {3}
+    # a triangle, a 4-cycle and a single edge, against the oracle
+    ones = {(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6), (7, 8)}
+    inst = ones_instance(9, ones)
+    cover = min_weight_triangle_free_2factor(inst)
+    check_two_factor_shape(inst, cover, triangle_free=True)
+    assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
+
+
+def hub_with_triangles(t):
+    """Weight-1 triangles, each joined by one edge to a hub vertex 0: one
+    component whose search needs 22 nodes at t = 3."""
+    return {e for i in range(t)
+            for e in ((3 * i + 1, 3 * i + 2), (3 * i + 1, 3 * i + 3),
+                      (3 * i + 2, 3 * i + 3), (0, 3 * i + 1))}
+
+
+def test_triangle_free_node_budget(monkeypatch, tmp_path, capsys):
+    inst = ones_instance(10, hub_with_triangles(3),
+                         [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])
+    assert cover_cost(inst, min_weight_triangle_free_2factor(inst)) == 12
+    path = tmp_path / "hub.smc"
+    path.write_text(format_instance(inst))
+    monkeypatch.setattr(twofactor, "TRIANGLE_FREE_NODE_BUDGET", 5)
+    with pytest.raises(BudgetExceededError, match="exceeded 5 nodes"):
+        min_weight_triangle_free_2factor(inst)
+    assert main(["solve", "--algo", "onetwo76", "--in", str(path)]) == EXIT_BUDGET
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_onetwo76_solves_above_12_vertices(tmp_path):
+    inst_path = tmp_path / "big.smc"
+    sol_path = tmp_path / "big.sol"
+    assert main(["gen", "onetwo", "40", ",".join(["4"] * 10), "1",
+                 "--out", str(inst_path)]) == EXIT_OK
+    assert main(["solve", "--algo", "onetwo76", "--in", str(inst_path),
+                 "--out", str(sol_path)]) == EXIT_OK
+    inst = parse_instance(inst_path.read_text())
+    cover = parse_solution(sol_path.read_text())
+    assert validate_solution(inst, cover).feasible
