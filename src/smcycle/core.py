@@ -168,10 +168,16 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     all_int = all(set(map(type, row)) == {int} for row in weights)
     w = tuple(tuple(row) if all_int else tuple(map(_as_weight, row))
               for row in weights)
-    low = [min(row[:i] + row[i + 1:]) for i, row in enumerate(w)]
-    for i, least in enumerate(low):
-        if least < 0:
-            j = next(j for j, x in enumerate(w[i]) if j != i and x < 0)
+    if weight_class is WeightClass.ONE_TWO:
+        # a negative weight can only lie in a row that fails the {1,2} count
+        suspect = [i for i, row in enumerate(w)
+                   if row.count(1) + row.count(2) - (row[i] in (1, 2)) < n - 1]
+    else:
+        low = [min(row[:i] + row[i + 1:]) for i, row in enumerate(w)]
+        suspect = [i for i, least in enumerate(low) if least < 0]
+    for i in suspect:
+        j = next((j for j, x in enumerate(w[i]) if j != i and x < 0), None)
+        if j is not None:
             raise ValidationError(f"negative weight at ({i},{j})",
                                   code="weight-class-violation")
 
@@ -210,12 +216,11 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
         raise ValidationError("asymmetric-metric instances must set symmetric=False")
 
     if weight_class is WeightClass.ONE_TWO:
-        for i, row in enumerate(w):
-            if row.count(1) + row.count(2) - (row[i] in (1, 2)) < n - 1:
-                j = next(j for j, x in enumerate(row)
-                         if j != i and x not in (1, 2))
-                raise ValidationError(f"weight {row[j]} at ({i},{j}) outside "
-                                      "{1,2}", code="weight-class-violation")
+        if suspect:
+            i = suspect[0]
+            j = next(j for j, x in enumerate(w[i]) if j != i and x not in (1, 2))
+            raise ValidationError(f"weight {w[i][j]} at ({i},{j}) outside "
+                                  "{1,2}", code="weight-class-violation")
     else:
         _check_triangles(n, w, low, all_int)
 

@@ -2,16 +2,16 @@
 
 This is the only module that imports networkx, and only
 ``min_weight_perfect_matching`` (the metric T-join and the oracles) calls
-it: its weighted blossom works symbolically and therefore stays exact on int
-and Fraction weights.  The rest is implemented here directly: the maximum
-simple 2-matching (a greedy path forest and short augmenting paths on
-bitmasks of the multigraph, which close every vertex on dense inputs, and
-otherwise Tutte's degree gadget warm-started by their matching), the
-int-indexed Edmonds cardinality blossom ``_augment_matching``, which grows
-that gadget matching, the {1,2} pipeline's attachment matching and
-``max_cardinality_matching`` (under ``minimal_edge_cover`` in the
-asymmetric loop), the bipartite assignment solver and the minimal edge
-cover.
+it, importing it on first use: its weighted blossom works symbolically and
+therefore stays exact on int and Fraction weights.  The rest is implemented
+here directly: the maximum simple 2-matching (a greedy path forest and
+short augmenting paths on bitmasks of the multigraph, which close every
+vertex on dense inputs, and otherwise Tutte's degree gadget warm-started by
+their matching), the int-indexed Edmonds cardinality blossom
+``_augment_matching``, which grows that gadget matching, the {1,2}
+pipeline's attachment matching and ``max_cardinality_matching`` (under
+``minimal_edge_cover`` in the asymmetric loop), the bipartite assignment
+solver and the minimal edge cover.
 
 All functions are pure and deterministic for a fixed input.
 """
@@ -22,8 +22,6 @@ from fractions import Fraction
 from itertools import compress
 from operator import sub
 from typing import Hashable, Iterable, Sequence
-
-import networkx as nx
 
 from .core import find
 from .errors import ValidationError
@@ -59,6 +57,9 @@ def min_weight_perfect_matching(edges: Sequence[WeightedEdge],
         raise ValidationError("odd vertex count: no perfect matching")
     if not vs:
         return set()
+
+    # imported on first use: networkx is most of the package's import time
+    import networkx as nx
 
     g = nx.Graph()
     g.add_nodes_from(sorted(vs, key=repr))

@@ -303,3 +303,16 @@ def test_prior_sf4_refuses_asymmetric(tmp_path, capsys):
     run(["gen", "asymmetric", "6", "3,3", "1", "--out", str(asym)])
     assert run(["solve", "--algo", "prior-sf4", "--in", str(asym)]) == EXIT_USAGE
     assert "symmetric instance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, rows", [
+    ("symmetric", "0 1 -1\n1 0 1\n-1 1 0\n"),
+    ("symmetric", "0 1 2\n1 0 1\n-2 1 0\n"),
+    ("asymmetric", "0 1 2\n1 0 -1\n2 -1 0\n")],
+    ids=["mirrored", "one-sided", "asymmetric-mode"])
+def test_negative_one_two_weight_exits_usage(tmp_path, capsys, mode, rows):
+    path = tmp_path / "neg.smc"
+    path.write_text(f"smc 1\nn 3\nmode {mode}\nclass onetwo\ngroups 1\n"
+                    f"0 1 2\n{rows}")
+    assert run(["solve", "--algo", "onetwo119", "--in", str(path)]) == EXIT_USAGE
+    assert "negative weight" in capsys.readouterr().err

@@ -64,7 +64,13 @@ def test_one_two_weight_class_enforced():
 
 def first_bad_cell(n, w):
     """Reference for the symmetry and {1,2} checks: the error of the first
-    offending cell in row-major order, with its code, or None."""
+    offending cell in row-major order, with its code, or None.  A negative
+    weight is reported before either check, as on every weight class."""
+    for i in range(n):
+        for j in range(n):
+            if i != j and w[i][j] < 0:
+                return (f"negative weight at ({i},{j})",
+                        "weight-class-violation")
     for i in range(n):
         for j in range(i + 1, n):
             if w[i][j] != w[j][i]:
@@ -81,10 +87,12 @@ def first_bad_cell(n, w):
 def test_symmetry_and_one_two_checks_report_the_first_cell():
     # a few cells of a symmetric {1,2} matrix overwritten, alone or with
     # their mirror cell, the diagonal included (it is ignored), also by
-    # Fractions equal to 1 or 2
+    # Fractions equal to 1 or 2 and by negative weights
     rng = Random(12)
-    values = (1, 2, 0, 3, Fraction(1), Fraction(2), Fraction(3, 2))
+    values = (1, 2, 0, 3, Fraction(1), Fraction(2), Fraction(3, 2), -1,
+              Fraction(-1, 3))
     outcomes = {None: 0, "validation": 0, "weight-class-violation": 0}
+    negatives = 0
     for trial in range(600):
         n = rng.randint(2, 7)
         w = [[0] * n for _ in range(n)]
@@ -105,7 +113,31 @@ def test_symmetry_and_one_two_checks_report_the_first_cell():
                 validate_instance(n, w, True, WeightClass.ONE_TWO, [range(n)])
             assert (str(err.value), err.value.code) == expected
             outcomes[expected[1]] += 1
-    assert min(outcomes.values()) >= 100
+            negatives += expected[0].startswith("negative")
+    assert min(outcomes.values()) >= 100 and negatives >= 50
+
+
+def test_negative_weight_in_one_two_instance_is_a_class_violation():
+    # the same error whichever other check the matrix also fails: a mirrored
+    # or one-sided negative cell, symmetric=False, a bad group, or a weight
+    # outside {1,2} in an earlier row; a negative diagonal is ignored
+    base = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+    cases = [({(1, 2): -1, (2, 1): -1}, True, [range(4)], "(1,2)"),
+             ({(2, 0): -2}, True, [range(4)], "(2,0)"),
+             ({(0, 3): -1, (3, 0): -1}, False, [range(4)], "(0,3)"),
+             ({(3, 1): Fraction(-1, 2)}, True, [[0, 1], [2], [3]], "(3,1)"),
+             ({(0, 1): 3, (1, 0): 3, (2, 3): -1}, True, [range(4)], "(2,3)")]
+    for cells, symmetric, groups, where in cases:
+        w = [row[:] for row in base]
+        for (i, j), x in cells.items():
+            w[i][j] = x
+        with pytest.raises(ValidationError) as err:
+            validate_instance(4, w, symmetric, WeightClass.ONE_TWO, groups)
+        assert err.value.code == "weight-class-violation"
+        assert str(err.value) == f"negative weight at {where}"
+    w = [row[:] for row in base]
+    w[2][2] = -5
+    validate_instance(4, w, True, WeightClass.ONE_TWO, [range(4)])
 
 
 def test_pair_two_cycle_is_feasible():

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import smcycle
+from smcycle.core import format_instance, generate_instance
 
 SOURCES = sorted(Path(smcycle.__file__).resolve().parent.glob("*.py"))
 
@@ -34,27 +40,32 @@ def test_core_holds_the_only_union_find():
     assert [f.split(":")[0] for f in found] == ["core.py"], found
 
 
+def imports_networkx(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "networkx" for name in names)
+
+
 def test_only_matching_imports_networkx():
     # networkx stays behind the matching layer: every other module goes
     # through smcycle.matching
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "networkx" for name in names):
-                found.append(path.name)
+        found += [path.name for node in ast.walk(tree)
+                  if imports_networkx(node)]
     assert found == ["matching.py"], found
 
 
 def test_networkx_backs_only_the_weighted_perfect_matching():
     # inside matching, networkx serves min_weight_perfect_matching alone;
-    # every other matching runs on the own blossom
+    # every other matching runs on the own blossom.  Importing networkx
+    # takes most of the package's start-up time, so only that function
+    # imports it, on first use
     path = next(p for p in SOURCES if p.name == "matching.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
@@ -63,10 +74,65 @@ def test_networkx_backs_only_the_weighted_perfect_matching():
                 and top.name == "min_weight_perfect_matching"):
             continue
         found += [f"matching.py:{node.lineno}" for node in ast.walk(top)
-                  if isinstance(node, ast.Attribute)
+                  if imports_networkx(node)
+                  or isinstance(node, ast.Attribute)
                   and isinstance(node.value, ast.Name)
                   and node.value.id in ("nx", "networkx")]
     assert found == [], found
+
+
+def loads_networkx(script: str, *args: str) -> tuple[bool, str]:
+    """Run ``script`` in a fresh interpreter that imports smcycle from this
+    tree; whether networkx was imported by the end, and what it printed."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(smcycle.__file__).resolve().parent.parent))
+    probe = script + "\nimport sys\nprint('networkx' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *printed, loaded = proc.stdout.splitlines()
+    return loaded == "True", "\n".join(printed)
+
+
+def test_importing_the_package_leaves_networkx_unloaded():
+    loaded, _ = loads_networkx(
+        "import smcycle, smcycle.cli, smcycle.metric, smcycle.onetwo, "
+        "smcycle.asymmetric, smcycle.oracle")
+    assert not loaded
+
+
+SOLVE = "import sys\nfrom smcycle import cli\nprint(cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("algo, kind, groups", [
+    ("asym-log", "asymmetric", [3, 3, 4]),
+    ("onetwo119", "one-two", [3, 3, 4]),
+    ("onetwo76", "one-two", [4, 6]),
+    ("prior-sf4", "euclidean", [3, 3, 4])],
+    ids=["asym-log", "onetwo119", "onetwo76", "prior-sf4"])
+def test_solve_without_a_weighted_matching_leaves_networkx_unloaded(
+        tmp_path, algo, kind, groups):
+    path = tmp_path / "inst.smc"
+    path.write_text(format_instance(generate_instance(kind, 10, groups, 3)))
+    loaded, printed = loads_networkx(SOLVE, "solve", "--algo", algo,
+                                     "--in", str(path))
+    *report, code = printed.splitlines()
+    assert code == "0" and "feasible=yes" in report[-1]
+    assert not loaded
+
+
+def test_metric3_t_join_loads_networkx(tmp_path):
+    # six odd vertices after pruning, so the T-join runs the weighted
+    # blossom; the output was recorded before networkx moved into it
+    path = tmp_path / "inst.smc"
+    out = tmp_path / "inst.sol"
+    inst = generate_instance("euclidean", 11, [6, 3, 2], 120)
+    path.write_text(format_instance(inst))
+    loaded, printed = loads_networkx(SOLVE, "solve", "--algo", "metric3",
+                                     "--in", str(path), "--out", str(out))
+    assert printed == "algorithm=metric3 cost=1872 feasible=yes cycles=1\n0"
+    assert out.read_text() == "0 1 5 2 9 7 8 6 10 4 3\n"
+    assert loaded
 
 
 def test_tracer_targets_exist():
