@@ -8,8 +8,8 @@ only in the undirected case, only for a group of exactly two vertices, and
 are realized by a duplicated pair edge whose cost counts twice.
 
 The graph primitives every pipeline shares live here too: one union-find
-(:func:`find`, :func:`components`) and one Euler-tour shortcut
-(:func:`euler_shortcut`).
+(:func:`find`, :func:`components`), one Euler-tour shortcut
+(:func:`euler_shortcut`) and the set bits of a bitmask (:func:`bits`).
 
 All weights are exact (int or Fraction); nothing in this module touches
 floating point.
@@ -48,6 +48,10 @@ _CLASS_TOKENS = {
 _TOKEN_CLASSES = {v: k for k, v in _CLASS_TOKENS.items()}
 
 
+# byte value -> binary digit of the weight-1 bitmask: 1 -> "1", 0 and 2 -> "0"
+_ONE_BITS = bytes.maketrans(b"\x00\x01\x02", b"010")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete weighted (di)graph plus a terminal partition.
@@ -74,6 +78,20 @@ class Instance:
                 for v in group:
                     cached[v] = gi
             self.__dict__["_group_of"] = cached
+        return cached
+
+    @property
+    def one_masks(self) -> tuple[int, ...]:
+        """The weight-1 graph of a {1,2} instance as bitmasks: bit j of
+        ``one_masks[i]`` is set exactly when j != i and w(i,j) = 1."""
+        cached = self.__dict__.get("_one_masks")
+        if cached is None:
+            if self.weight_class is not WeightClass.ONE_TWO:
+                raise ValidationError("weight-1 masks need one-two weights")
+            # validate_instance stores {1,2} rows as ints 0, 1 and 2
+            cached = tuple(int(bytes(row).translate(_ONE_BITS)[::-1], 2)
+                           for row in self.weights)
+            self.__dict__["_one_masks"] = cached
         return cached
 
     def pair_groups(self) -> list[tuple[int, int]]:
@@ -136,7 +154,8 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     """Check every instance invariant and return a frozen Instance.
 
     Raises ValidationError with codes ``partition-overlap``, ``unit-group``,
-    ``triangle-violation`` or ``weight-class-violation``.
+    ``triangle-violation`` or ``weight-class-violation``.  A {1,2} matrix
+    is stored as ints with a zero diagonal, so ``Fraction(1)`` becomes 1.
 
     The triangle inequality w(a,b) <= w(a,c) + w(c,b) is checked exactly
     with O(n^2) interpreter steps.  An int matrix is taken as it is; any
@@ -221,6 +240,9 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
             j = next(j for j, x in enumerate(w[i]) if j != i and x not in (1, 2))
             raise ValidationError(f"weight {w[i][j]} at ({i},{j}) outside "
                                   "{1,2}", code="weight-class-violation")
+        if not all_int or any(w[i][i] for i in range(n)):
+            w = tuple(tuple(0 if i == j else int(x) for j, x in enumerate(row))
+                      for i, row in enumerate(w))
     else:
         _check_triangles(n, w, low, all_int)
 
@@ -387,6 +409,11 @@ def find(parent: list[int], x: int) -> int:
     return x
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
 def components(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
     """Connected components of vertices 0..n-1 under ``edges`` (pairs, or
     tuples whose first two fields are the ends), isolated vertices included,
@@ -530,6 +557,16 @@ def generate_instance(kind: str, n: int, groups_spec: Sequence[int],
 _WEIGHT_TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
+# ASCII digit -> its value, to read a row of single digits in one pass
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _too_long(what: str, token: str) -> FormatError:
+    """A token in the grammar with more digits than int reads from text."""
+    return FormatError(f"bad {what} {token[:12]!r}...: {len(token)} characters,"
+                       f" over the {sys.get_int_max_str_digits()}-digit limit")
+
+
 def _parse_weight(token: str) -> Weight:
     if not _WEIGHT_TOKEN.fullmatch(token):
         raise FormatError(f"bad weight token {token!r}")
@@ -539,12 +576,20 @@ def _parse_weight(token: str) -> Weight:
         return int(token)
     except ZeroDivisionError as exc:
         raise FormatError(f"bad weight token {token!r}") from exc
+    except ValueError as exc:  # the grammar holds, so only the length fails
+        raise _too_long("weight token", token) from exc
 
 
 def _parse_weight_row(line: str) -> list[Weight]:
-    """Tokens of one weight row.  On an ASCII line without "_" or "+", int
-    takes exactly the tokens -?[0-9]+, so an all-int row is read in one
-    pass; any other row goes token by token through :func:`_parse_weight`."""
+    """Tokens of one weight row.  A row of single ASCII digits split by
+    single spaces, as every {1,2} row is written, is read in one pass.  On
+    an ASCII line without "_" or "+", int takes exactly the tokens
+    -?[0-9]+, so an all-int row is read in one pass too; any other row goes
+    token by token through :func:`_parse_weight`."""
+    if line[1:2] == " " and line[1::2].count(" ") == len(line) // 2:
+        digits = line[::2]
+        if digits.isascii() and digits.isdigit():
+            return list(digits.encode().translate(_DIGIT_VALUES))
     tokens = line.split()
     if line.isascii() and "_" not in line and "+" not in line:
         try:
@@ -557,7 +602,10 @@ def _parse_weight_row(line: str) -> list[Weight]:
 def _parse_int(token: str, what: str) -> int:
     if not (token.isascii() and token.isdigit()):
         raise FormatError(f"bad {what} {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise _too_long(what, token) from exc
 
 
 def format_instance(inst: Instance) -> str:

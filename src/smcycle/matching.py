@@ -4,14 +4,16 @@ This is the only module that imports networkx, and only
 ``min_weight_perfect_matching`` (the metric T-join and the oracles) calls
 it, importing it on first use: its weighted blossom works symbolically and
 therefore stays exact on int and Fraction weights.  The rest is implemented
-here directly: the maximum simple 2-matching (a greedy path forest and
-short augmenting paths on bitmasks of the multigraph, which close every
-vertex on dense inputs, and otherwise Tutte's degree gadget warm-started by
-their matching), the int-indexed Edmonds cardinality blossom
-``_augment_matching``, which grows that gadget matching, the {1,2}
-pipeline's attachment matching and ``max_cardinality_matching`` (under
-``minimal_edge_cover`` in the asymmetric loop), the bipartite assignment
-solver and the minimal edge cover.
+here directly: the maximum simple 2-matching of a graph given as one
+bitmask per vertex plus second copies of some pairs (a greedy path forest
+and short augmenting paths on the masks, which close every vertex on dense
+inputs, and otherwise Tutte's degree gadget, the only place that lists the
+edges, warm-started by their matching), the int-indexed Edmonds
+cardinality blossom ``_augment_matching``, which grows that gadget
+matching, the {1,2} pipeline's attachment matching and
+``max_cardinality_matching`` (under ``minimal_edge_cover`` in the
+asymmetric loop), the bipartite assignment solver and the minimal edge
+cover.
 
 All functions are pure and deterministic for a fixed input.
 """
@@ -19,11 +21,11 @@ All functions are pure and deterministic for a fixed input.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from operator import sub
+from functools import reduce
+from operator import or_, sub
 from typing import Hashable, Iterable, Sequence
 
-from .core import find
+from .core import bits, find
 from .errors import ValidationError
 
 Edge = tuple[Hashable, Hashable]
@@ -205,22 +207,27 @@ def _augment_matching(adj: Sequence[Sequence[int]], mate: list[int]) -> None:
             group.clear()
 
 
-def max_simple_2matching(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Indices, ascending, of a maximum simple 2-matching of a multigraph.
+def max_simple_2matching(masks: Sequence[int],
+                         extra: Sequence[tuple[int, int]] = ()
+                         ) -> list[tuple[int, int]]:
+    """A maximum simple 2-matching of a multigraph given as bitmasks.
 
-    A simple 2-matching M is a set of edges meeting every vertex at most
-    twice; ``edges`` may hold parallel copies, and taking two copies of an
-    edge gives a 2-cycle.  M is grown on the vertex pairs, each with its
-    number of copies, in three stages, each from the matching of the one
-    before:
+    Bit v of ``masks[u]`` marks the edge uv, and bit u of ``masks[v]`` too;
+    each pair of ``extra``, an edge of ``masks``, has a second, parallel
+    copy.  A simple 2-matching M is a set of edge copies meeting every
+    vertex at most twice, and taking both copies of a pair gives a 2-cycle.
+    M comes back as pairs (u, v) with u < v, in the order of the edge list
+    that holds each pair once, ascending, and then the second copies of
+    ``extra``.  M is grown on the vertex pairs, each with its number of
+    copies, in three stages, each from the matching of the one before:
 
     * a greedy path forest: for each vertex u in turn, the pairs uv with
       v > u in order of v, taken while u and v have degree < 2 and uv
       joins two different paths;
-    * short augmenting paths, while some vertex e has degree < 2: take an
-      unused copy e-f to another short vertex f (length 1), or else an
-      alternating path e-x, x-y in M, y-f with unused copies of e-x and
-      y-f, x saturated and f short, adding e-x and y-f and dropping x-y
+    * short augmenting paths, while some vertex e with an edge has degree
+      < 2: take an unused copy e-f to another short vertex f (length 1), or
+      else an alternating path e-x, x-y in M, y-f with unused copies of e-x
+      and y-f, x saturated and f short, adding e-x and y-f and dropping x-y
       (length 3).  f = e only when e has degree 0.  Each step adds one
       edge and leaves every degree at most 2: f != x, as x is saturated
       and f is not, and y != e, as e has no unused copy to a short vertex
@@ -228,37 +235,30 @@ def max_simple_2matching(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
       pairs at a vertex that have an unused copy with the bitmask of the
       short vertices, all taken before x-y is dropped.  A vertex where
       neither step applies is passed over until a later step changes M;
-    * unless every vertex now has degree 2, Tutte's gadget: two core nodes
-      per vertex, two nodes x_k, y_k per edge k = uv joined to each other
-      and to both cores of u and v respectively.  A gadget matching has
-      |E| + (number of edges whose x_k and y_k are both matched to cores)
-      edges, so a maximum one selects a maximum 2-matching.  The edges of M
-      start matched to the cores of their incidence slots, the rest to
-      their twin, leaving exposed only the free cores, and
+    * unless every vertex with an edge now has degree 2, Tutte's gadget on
+      that edge list: two core nodes per vertex, two nodes x_k, y_k per
+      edge k = uv joined to each other and to both cores of u and v
+      respectively.  A gadget matching has |E| + (number of edges whose x_k
+      and y_k are both matched to cores) edges, so a maximum one selects a
+      maximum 2-matching.  The edges of M start matched to the cores of
+      their incidence slots, a pair taken once by its first copy, the rest
+      to their twin, leaving exposed only the free cores, and
       ``_augment_matching`` grows that matching.
 
-    Exactness: degrees sum to 2|M| <= 2n, so an M that gives every vertex
-    degree 2 has |M| = n and is maximum.  Any other M only warm-starts the
-    blossom search, which reaches a maximum gadget matching from any start.
+    Exactness: only the k vertices with an edge can meet M, and their
+    degrees sum to 2|M| <= 2k, so an M that gives each of them degree 2
+    has |M| = k and is maximum.  Any other M only warm-starts the blossom
+    search, which reaches a maximum gadget matching from any start.
     """
-    m = len(edges)
+    n = len(masks)
     bit = [1 << v for v in range(n)]
-    free = [0] * n  # bit w of free[v]: the pair vw has an unused copy
-    for u, v in edges:
-        free[u] |= bit[v]
-        free[v] |= bit[u]
-    copies: dict[tuple[int, int], int] = {}  # pairs with parallel copies
-    if sum(map(int.bit_count, free)) < 2 * m:
-        seen = set()
-        for u, v in edges:
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                copies[pair] = copies.get(pair, 1) + 1
-            seen.add(pair)
+    free = list(masks)  # bit w of free[v]: the pair vw has an unused copy
+    extra = [(u, v) if u < v else (v, u) for u, v in extra]
+    copies = dict.fromkeys(extra, 2)  # pairs with a parallel copy
 
     degree = [0] * n
     ends: list[list[int]] = [[] for _ in range(n)]  # M-neighbours, repeated
-    short = (1 << n) - 1  # the vertices of degree < 2
+    short = reduce(or_, masks, 0)  # the vertices with an edge, degree < 2
 
     def take(u: int, v: int) -> None:
         nonlocal short
@@ -324,21 +324,16 @@ def max_simple_2matching(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
             while degree[e] < 2 and step(e):
                 grown = True
 
-    # each pair of M takes its first copies in edge order
-    wanted = {}
-    for u in range(n):
-        for v in ends[u]:
-            wanted[u, v] = wanted.get((u, v), 0) + 1
-    chosen = []
-    for k in compress(range(m), map(wanted.__contains__, edges)):
-        u, v = edges[k]
-        if wanted[u, v]:
-            wanted[u, v] -= 1
-            wanted[v, u] -= 1
-            chosen.append(k)
+    # each pair of M once, ascending, then the pairs it takes twice
+    once = [(u, v) for u in range(n) for v in sorted(set(ends[u])) if u < v]
+    twice = [i for i, (u, v) in enumerate(extra) if ends[u].count(v) == 2]
     if not short:
-        return chosen
+        return once + [extra[i] for i in twice]
 
+    edges = [(u, v) for u in range(n) for v in bits(masks[u]) if u < v]
+    index = {e: k for k, e in enumerate(edges)}
+    taken = [index[e] for e in once] + [len(edges) + i for i in twice]
+    edges += extra
     cores = 2 * n
     adj: list[list[int]] = [[] for _ in range(cores)]
     mate = [-1] * cores
@@ -353,14 +348,14 @@ def max_simple_2matching(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
         mate.append(x + 1)
         mate.append(x)
     slot = [0] * n
-    for k in chosen:
+    for k in taken:
         for node, v in enumerate(edges[k], cores + 2 * k):
             core = 2 * v + slot[v]
             slot[v] += 1
             mate[node] = core
             mate[core] = node
     _augment_matching(adj, mate)
-    return [k for k in range(m)
+    return [e for k, e in enumerate(edges)
             if 0 <= mate[cores + 2 * k] < cores
             and 0 <= mate[cores + 2 * k + 1] < cores]
 

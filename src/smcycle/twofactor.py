@@ -5,21 +5,22 @@ size-2 terminal group, is allowed exactly when the instance has size-2
 groups, as in the problem definition.  Three routes live here:
 
 * ``min_weight_2factor``: {1,2} minimum 2-factor from a maximum simple
-  2-matching of the weight-1 graph H (plus a second copy of each pair-group
-  1-edge), found by ``matching.max_simple_2matching`` (short augmenting
-  paths on H, and Tutte's gadget only when they leave a vertex of degree
+  2-matching of the weight-1 graph H, the instance's ``one_masks`` (plus a
+  second copy of each pair-group 1-edge), found by
+  ``matching.max_simple_2matching`` (short augmenting paths on the masks,
+  and Tutte's gadget only when they leave a vertex with an edge at degree
   < 2), with its paths chained by 2-edges;
 * ``min_weight_directed_2factor``: directed minimum-weight 2-factor via an
   exact assignment between out-copies and in-copies with self-arcs
   forbidden, by ``directed_2factor_cycles``, which also serves the
   representative sub-digraphs of the asymmetric loop;
 * ``min_weight_triangle_free_2factor``: {1,2} minimum 2-factor with no
-  3-cycle, from a maximum triangle-free simple 2-matching of the weight-1
-  graph, found per connected component by a branch and bound whose every
+  3-cycle, from a maximum triangle-free simple 2-matching of H, found per
+  connected component of the masks by a branch and bound whose every
   node is one ``max_simple_2matching`` call, under a node budget.
 
-Both {1,2} routes thus share one 2-matching core, and close their
-2-matching with one component/chain/repair step,
+Both {1,2} routes thus share one 2-matching core on the masks, and close
+their 2-matching with one component/chain/repair step,
 ``_cycles_from_2matching``, whose docstring proves it exact.  The
 degree-gadget reduction to weighted perfect matching, their exact reference
 above the enumeration caps, is ``oracle.gadget_2factor``.
@@ -27,11 +28,12 @@ above the enumeration caps, is ``oracle.gadget_2factor``.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass, components,
-                   cover_cost, make_cover)
+from .core import (CycleCover, Instance, Weight, WeightClass, bits, cover_cost,
+                   make_cover)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import max_simple_2matching, min_cost_bipartite_perfect_matching
 
@@ -159,14 +161,12 @@ def min_weight_2factor(inst: Instance) -> CycleCover:
     """
     if inst.weight_class is not WeightClass.ONE_TWO:
         raise ValidationError("{1,2} 2-factors need one-two weights")
-    n = inst.n
-    w = inst.weights
+    masks = inst.one_masks
     pairs = inst.pair_groups()
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if w[i][j] == 1]
-    edges += [(u, v) for u, v in pairs if w[u][v] == 1]
-    chosen = [edges[k] for k in max_simple_2matching(n, edges)]
-    cycles = _cycles_from_2matching(inst, range(n), chosen, 3,
-                                    frozenset(frozenset(p) for p in pairs))
+    chosen = max_simple_2matching(
+        masks, [(u, v) for u, v in pairs if masks[u] >> v & 1])
+    cycles = _cycles_from_2matching(inst, range(inst.n), chosen, 3,
+                                    frozenset(map(frozenset, pairs)))
     if cycles is None:
         raise ValidationError("no 2-factor exists")
     return make_cover(cycles, directed=False,
@@ -220,10 +220,11 @@ def directed_2factor_cycles(inst: Instance, order: Sequence[int]
 # triangle-free route
 
 
-def _max_triangle_free_2matching(k: int, edges: list[tuple[int, int]]
+def _max_triangle_free_2matching(masks: Sequence[int], comp: int
                                  ) -> list[tuple[int, int]]:
-    """Maximum simple 2-matching with no 3-cycle of a simple graph on
-    0..k-1, its ``edges`` given as pairs (i, j) with i < j.
+    """Maximum simple 2-matching with no 3-cycle of the graph that the
+    bitmasks ``masks`` induce on the vertex set ``comp``, a bitmask, as
+    pairs (u, v) with u < v, ascending.
 
     Branch and bound over ``max_simple_2matching``: a node bans a set of
     edges and solves a maximum simple 2-matching of the rest.  A node no
@@ -237,8 +238,10 @@ def _max_triangle_free_2matching(k: int, edges: list[tuple[int, int]]
     on a component whose maximum 2-matchings must each lose one edge of t
     triangles, such as t triangles hung from one hub vertex.
     """
+    masks = [m & comp if comp >> v & 1 else 0 for v, m in enumerate(masks)]
     best: list[tuple[int, int]] = []
-    stack: list[tuple[int, frozenset[tuple[int, int]]]] = [(k, frozenset())]
+    stack: list[tuple[int, frozenset[tuple[int, int]]]] = [
+        (sum(map(bool, masks)), frozenset())]
     nodes = 0
     while stack:
         bound, banned = stack.pop()
@@ -249,18 +252,44 @@ def _max_triangle_free_2matching(k: int, edges: list[tuple[int, int]]
             raise BudgetExceededError(
                 f"triangle-free 2-matching search exceeded "
                 f"{TRIANGLE_FREE_NODE_BUDGET} nodes")
-        kept = [e for e in edges if e not in banned]
-        chosen = [kept[i] for i in max_simple_2matching(k, kept)]
+        kept = list(masks)
+        for u, v in banned:
+            kept[u] &= ~(1 << v)
+            kept[v] &= ~(1 << u)
+        chosen = max_simple_2matching(kept)
         if len(chosen) <= len(best):
             continue
-        cycles, _ = _walk_degree2(range(k), chosen)
-        triangle = next((c for c in cycles if len(c) == 3), None)
+        # as M has degrees <= 2, its edge ab is on a triangle exactly when a
+        # and b share an M-neighbour; the first is on the lowest triangle
+        near = [0] * len(masks)
+        for u, v in chosen:
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+        triangle = next(((a, b, (near[a] & near[b]).bit_length() - 1)
+                         for a, b in chosen if near[a] & near[b]), None)
         if triangle is None:
             best = chosen
             continue
         a, b, c = sorted(triangle)
         stack += [(len(chosen), banned | {e}) for e in ((a, b), (a, c), (b, c))]
     return best
+
+
+def _mask_components(masks: Sequence[int], vertices: Sequence[int]
+                     ) -> list[int]:
+    """Connected components, as bitmasks in order of their lowest vertex,
+    of the graph that ``masks`` induce on ``vertices``: one breadth-first
+    search that reads each vertex's mask once."""
+    left = sum(1 << v for v in vertices)
+    comps = []
+    while left:
+        comp, reach = 0, left & -left
+        while reach:
+            comp |= reach
+            left ^= reach
+            reach = reduce(or_, map(masks.__getitem__, bits(reach))) & left
+        comps.append(comp)
+    return comps
 
 
 def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
@@ -279,24 +308,13 @@ def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
     pairs = inst.pair_groups()
     best_cost: Weight | None = None
     best_cover: CycleCover | None = None
-    for mask in range(1 << len(pairs)):
-        committed = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+    masks = inst.one_masks
+    for subset in range(1 << len(pairs)):
+        committed = [pairs[i] for i in range(len(pairs)) if subset >> i & 1]
         removed = {v for p in committed for v in p}
         active = [v for v in range(inst.n) if v not in removed]
-        rows = [inst.weights[v] for v in active]
-        h = [(i, j) for i, row in enumerate(rows)
-             for j in range(i + 1, len(active)) if row[active[j]] == 1]
-        comps = components(len(active), h)
-        # each vertex's component and its index there
-        where = {v: (ci, li) for ci, comp in enumerate(comps)
-                 for li, v in enumerate(comp)}
-        comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
-        for i, j in h:
-            ci, li = where[i]
-            comp_edges[ci].append((li, where[j][1]))
-        matching = [(active[comp[a]], active[comp[b]])
-                    for comp, sub in zip(comps, comp_edges) if sub
-                    for a, b in _max_triangle_free_2matching(len(comp), sub)]
+        matching = [e for comp in _mask_components(masks, active)
+                    for e in _max_triangle_free_2matching(masks, comp)]
         cycles = _cycles_from_2matching(inst, active, matching, 4)
         if cycles is None:  # 1 to 3 active vertices
             continue

@@ -264,9 +264,12 @@ def test_malformed_instance_exits_usage(tmp_path, capsys, old, new):
     ("0 7\n7 0", "0 7\n+7 0", "bad weight token"),
     ("0 7\n7 0", "0 7\n7_0 0", "bad weight token"),
     ("n 2", "n -1", "bad vertex count"),
-    ("groups 1", "groups -2", "bad group count")],
+    ("groups 1", "groups -2", "bad group count"),
+    # over Python's 4,300-digit int-string limit
+    ("0 7\n7 0", "0 1{z}\n1{z} 0".format(z="0" * 5000), "bad weight token"),
+    ("n 2", "n 1" + "0" * 5000, "bad vertex count")],
     ids=["arabic-indic", "plus", "underscore", "negative-n",
-         "negative-groups"])
+         "negative-groups", "oversized-weight", "oversized-n"])
 def test_tokens_outside_the_grammar_exit_usage(tmp_path, capsys, old, new,
                                                message):
     path = tmp_path / "bad.smc"

@@ -7,7 +7,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smcycle.core import (WeightClass, count_weight2_edges,
+from smcycle.core import (WeightClass, _parse_weight, _parse_weight_row,
+                          count_weight2_edges,
                           cover_cost, format_instance, format_solution,
                           generate_instance, make_cover, parse_instance,
                           parse_solution, validate_instance, validate_solution)
@@ -106,7 +107,9 @@ def test_symmetry_and_one_two_checks_report_the_first_cell():
                 w[j][i] = x
         expected = first_bad_cell(n, w)
         if expected is None:
-            validate_instance(n, w, True, WeightClass.ONE_TWO, [range(n)])
+            inst = validate_instance(n, w, True, WeightClass.ONE_TWO,
+                                     [range(n)])
+            check_one_two_storage(inst, w)
             outcomes[None] += 1
         else:
             with pytest.raises(ValidationError) as err:
@@ -115,6 +118,41 @@ def test_symmetry_and_one_two_checks_report_the_first_cell():
             outcomes[expected[1]] += 1
             negatives += expected[0].startswith("negative")
     assert min(outcomes.values()) >= 100 and negatives >= 50
+
+
+def check_one_two_storage(inst, w):
+    """A valid {1,2} instance keeps the weights of ``w`` as ints with a zero
+    diagonal, and bit j of ``one_masks[i]`` is set exactly when j != i and
+    w(i,j) = 1."""
+    n = inst.n
+    assert inst.weights == tuple(tuple(0 if i == j else w[i][j]
+                                       for j in range(n)) for i in range(n))
+    assert all(type(x) is int for row in inst.weights for x in row)
+    assert inst.one_masks == tuple(
+        sum(1 << j for j in range(n) if j != i and w[i][j] == 1)
+        for i in range(n))
+
+
+def test_one_masks_mark_the_weight_1_pairs():
+    for seed in range(10):
+        inst = generate_instance("one-two", 3 + 6 * seed, [3] * (1 + 2 * seed),
+                                 seed)
+        check_one_two_storage(inst, inst.weights)
+        text = format_instance(inst)
+        # a non-zero diagonal token is read as 0
+        rows = text.splitlines()
+        rows[-1] = rows[-1][:-1] + "7"
+        again = parse_instance("\n".join(rows) + "\n")
+        assert again == inst
+        check_one_two_storage(again, inst.weights)
+    # Fractions equal to 1 and 2 and any diagonal come back as int weights
+    w = [[Fraction(5, 3), Fraction(1), 2], [1, 9, Fraction(4, 2)],
+         [Fraction(2), Fraction(2), Fraction(-1, 2)]]
+    inst = validate_instance(3, w, True, WeightClass.ONE_TWO, [[0, 1, 2]])
+    check_one_two_storage(inst, w)
+    assert inst.one_masks == (0b010, 0b001, 0b000)
+    with pytest.raises(ValidationError, match="one-two"):
+        pair_instance().one_masks
 
 
 def test_negative_weight_in_one_two_instance_is_a_class_violation():
@@ -267,6 +305,8 @@ def test_instance_file_fraction_weights():
     assert parse_instance(text) == inst
 
 
+_LONG = "1" + "0" * 5000
+
 PAIR_FILE = ("smc 1\nn 2\nmode symmetric\nclass metric\n"
              "groups 1\n0 1\n0 7\n7 0\n")
 
@@ -293,16 +333,77 @@ def test_malformed_instance_text_raises_format_error(old, new):
     ("n 2", "n +2", "bad vertex count"),
     ("groups 1", "groups -2", "bad group count"),
     ("0 1\n0 7", "0 \u0661\n0 7", "bad vertex"),
-    ("0 1\n0 7", "0 +1\n0 7", "bad vertex")],
+    ("0 1\n0 7", "0 +1\n0 7", "bad vertex"),
+    # in the grammar, but over Python's 4,300-digit int-string limit
+    ("0 7\n7 0", f"0 {_LONG}\n7 0", "bad weight token"),
+    ("0 7\n7 0", f"0 7\n-{_LONG} 0", "bad weight token"),
+    ("0 7\n7 0", f"0 {_LONG}/2\n7/2 0", "bad weight token"),
+    ("0 7\n7 0", f"0 7/{_LONG}\n7/2 0", "bad weight token"),
+    ("n 2", f"n {_LONG}", "bad vertex count"),
+    ("groups 1", f"groups {_LONG}", "bad group count"),
+    ("0 1\n0 7", f"0 {_LONG}\n0 7", "bad vertex")],
     ids=["arabic-indic-weight", "underscore", "plus", "decimal",
          "signed-denominator", "underscore-denominator", "exponent",
          "negative-n", "plus-n", "negative-groups", "arabic-indic-vertex",
-         "plus-vertex"])
+         "plus-vertex", "oversized-weight", "oversized-negative-weight",
+         "oversized-numerator", "oversized-denominator", "oversized-n",
+         "oversized-groups", "oversized-vertex"])
 def test_tokens_outside_the_grammar_raise_format_error(old, new, message):
-    # Python's int and Fraction take each of these; format_instance writes
-    # none of them
-    with pytest.raises(FormatError, match=message):
+    # Python's int and Fraction take each of the first twelve; format_instance
+    # writes none of them.  The oversized ones make int raise ValueError
+    with pytest.raises(FormatError, match=message) as err:
         parse_instance(PAIR_FILE.replace(old, new))
+    assert len(str(err.value)) < 200  # the token is shown abridged
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: its value, or its FormatError's
+    message."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+_ROW_TOKENS = ["0", "1", "2", "9", "01", "-0", "-1", "7/2", "x"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([" "] * 4 + ["  ", "\t"]),
+                          st.sampled_from(_ROW_TOKENS[:4] * 4 + _ROW_TOKENS)),
+                min_size=1, max_size=9))
+def test_single_digit_rows_read_as_their_tokens(cells):
+    # the one-pass read of a row of single digits gives what reading it
+    # token by token gives, value for value and error for error
+    line = "".join(sep + tok for sep, tok in cells)[len(cells[0][0]):]
+    assert parse_outcome(_parse_weight_row, line) == parse_outcome(
+        lambda text: [_parse_weight(tok) for tok in text.split()], line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_digit_files_read_as_spaced_ones(data):
+    # a {1,2} file, mostly single digits with some other tokens and a
+    # non-zero diagonal token, parses as the same file with every space of
+    # its weight rows doubled, which only the token-by-token path reads
+    n = data.draw(st.integers(2, 5))
+    cell = st.sampled_from(["1", "2"] * 6 + _ROW_TOKENS)
+    rows = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if data.draw(st.booleans()):
+                rows[i][j] = rows[j][i]
+    head = f"smc 1\nn {n}\nmode symmetric\nclass onetwo\ngroups 1\n"
+    head += " ".join(map(str, range(n))) + "\n"
+    single = head + "".join(" ".join(row) + "\n" for row in rows)
+    double = head + "".join("  ".join(row) + "\n" for row in rows)
+
+    def outcome(text):
+        try:
+            return parse_instance(text)
+        except (FormatError, ValidationError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+    assert outcome(single) == outcome(double)
 
 
 def test_weight_grammar_accepts_what_format_writes():

@@ -257,38 +257,52 @@ def brute_max_2matching_size(n, edges):
     return max(sum(s >> 2 * x & 3 for x in range(n)) for s in reach) // 2
 
 
-def checked_2matching(n, edges):
-    """Run ``max_simple_2matching`` and check that its answer is a simple
-    2-matching: distinct ascending indices, every degree at most 2."""
-    chosen = max_simple_2matching(n, edges)
-    assert chosen == sorted(set(chosen))
-    assert all(0 <= k < len(edges) for k in chosen)
+def masks_of(n, pairs):
+    """Bitmasks of the simple graph on 0..n-1 with edges ``pairs``."""
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def checked_2matching(n, pairs, extra=()):
+    """Run ``max_simple_2matching`` on the graph ``pairs`` with a second
+    copy of each pair of ``extra``, and check that its answer is a simple
+    2-matching in the order of the edge list that holds each pair once,
+    ascending, then the second copies: every degree at most 2."""
+    ordered = sorted({(min(e), max(e)) for e in pairs})
+    edges = ordered + [(min(e), max(e)) for e in extra]
+    chosen = max_simple_2matching(masks_of(n, pairs), extra)
+    at = 0
+    for e in chosen:  # a subsequence of the edge list
+        at = edges.index(e, at) + 1
     deg = [0] * n
-    for k in chosen:
-        deg[edges[k][0]] += 1
-        deg[edges[k][1]] += 1
+    for u, v in chosen:
+        deg[u] += 1
+        deg[v] += 1
     assert max(deg, default=0) <= 2
     return chosen
 
 
 def test_max_simple_2matching_agrees_with_exhaustive(gadget_calls):
-    # n <= 8 at edge densities 0.1-0.9, in shuffled order and either
-    # orientation, with a parallel copy on any edge
+    # n <= 8 at edge densities 0.1-0.9, with a second copy of any edge,
+    # given in either orientation
     rng = Random(61)
     closed = 0
     for trial in range(500):
         n = rng.randint(2, 8)
         density = rng.uniform(0.1, 0.9)
-        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+        pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
                  if rng.random() < density]
-        edges += [e for e in edges if rng.random() < 0.2]
-        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
-        rng.shuffle(edges)
+        extra = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in pairs if rng.random() < 0.2]
         searches = len(gadget_calls)
-        chosen = checked_2matching(n, edges)
-        assert len(chosen) == brute_max_2matching_size(n, edges)
+        chosen = checked_2matching(n, pairs, extra)
+        assert len(chosen) == brute_max_2matching_size(n, pairs + extra)
         if len(gadget_calls) == searches:
-            assert len(chosen) == n
+            # every vertex with an edge has degree 2
+            assert len(chosen) == len({v for e in pairs for v in e})
             closed += 1
     # both ends of the stage: closed without the gadget, and fallen back
     assert 100 <= closed <= 400
@@ -299,27 +313,38 @@ def test_max_simple_2matching_short_path_cases(gadget_calls):
     # leaves 4 alone with both neighbours saturated.  Only the length-3
     # path 4-0, 0-1 in M, 1-4 reaches degree 2 everywhere (f = e, as 4 has
     # degree 0)
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]
-    assert checked_2matching(5, edges) == [1, 2, 3, 4, 5]
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)]
+    assert checked_2matching(5, pairs) == [(0, 3), (0, 4), (1, 2), (1, 4),
+                                           (2, 3)]
     # the greedy path 2-1-0-3-6-5-4 ends at e = 2 (degree 1), whose only
     # other neighbour 3 is saturated: the length-3 path 2-3, 3-0 in M, 0-4
     # closes the 7-cycle.  Probed after dropping 3-0, 0's least short
     # neighbour with an unused copy would be 3 itself, and f = x = 3 would
     # give 3 degree 3; the probes come before the drop
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4), (4, 5), (5, 6),
-             (3, 6)]
-    assert checked_2matching(7, edges) == [0, 1, 2, 4, 6, 7, 8]
-    # a pair group's second copy closes its 2-cycle; a single copy cannot
-    edges = [(0, 1), (2, 3), (3, 4), (2, 4), (0, 1)]
-    assert checked_2matching(5, edges) == [0, 1, 2, 3, 4]
+    pairs += [(4, 5), (5, 6), (3, 6)]
+    assert checked_2matching(7, pairs) == [(0, 1), (0, 4), (1, 2), (2, 3),
+                                           (3, 6), (4, 5), (5, 6)]
+    # a pair group's second copy closes its 2-cycle, listed after the
+    # pairs taken once; a single copy cannot
+    pairs = [(0, 1), (2, 3), (3, 4), (2, 4)]
+    assert checked_2matching(5, pairs, [(1, 0)]) == [
+        (0, 1), (2, 3), (2, 4), (3, 4), (0, 1)]
+    # a vertex with no edge is left alone, so the triangle closes every
+    # vertex that can meet M
+    assert checked_2matching(4, [(0, 1), (1, 2), (0, 2)]) == [
+        (0, 1), (0, 2), (1, 2)]
     assert not gadget_calls
-    assert checked_2matching(2, [(0, 1)]) == [0]
+    assert checked_2matching(2, [(0, 1)]) == [(0, 1)]
     assert len(gadget_calls) == 1
     # the greedy path 2-0-1-4-3 leaves 2 and 3 short.  From e = 2 (degree
     # 1), 2-1, 1-4 in M, 4-2 would end at e itself and give it degree 3;
     # 3 has no other neighbour, so 4 edges are the maximum
-    edges = [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)]
-    assert len(checked_2matching(5, edges)) == 4
+    pairs = [(0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)]
+    assert len(checked_2matching(5, pairs)) == 4
+    # on the gadget, each copy keeps its place in the edge list
+    assert checked_2matching(4, [(0, 1), (2, 3)], [(1, 0)]) == [
+        (0, 1), (2, 3), (0, 1)]
+    assert len(gadget_calls) == 3
 
 
 def test_assignment_one_by_one():

@@ -40,6 +40,67 @@ def test_core_holds_the_only_union_find():
     assert [f.split(":")[0] for f in found] == ["core.py"], found
 
 
+def mentions(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` reads a name in ``names`` or a ``weights`` field."""
+    return any(isinstance(sub, ast.Name) and sub.id in names
+               or isinstance(sub, ast.Attribute) and sub.attr == "weights"
+               for sub in ast.walk(node))
+
+
+def weight_1_scans(tree: ast.AST) -> list[int]:
+    """Lines of the loops and comprehensions that test values read from a
+    ``weights`` matrix for equality with 1, the way a weight-1 edge list or
+    bitmask is built.  Within each function, a name bound to a value read
+    from ``weights``, directly or through other such names, reads it too."""
+    found = set()
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        tainted = {"weights"}
+        while True:
+            bound = {t.id for node in ast.walk(scope)
+                     if isinstance(node, (ast.Assign, ast.For,
+                                          ast.comprehension))
+                     and mentions(node.value if isinstance(node, ast.Assign)
+                                  else node.iter, tainted)
+                     for target in (node.targets
+                                    if isinstance(node, ast.Assign)
+                                    else [node.target])
+                     for t in ast.walk(target) if isinstance(t, ast.Name)}
+            if bound <= tainted:
+                break
+            tainted |= bound
+        found |= {node.lineno for node in ast.walk(scope)
+                  if isinstance(node, loops)
+                  for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+                  and any(isinstance(op, ast.Eq) for op in cmp.ops)
+                  and any(isinstance(c, ast.Constant) and c.value == 1
+                          for c in cmp.comparators + [cmp.left])
+                  and mentions(cmp, tainted)}
+    return sorted(found)
+
+
+def test_core_holds_the_only_weight_1_graph():
+    # the weight-1 graph of a {1,2} instance is Instance.one_masks, built
+    # once in core; no other module scans the weight matrix for 1s to build
+    # its own edge list or bitmasks
+    found = [f"{path.name}:{line}" for path in SOURCES if path.name != "core.py"
+             for line in weight_1_scans(ast.parse(path.read_text()))]
+    assert found == []
+    # what it catches: the edge list both {1,2} routes used to build
+    assert weight_1_scans(ast.parse(
+        "def scans(inst, n, active, pairs):\n"
+        "    w = inst.weights\n"
+        "    edges = [(i, j) for i in range(n) for j in range(i + 1, n)\n"
+        "             if w[i][j] == 1]\n"
+        "    rows = [inst.weights[v] for v in active]\n"
+        "    for i, row in enumerate(rows):\n"
+        "        mask = sum(1 << j for j, x in enumerate(row) if x == 1)\n"
+        "    ok = [inst.w(u, v) == 1 for u, v in pairs]\n")) == [3, 6, 7]
+
+
 def imports_networkx(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]

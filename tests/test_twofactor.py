@@ -382,7 +382,12 @@ def test_triangle_free_2matching_is_maximum():
             density = rng.uniform(0.2, 0.9)
         edges = sorted(planted | {(i, j) for i in range(n) for j in range(i + 1, n)
                                   if rng.random() < density})
-        out = _max_triangle_free_2matching(n, edges)
+        masks = [0] * n
+        for a, b in edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        out = _max_triangle_free_2matching(masks, (1 << n) - 1)
+        assert out == sorted(out)
         assert len(set(out)) == len(out) and set(out) <= set(edges)
         adj = {v: set() for v in range(n)}
         for a, b in out:
@@ -396,12 +401,12 @@ def test_triangle_free_2matching_is_maximum():
 @pytest.fixture
 def tree_nodes(monkeypatch):
     """Sizes of the maximum simple 2-matchings the triangle-free search
-    solves, one per search node."""
+    solves, one per search node: the number of vertices with an edge."""
     calls = []
 
-    def counting(k, edges):
-        calls.append(k)
-        return original(k, edges)
+    def counting(masks, extra=()):
+        calls.append(sum(map(bool, masks)))
+        return original(masks, extra)
 
     original = twofactor.max_simple_2matching
     monkeypatch.setattr(twofactor, "max_simple_2matching", counting)
