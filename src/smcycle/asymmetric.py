@@ -58,14 +58,18 @@ class RepresentativeSet:
     lonely_cycles: tuple[int, ...]
 
 
-def representatives(inst: Instance, cover: CycleCover) -> RepresentativeSet:
+def representatives(inst: Instance, cover: CycleCover, *,
+                    contacts: list[tuple[dict[int, int], bool]] | None = None
+                    ) -> RepresentativeSet:
     """Representative vertices chosen through a minimal edge cover.
 
     Nodes of the auxiliary graph are the cycles that split a group; two
     cycles are adjacent when one group meets both.  For each cover edge one
-    terminal of a shared group is taken on each side.
+    terminal of a shared group is taken on each side.  ``contacts`` is
+    ``_group_contacts(inst, cover)``, if the caller has it already.
     """
-    contacts = _group_contacts(inst, cover)
+    if contacts is None:
+        contacts = _group_contacts(inst, cover)
     offending = [ci for ci, (_lowest, splits) in enumerate(contacts) if splits]
     if not offending:
         raise ValidationError("no cycle splits a group: nothing to represent")
@@ -138,12 +142,14 @@ class StronglyEulerianDigraph:
     def weight(self, inst: Instance) -> Weight:
         return sum(inst.w(u, v) for u, v in self.arcs)
 
-    def check(self) -> None:
-        """Balance at every vertex: each component is then Eulerian."""
+    def check(self) -> list[int]:
+        """Balance at every vertex: each component is then Eulerian.
+        Returns each vertex's out-degree, which equals its in-degree."""
         indeg, outdeg = self.degrees()
         for v in range(self.n):
             if indeg[v] != outdeg[v]:
                 raise SmcError(f"vertex {v} is unbalanced")
+        return outdeg
 
 
 def directed_shortcut(d: StronglyEulerianDigraph, inst: Instance) -> CycleCover:
@@ -154,9 +160,8 @@ def directed_shortcut(d: StronglyEulerianDigraph, inst: Instance) -> CycleCover:
     (u1,w2) along the tour, so the component structure is preserved and,
     under the triangle inequality, the weight never grows.
     """
-    d.check()
+    outdeg = d.check()
     before = components(d.n, d.arcs)
-    _indeg, outdeg = d.degrees()
     cycles = euler_shortcut(d.n, d.arcs, directed=True)
     if [sorted(c) for c in cycles] != [c for c in before if outdeg[c[0]]]:
         raise SmcError("tour missed part of its component")
@@ -196,7 +201,8 @@ def approx_asymmetric(inst: Instance, trace: list[str] | None = None
         raise ValidationError("asymmetric pipeline needs a directed instance")
     cover = min_weight_directed_2factor(inst)
     bound = iteration_bound(inst.n)
-    etas = [eta(inst, cover)]
+    contacts = _group_contacts(inst, cover)
+    etas = [sum(splits for _lowest, splits in contacts)]
     inner_weights: list[Weight] = []
     rep_sets: list[frozenset[int]] = []
     iterations = 0
@@ -204,7 +210,7 @@ def approx_asymmetric(inst: Instance, trace: list[str] | None = None
         iterations += 1
         if iterations > bound:
             raise SmcError(f"exceeded the iteration bound {bound}")
-        reps = representatives(inst, cover)
+        reps = representatives(inst, cover, contacts=contacts)
         rep_sets.append(reps.vertices)
         order = sorted(reps.vertices)
         if len(order) < 2:
@@ -213,12 +219,12 @@ def approx_asymmetric(inst: Instance, trace: list[str] | None = None
         overlay = [(cyc[i - 1], cyc[i]) for cyc in inner
                    for i in range(len(cyc))]
         inner_weights.append(sum(inst.w(u, v) for u, v in overlay))
-        for cyc in cover.cycles:
-            L = len(cyc)
-            overlay.extend((cyc[i], cyc[(i + 1) % L]) for i in range(L))
+        overlay += [(cyc[i - 1], cyc[i]) for cyc in cover.cycles
+                    for i in range(len(cyc))]
         dig = StronglyEulerianDigraph(n=inst.n, arcs=tuple(sorted(overlay)))
         cover = directed_shortcut(dig, inst)
-        new_eta = eta(inst, cover)
+        contacts = _group_contacts(inst, cover)
+        new_eta = sum(splits for _lowest, splits in contacts)
         if 4 * new_eta > 3 * etas[-1]:
             raise SmcError(f"offending-cycle count fell only {etas[-1]} -> {new_eta}")
         etas.append(new_eta)

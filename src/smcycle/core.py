@@ -9,7 +9,8 @@ are realized by a duplicated pair edge whose cost counts twice.
 
 The graph primitives every pipeline shares live here too: one union-find
 (:func:`find`, :func:`components`), one Euler-tour shortcut
-(:func:`euler_shortcut`) and the set bits of a bitmask (:func:`bits`).
+(:func:`euler_shortcut`), the cycles of a permutation
+(:func:`successor_cycles`) and the set bits of a bitmask (:func:`bits`).
 
 All weights are exact (int or Fraction); nothing in this module touches
 floating point.
@@ -414,6 +415,22 @@ def bits(mask: int) -> list[int]:
     return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
+def successor_cycles(succ: Sequence[int]) -> list[list[int]]:
+    """Cycles of the permutation v -> succ[v], each from its lowest vertex,
+    in order of that vertex."""
+    seen = [False] * len(succ)
+    cycles = []
+    for v in range(len(succ)):
+        cyc = []
+        while not seen[v]:
+            seen[v] = True
+            cyc.append(v)
+            v = succ[v]
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
 def components(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
     """Connected components of vertices 0..n-1 under ``edges`` (pairs, or
     tuples whose first two fields are the ends), isolated vertices included,
@@ -580,23 +597,35 @@ def _parse_weight(token: str) -> Weight:
         raise _too_long("weight token", token) from exc
 
 
+# the only characters of a row that json may read
+_INT_ROW_CHARS = b"0123456789 -"
+_raw_decode = None  # json's C decoder, bound on first use
+
+
 def _parse_weight_row(line: str) -> list[Weight]:
     """Tokens of one weight row.  A row of single ASCII digits split by
-    single spaces, as every {1,2} row is written, is read in one pass.  On
-    an ASCII line without "_" or "+", int takes exactly the tokens
-    -?[0-9]+, so an all-int row is read in one pass too; any other row goes
+    single spaces, as every {1,2} row is written, is read in one pass.  A
+    row of ints split by single spaces, as every int row is written, is
+    one call of json's C decoder on the row with its spaces made commas:
+    json's ints, -?(0|[1-9][0-9]*), are tokens of the grammar with the
+    same value.  What json refuses there (a leading zero, a bare "-", a
+    double space, an int over the digit limit), and any other row, goes
     token by token through :func:`_parse_weight`."""
+    global _raw_decode
     if line[1:2] == " " and line[1::2].count(" ") == len(line) // 2:
         digits = line[::2]
         if digits.isascii() and digits.isdigit():
             return list(digits.encode().translate(_DIGIT_VALUES))
-    tokens = line.split()
-    if line.isascii() and "_" not in line and "+" not in line:
+    if line.isascii() and not line.encode().translate(None, _INT_ROW_CHARS):
+        if _raw_decode is None:
+            # imported on first use, to keep it out of the import time
+            import json
+            _raw_decode = json.JSONDecoder().raw_decode
         try:
-            return list(map(int, tokens))
+            return _raw_decode("[" + line.replace(" ", ",") + "]")[0]
         except ValueError:
             pass
-    return [_parse_weight(tok) for tok in tokens]
+    return [_parse_weight(tok) for tok in line.split()]
 
 
 def _parse_int(token: str, what: str) -> int:

@@ -12,8 +12,9 @@ edges, warm-started by their matching), the int-indexed Edmonds
 cardinality blossom ``_augment_matching``, which grows that gadget
 matching, the {1,2} pipeline's attachment matching and
 ``max_cardinality_matching`` (under ``minimal_edge_cover`` in the
-asymmetric loop), the bipartite assignment solver and the minimal edge
-cover.
+asymmetric loop), the bipartite assignment solver on a dense matrix,
+whose one caller, the directed 2-factor, writes its own self-arc penalty
+on the diagonal, and the minimal edge cover.
 
 All functions are pure and deterministic for a fixed input.
 """
@@ -360,15 +361,16 @@ def max_simple_2matching(masks: Sequence[int],
             and 0 <= mate[cores + 2 * k + 1] < cores]
 
 
-def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction | None]]
+def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction]]
                                         ) -> tuple[list[int], int | Fraction]:
     """Exact assignment: returns (col-of-row list, total cost).
 
-    ``costs[i][j]`` is the cost of assigning row i to column j; ``None``
-    forbids the cell.  The matrix must be square.  Implemented as the O(n^3)
-    potential-based Hungarian algorithm (the e-maxx form of Kuhn-Munkres)
-    over exact arithmetic.  Row i joins in phase i, a Dijkstra search from
-    a virtual root column (index n here) over reduced costs.
+    ``costs[i][j]`` is the cost of assigning row i to column j; every cell
+    is allowed, so a caller prices out what it forbids.  The matrix must be
+    square.  Implemented as the O(n^3) potential-based Hungarian algorithm
+    (the e-maxx form of Kuhn-Munkres) over exact arithmetic.  Row i joins
+    in phase i, a Dijkstra search from a virtual root column (index n
+    here) over reduced costs.
 
     The potentials are lazy: a phase keeps each column's distance as an
     absolute value (reduced cost plus the distance of the column it was
@@ -380,60 +382,53 @@ def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction 
     column with the least distance, and a column's ``way`` changes only on
     a strict improvement.  A settled column stays in the distance list
     under a mark above every free distance, so each step of the search is
-    one C-level ``min`` and ``index``.
+    one C-level ``min`` and ``index``.  A phase whose first least column is
+    free assigns it at once, with no search state: the root is then the
+    only settled column.
     """
     n = len(costs)
     if any(len(row) != n for row in costs):
         raise ValidationError("cost matrix must be square")
-    if n == 0:
-        return [], 0
-
-    forbidden = [row.count(None) for row in costs]
-    if sum(forbidden) == n * n:
-        raise ValidationError("cost matrix has no allowed cell")
-    # any assignment through a forbidden cell must beat every finite one
-    big = 2 * sum(sum(map(abs, filter(None, row))) for row in costs) + 1
-    a = []
-    for row, k in zip(costs, forbidden):
-        if k:
-            row = list(row)
-            j = -1
-            for _ in range(k):
-                j = row.index(None, j + 1)
-                row[j] = big
-        a.append(row)
 
     u = [0] * n            # row potentials
-    v = [0] * (n + 1)      # column potentials; column n is the virtual root
-    row_of = [-1] * (n + 1)
+    v = [0] * n            # column potentials
+    row_of = [-1] * (n + 1)  # column n is the virtual root
     for i in range(n):
-        row_of[n] = i
         # the phase's first scan, from the root, sets every distance; row
-        # i's potential is still 0, so it is a[i] - v
-        dist = list(map(sub, a[i], v))
+        # i's potential is still 0, so it is costs[i] - v
+        dist = list(map(sub, costs[i], v))
+        reach = min(dist)
+        j1 = dist.index(reach)
+        if row_of[j1] < 0:
+            u[i] = reach
+            row_of[j1] = i
+            continue
+        row_of[n] = i
         # distances only fall, so a settled column marked above the first
         # scan is never the least again
         mark = max(dist) + 1
         dist.append(mark)
         way = [n] * n
         free = list(range(n))
-        tree = [(n, 0)]        # settled columns with their distances
+        # settled columns with their distances
+        tree: list[tuple[int, int | Fraction]] = []
         while True:
-            reach = min(dist)
-            j1 = dist.index(reach)
             i0 = row_of[j1]
             if i0 < 0:
                 break
             free.remove(j1)
             tree.append((j1, reach))
             dist[j1] = mark
-            row = a[i0]
+            row = costs[i0]
             off = reach - u[i0]
             for j in free:
                 cur = row[j] - v[j] + off
                 if cur < dist[j]:
                     dist[j] = cur
                     way[j] = j1
+            reach = min(dist)
+            j1 = dist.index(reach)
+        u[i] = reach           # the root's distance is 0
         for j, dj in tree:
             d = reach - dj
             u[row_of[j]] += d
@@ -446,13 +441,7 @@ def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction 
     col_of_row = [0] * n
     for j in range(n):
         col_of_row[row_of[j]] = j
-    total: int | Fraction = 0
-    for i in range(n):
-        c = costs[i][col_of_row[i]]
-        if c is None:
-            raise ValidationError("no assignment avoids forbidden cells")
-        total += c
-    return col_of_row, total
+    return col_of_row, sum(row[j] for row, j in zip(costs, col_of_row))
 
 
 def minimal_edge_cover(edges: Sequence[WeightedEdge | Edge],
@@ -485,16 +474,6 @@ def minimal_edge_cover(edges: Sequence[WeightedEdge | Edge],
         # would not be maximum), so this never grows a component of 3 edges
         y = min(adj[x], key=repr)
         cover.add((x, y) if repr(x) <= repr(y) else (y, x))
-
-    # defensive prune: a minimum cover is already minimal
-    degree: dict[Hashable, int] = {x: 0 for x in vs}
-    for u, v in cover:
-        degree[u] += 1
-        degree[v] += 1
-    for e in sorted(cover, key=repr):
-        u, v = e
-        if degree[u] > 1 and degree[v] > 1:
-            cover.discard(e)
-            degree[u] -= 1
-            degree[v] -= 1
+    # |cover| = n - |mate|, the least size of an edge cover, so no edge can
+    # be dropped: the cover is inclusion-minimal with no pruning
     return cover

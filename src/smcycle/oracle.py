@@ -21,7 +21,8 @@ from operator import add
 from random import Random
 
 from .core import (CycleCover, Instance, Weight, cover_cost, find,
-                   generate_instance, make_cover, validate_solution)
+                   generate_instance, make_cover, successor_cycles,
+                   validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 from .twofactor import _walk_degree2
@@ -199,35 +200,22 @@ def brute_force_smc_permutation(inst: Instance, budget: OracleBudget = DEFAULT_B
     directed = not inst.symmetric
     pair_set = {frozenset(p) for p in inst.pair_groups()}
     group_of = inst.group_of
+
+    def allowed(cyc: list[int]) -> bool:
+        if len(cyc) == 1 or (len(cyc) == 2 and not directed
+                             and frozenset(cyc) not in pair_set):
+            return False
+        members = set(cyc)
+        return all(members.issuperset(inst.groups[group_of[v]]) for v in cyc)
+
     best: Weight | None = None
     for perm in permutations(range(inst.n)):
-        cost: Weight = 0
-        ok = True
-        seen = [False] * inst.n
-        for start in range(inst.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            cur = perm[start]
-            while cur != start:
-                cyc.append(cur)
-                seen[cur] = True
-                cur = perm[cur]
-            if len(cyc) == 1:
-                ok = False
-                break
-            if len(cyc) == 2 and not directed and frozenset(cyc) not in pair_set:
-                ok = False
-                break
-            home = {group_of[v] for v in cyc}
-            if any(not set(inst.groups[g]) <= set(cyc) for g in home):
-                ok = False
-                break
-            for i in range(len(cyc)):
-                cost += inst.w(cyc[i], cyc[(i + 1) % len(cyc)])
-        if ok and (best is None or cost < best):
-            best = cost
+        cycles = successor_cycles(perm)
+        if all(map(allowed, cycles)):
+            cost = sum(inst.w(c[i - 1], c[i]) for c in cycles
+                       for i in range(len(c)))
+            if best is None or cost < best:
+                best = cost
     if best is None:
         raise ValidationError("no feasible cover found by permutation oracle")
     return best

@@ -11,9 +11,10 @@ groups, as in the problem definition.  Three routes live here:
   and Tutte's gadget only when they leave a vertex with an edge at degree
   < 2), with its paths chained by 2-edges;
 * ``min_weight_directed_2factor``: directed minimum-weight 2-factor via an
-  exact assignment between out-copies and in-copies with self-arcs
-  forbidden, by ``directed_2factor_cycles``, which also serves the
-  representative sub-digraphs of the asymmetric loop;
+  exact assignment between out-copies and in-copies whose diagonal holds
+  a self-arc penalty no optimal assignment pays, by
+  ``directed_2factor_cycles``, which also serves the representative
+  sub-digraphs of the asymmetric loop;
 * ``min_weight_triangle_free_2factor``: {1,2} minimum 2-factor with no
   3-cycle, from a maximum triangle-free simple 2-matching of H, found per
   connected component of the masks by a branch and bound whose every
@@ -29,11 +30,11 @@ above the enumeration caps, is ``oracle.gadget_2factor``.
 from __future__ import annotations
 
 from functools import reduce
-from operator import itemgetter, or_
+from operator import eq, itemgetter, or_
 from typing import Sequence
 
 from .core import (CycleCover, Instance, Weight, WeightClass, bits, cover_cost,
-                   make_cover)
+                   make_cover, successor_cycles)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import max_simple_2matching, min_cost_bipartite_perfect_matching
 
@@ -188,32 +189,26 @@ def min_weight_directed_2factor(inst: Instance) -> CycleCover:
 def directed_2factor_cycles(inst: Instance, order: Sequence[int]
                             ) -> list[tuple[int, ...]]:
     """Cycles of a minimum directed 2-factor of the sub-digraph induced by
-    ``order``, an ascending list of at least two distinct vertices.
+    ``order``, an ascending list of at least two distinct vertices, each
+    from its lowest vertex, in order of that vertex.
 
-    One assignment between out-copies and in-copies with self-arcs
-    forbidden; each cycle starts at its lowest vertex, in order of that
-    vertex.
+    One assignment between out-copies and in-copies; a self-arc costs
+    2*S + 1, S the sum of the non-negative off-diagonal weights, more than
+    any assignment without one.
     """
     k = len(order)
     pick = itemgetter(*order)
     costs = [list(pick(row)) for row in pick(inst.weights)]
-    for i in range(k):
-        costs[i][i] = None
+    for i, row in enumerate(costs):
+        row[i] = 0
+    big = 2 * sum(map(sum, costs)) + 1
+    for i, row in enumerate(costs):
+        row[i] = big
     succ, _total = min_cost_bipartite_perfect_matching(costs)
-    seen = [False] * k
-    cycles = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        cyc = [order[start]]
-        seen[start] = True
-        cur = succ[start]
-        while cur != start:
-            cyc.append(order[cur])
-            seen[cur] = True
-            cur = succ[cur]
-        cycles.append(tuple(cyc))
-    return cycles
+    if any(map(eq, succ, range(k))):
+        raise SmcError("directed 2-factor assigned a self-arc")
+    return [tuple(map(order.__getitem__, cyc))
+            for cyc in successor_cycles(succ)]
 
 
 # ---------------------------------------------------------------------------

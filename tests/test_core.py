@@ -380,6 +380,46 @@ def test_single_digit_rows_read_as_their_tokens(cells):
         lambda text: [_parse_weight(tok) for tok in text.split()], line)
 
 
+# ints json reads as the grammar does, tokens only one of them takes ("007",
+# "-", "1-2", "--1", "7/2", "1.5", "1e3", "NaN", "Infinity", "true",
+# "null", "[1]") and one int over the digit limit
+_INT_ROW_TOKENS = ["0", "7", "209", "007", "-0", "-3", "-", "1-2", "--1",
+                   "7/2", "1.5", "1e3", "NaN", "Infinity", "true", "null",
+                   "[1]", _LONG]
+
+
+def typed_outcome(text):
+    """``_parse_weight_row``'s and the token path's outcome on ``text``,
+    each value with its type, since json's true would equal 1."""
+    return tuple(
+        [(type(x), x) for x in out] if isinstance(out, list) else out
+        for out in (parse_outcome(_parse_weight_row, text),
+                    parse_outcome(lambda t: [_parse_weight(tok)
+                                             for tok in t.split()], text)))
+
+
+def test_int_rows_read_as_their_tokens():
+    # every token, with each separator, between ints the one-call read takes
+    for tok in _INT_ROW_TOKENS:
+        for sep in (" ", "  ", "\t"):
+            line = sep.join(["0", "7", tok, "209"])
+            got, want = typed_outcome(line)
+            assert got == want, line[:40]
+    assert typed_outcome("-3 0 209 -0 7")[0] == [
+        (int, -3), (int, 0), (int, 209), (int, 0), (int, 7)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([" "] * 6 + ["  ", "\t"]),
+                          st.sampled_from(_INT_ROW_TOKENS[:3] * 6
+                                          + _INT_ROW_TOKENS)),
+                min_size=1, max_size=9))
+def test_int_rows_read_as_their_tokens_random(cells):
+    line = "".join(sep + tok for sep, tok in cells)[len(cells[0][0]):]
+    got, want = typed_outcome(line)
+    assert got == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_single_digit_files_read_as_spaced_ones(data):

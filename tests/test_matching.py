@@ -6,11 +6,14 @@ from random import Random
 
 import pytest
 
+from smcycle.core import WeightClass, generate_instance, validate_instance
 from smcycle.errors import ValidationError
 from smcycle.matching import (_augment_matching, max_cardinality_matching,
                               max_simple_2matching,
                               min_cost_bipartite_perfect_matching,
                               min_weight_perfect_matching, minimal_edge_cover)
+from smcycle.oracle import DEFAULT_BUDGET, brute_force_2factor
+from smcycle.twofactor import directed_2factor_cycles
 
 
 def brute_min_perfect_matching(vertices, edges):
@@ -359,11 +362,55 @@ def test_assignment_two_by_two():
     assert total == 2
 
 
+def directed_instance(k, seed, kind):
+    """An asymmetric metric instance on k vertices with one group: int
+    weights, Fractions, or ints with a non-zero diagonal (large negative and
+    positive entries) that validate_instance keeps as given."""
+    inst = generate_instance("asymmetric", k, [k], seed)
+    w = [list(row) for row in inst.weights]
+    if kind == "fraction":
+        w = [[0 if i == j else x * Fraction(2, 3) + Fraction(1, 5)
+              for j, x in enumerate(row)] for i, row in enumerate(w)]
+    elif kind == "diagonal":
+        for i in range(k):
+            w[i][i] = -10 ** 6 if i % 2 else 10 ** 6 + i
+    return validate_instance(k, w, False, WeightClass.ASYMMETRIC_METRIC,
+                             [list(range(k))])
+
+
 def test_assignment_respects_forbidden_cells():
-    cols, total = min_cost_bipartite_perfect_matching(
-        [[None, 5], [3, None]])
-    assert cols == [1, 0]
-    assert total == 8
+    # the directed 2-factor forbids self-arcs through the assignment's
+    # diagonal, whatever the instance holds there; up to the oracle's cap
+    # its cost is the minimum over all directed 2-factors
+    rng = Random(31)
+    for kind in ("int", "fraction", "diagonal"):
+        for k in range(2, 10):
+            inst = directed_instance(k, rng.randrange(10 ** 6), kind)
+            cycles = directed_2factor_cycles(inst, range(k))
+            assert sorted(v for c in cycles for v in c) == list(range(k))
+            assert all(len(c) >= 2 for c in cycles)
+            cost = sum(inst.w(c[i - 1], c[i]) for c in cycles
+                       for i in range(len(c)))
+            if k <= DEFAULT_BUDGET.twofactor_directed_max_n:
+                assert cost == brute_force_2factor(inst)
+
+
+def test_assignment_respects_forbidden_cells_on_sub_digraphs():
+    # the representative rounds solve induced sub-digraphs: the diagonal of
+    # the picked rows, not of the full matrix, is forbidden
+    rng = Random(8)
+    for _ in range(30):
+        n = rng.randint(4, 12)
+        inst = directed_instance(n, rng.randrange(10 ** 6), "diagonal")
+        order = sorted(rng.sample(range(n), rng.randint(2, min(n, 7))))
+        cycles = directed_2factor_cycles(inst, order)
+        assert sorted(v for c in cycles for v in c) == order
+        assert all(len(c) >= 2 for c in cycles)
+        sub = validate_instance(
+            len(order), [[inst.w(a, b) for b in order] for a in order], False,
+            WeightClass.ASYMMETRIC_METRIC, [list(range(len(order)))])
+        assert (sum(inst.w(c[i - 1], c[i]) for c in cycles
+                    for i in range(len(c))) == brute_force_2factor(sub))
 
 
 def test_assignment_agrees_with_brute_force():
@@ -384,15 +431,6 @@ def eager_assignment(costs):
     Dijkstra step, u and v of the used columns and minv of the others move
     by delta.  The reference for the library's lazy-potential form."""
     n = len(costs)
-    if any(len(row) != n for row in costs):
-        raise ValidationError("cost matrix must be square")
-    if n == 0:
-        return [], 0
-    finite = [c for row in costs for c in row if c is not None]
-    if not finite:
-        raise ValidationError("cost matrix has no allowed cell")
-    big = 2 * sum(abs(c) for c in finite) + 1
-    a = [[big if c is None else c for c in row] for row in costs]
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     way = [0] * (n + 1)
@@ -410,7 +448,7 @@ def eager_assignment(costs):
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = costs[i0 - 1][j - 1] - u[i0] - v[j]
                 if minv[j] is None or cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -433,26 +471,21 @@ def eager_assignment(costs):
     col_of_row = [0] * n
     for j in range(1, n + 1):
         col_of_row[p[j] - 1] = j - 1
-    total = 0
-    for i in range(n):
-        c = costs[i][col_of_row[i]]
-        if c is None:
-            raise ValidationError("no assignment avoids forbidden cells")
-        total += c
-    return col_of_row, total
+    return col_of_row, sum(costs[i][col_of_row[i]] for i in range(n))
 
 
-def _assignment_outcome(solve, costs):
-    try:
-        return solve(costs)
-    except ValidationError as exc:
-        return "ValidationError", str(exc)
+def with_big(costs):
+    """``costs`` with each None cell set to 2 * (the sum of the other
+    cells' absolute values) + 1, a cost no optimal assignment pays while
+    one avoiding those cells exists."""
+    big = 2 * sum(abs(c) for row in costs for c in row if c is not None) + 1
+    return [[big if c is None else c for c in row] for row in costs]
 
 
 def _random_costs(rng):
     """Square matrix, n <= 12: few distinct values (heavy ties), None
     cells, small and large negatives, Fractions, sometimes an
-    all-forbidden row."""
+    all-None row."""
     n = rng.randint(0, 12)
     kind = rng.choice(("ties", "signed", "fractions", "wide", "negative"))
     p_none = rng.choice((0, 0.1, 0.3, 0.7))
@@ -476,49 +509,77 @@ def _random_costs(rng):
     return costs
 
 
+def _free_column_costs(rng):
+    """Square matrix, n <= 12, of costs 0..3 under a random permutation of
+    cheaper cells, so that many phases find their first least column free
+    and others tie it with a taken one."""
+    n = rng.randint(1, 12)
+    costs = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        costs[i][j] = rng.randint(-1, 0)
+    return costs
+
+
 FIXED_COSTS = (
-    # several forbidden cells in every row
+    # several None cells in every row
     [[None, 3, None, 1, None], [2, None, None, 5, 0], [None, None, 4, 0, None],
      [1, 1, None, None, 2], [None, 0, 0, None, None]],
     # Fractions, rows given as tuples
     [(Fraction(1, 3), Fraction(-2, 7), None), (Fraction(5, 2), None, 0),
      (None, Fraction(1, 3), Fraction(1, 3))],
-    # large negative costs next to forbidden cells
+    # large negative costs next to None cells
     [[-10 ** 18, None, -3], [None, -10 ** 17, -10 ** 18],
      [-5, -10 ** 18, None]],
-    # a row with every cell forbidden
+    # a row of None cells, and a matrix of them
     [[1, 2, 3], [None, None, None], [4, 5, 6]],
+    [[None, None], [None, None]],
+    # every phase's least column is free
+    [[1, 0, 2], [0, 1, 2], [2, 2, 0]],
+    # phase 1: a taken column ties with a free one, taken first, free first
+    [[0, 3], [0, 0]],
+    [[0, 0], [0, 0]],
+    [[3, 0, 1], [0, 0, 1], [1, 0, 0]],
+    [[5, 1, 1, 5], [1, 1, 5, 5], [1, 5, 1, 1], [5, 5, 1, 1]],
 )
 
 
 def test_assignment_matches_eager_potentials():
     rng = Random(2024)
-    outcomes = set()
     for costs in FIXED_COSTS:
-        assert (_assignment_outcome(min_cost_bipartite_perfect_matching, costs)
-                == _assignment_outcome(eager_assignment, costs))
+        dense = with_big(costs)
+        assert (min_cost_bipartite_perfect_matching(dense)
+                == eager_assignment(dense))
+    assert min_cost_bipartite_perfect_matching(
+        [[1, 0, 2], [0, 1, 2], [2, 2, 0]]) == ([1, 0, 2], 0)
+    assert min_cost_bipartite_perfect_matching(
+        [[0, 3], [0, 0]]) == ([0, 1], 0)
     for _ in range(2000):
-        costs = _random_costs(rng)
-        expected = _assignment_outcome(eager_assignment, costs)
-        assert _assignment_outcome(min_cost_bipartite_perfect_matching,
-                                   costs) == expected
-        outcomes.add(expected[0] if expected[0] == "ValidationError"
-                     else "solved")
-    assert outcomes == {"ValidationError", "solved"}
+        dense = with_big(_random_costs(rng))
+        assert (min_cost_bipartite_perfect_matching(dense)
+                == eager_assignment(dense))
+    for _ in range(500):
+        costs = _free_column_costs(rng)
+        assert (min_cost_bipartite_perfect_matching(costs)
+                == eager_assignment(costs))
 
 
 def test_assignment_matches_eager_potentials_clustered():
     # a directed 2-factor matrix at n = 160: cheap arcs inside clusters of
-    # 5, dear ones across, None on the diagonal
+    # 5, dear ones across, the self-arc penalty on the diagonal
     rng = Random(7)
     n = 160
     cluster = [v % 32 for v in range(n)]
     rng.shuffle(cluster)
-    costs = [[None if i == j else rng.randrange(10, 20)
-              if cluster[i] == cluster[j] else rng.randrange(200, 210)
-              for j in range(n)] for i in range(n)]
+    costs = with_big([[None if i == j else rng.randrange(10, 20)
+                       if cluster[i] == cluster[j] else rng.randrange(200, 210)
+                       for j in range(n)] for i in range(n)])
     assert (min_cost_bipartite_perfect_matching(costs)
             == eager_assignment(costs))
+
+
+def test_assignment_rejects_a_ragged_matrix():
+    with pytest.raises(ValidationError, match="square"):
+        min_cost_bipartite_perfect_matching([[1, 2], [3]])
 
 
 def test_edge_cover_path():

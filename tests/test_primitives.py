@@ -6,7 +6,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from smcycle.asymmetric import approx_asymmetric
-from smcycle.core import components, cover_cost, euler_shortcut, generate_instance
+from smcycle.core import (components, cover_cost, euler_shortcut,
+                          generate_instance, successor_cycles)
 from smcycle.metric import doubled_subgraph_baseline
 from smcycle.onetwo import approx_onetwo
 
@@ -79,6 +80,17 @@ def test_euler_shortcut_takes_lowest_neighbour_first():
     # undirected, the tour runs 0-1-3-0-2-4-0
     edges = [(0, 3), (3, 1), (1, 0), (2, 0), (0, 4), (4, 2)]
     assert euler_shortcut(5, edges, directed=False) == [[0, 1, 3, 2, 4]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.permutations(range(n))))
+def test_successor_cycles_follow_the_permutation(succ):
+    cycles = successor_cycles(succ)
+    assert sorted(v for cyc in cycles for v in cyc) == list(range(len(succ)))
+    assert [cyc[0] for cyc in cycles] == sorted(min(cyc) for cyc in cycles)
+    for cyc in cycles:
+        assert [succ[v] for v in cyc] == cyc[1:] + cyc[:1]
 
 
 def test_pinned_shared_primitive_cost_sums():

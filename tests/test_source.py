@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -142,12 +143,13 @@ def test_networkx_backs_only_the_weighted_perfect_matching():
     assert found == [], found
 
 
-def loads_networkx(script: str, *args: str) -> tuple[bool, str]:
+def loads_module(module: str, script: str, *args: str) -> tuple[bool, str]:
     """Run ``script`` in a fresh interpreter that imports smcycle from this
-    tree; whether networkx was imported by the end, and what it printed."""
+    tree; whether ``module`` was imported by the end, and what it
+    printed."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(smcycle.__file__).resolve().parent.parent))
-    probe = script + "\nimport sys\nprint('networkx' in sys.modules)\n"
+    probe = script + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -155,11 +157,23 @@ def loads_networkx(script: str, *args: str) -> tuple[bool, str]:
     return loaded == "True", "\n".join(printed)
 
 
+IMPORT_ALL = ("import smcycle, smcycle.cli, smcycle.metric, smcycle.onetwo, "
+              "smcycle.asymmetric, smcycle.oracle")
+
+
 def test_importing_the_package_leaves_networkx_unloaded():
-    loaded, _ = loads_networkx(
-        "import smcycle, smcycle.cli, smcycle.metric, smcycle.onetwo, "
-        "smcycle.asymmetric, smcycle.oracle")
+    loaded, _ = loads_module("networkx", IMPORT_ALL)
     assert not loaded
+
+
+def test_importing_the_package_leaves_json_unloaded():
+    # json reads int weight rows and is imported on first use; at import
+    # it would add to every start-up
+    loaded, _ = loads_module("json", IMPORT_ALL)
+    assert not loaded
+    loaded, _ = loads_module(
+        "json", IMPORT_ALL + "\nsmcycle.core._parse_weight_row('0 17 -3')")
+    assert loaded
 
 
 SOLVE = "import sys\nfrom smcycle import cli\nprint(cli.main(sys.argv[1:]))"
@@ -175,8 +189,8 @@ def test_solve_without_a_weighted_matching_leaves_networkx_unloaded(
         tmp_path, algo, kind, groups):
     path = tmp_path / "inst.smc"
     path.write_text(format_instance(generate_instance(kind, 10, groups, 3)))
-    loaded, printed = loads_networkx(SOLVE, "solve", "--algo", algo,
-                                     "--in", str(path))
+    loaded, printed = loads_module("networkx", SOLVE, "solve", "--algo",
+                                   algo, "--in", str(path))
     *report, code = printed.splitlines()
     assert code == "0" and "feasible=yes" in report[-1]
     assert not loaded
@@ -189,11 +203,50 @@ def test_metric3_t_join_loads_networkx(tmp_path):
     out = tmp_path / "inst.sol"
     inst = generate_instance("euclidean", 11, [6, 3, 2], 120)
     path.write_text(format_instance(inst))
-    loaded, printed = loads_networkx(SOLVE, "solve", "--algo", "metric3",
-                                     "--in", str(path), "--out", str(out))
+    loaded, printed = loads_module("networkx", SOLVE, "solve", "--algo",
+                                   "metric3", "--in", str(path), "--out",
+                                   str(out))
     assert printed == "algorithm=metric3 cost=1872 feasible=yes cycles=1\n0"
     assert out.read_text() == "0 1 5 2 9 7 8 6 10 4 3\n"
     assert loaded
+
+
+def none_cells(tree: ast.AST) -> list[int]:
+    """Lines that put None into the cells of a matrix, the way a cost
+    matrix used to forbid cells: ``m[i][j] = None``, or a nested
+    comprehension whose cell is ``None if ... else ...``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            if (isinstance(node.value, ast.Constant)
+                    and node.value.value is None
+                    and any(isinstance(t, ast.Subscript)
+                            and isinstance(t.value, ast.Subscript)
+                            for t in node.targets)):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.ListComp)
+              and isinstance(node.elt, ast.ListComp)):
+            cell = node.elt.elt
+            if isinstance(cell, ast.IfExp) and any(
+                    isinstance(side, ast.Constant) and side.value is None
+                    for side in (cell.body, cell.orelse)):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_cost_matrix_has_none_cells():
+    # the assignment takes a dense matrix: its one caller writes the
+    # self-arc penalty on the diagonal instead of forbidding the cells
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in none_cells(ast.parse(path.read_text()))]
+    assert found == []
+    # what it catches: the diagonal the directed 2-factor used to forbid
+    assert none_cells(ast.parse(
+        "def forbid(costs, k, n):\n"
+        "    for i in range(k):\n"
+        "        costs[i][i] = None\n"
+        "    return [[None if i == j else 1 for j in range(n)]\n"
+        "            for i in range(n)]\n")) == [3, 4]
 
 
 def test_tracer_targets_exist():
@@ -210,6 +263,44 @@ def test_tracer_targets_exist():
                if not hasattr(importlib.import_module(f"smcycle.{module}"),
                               function)]
     assert missing == []
+
+
+def test_tracer_sees_every_asymmetric_layer():
+    # an asym-log solve reaches each layer the tracer wraps for it through
+    # the binding the tracer patches, so none of them reads 0 calls
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        tracer = importlib.import_module("tracer")
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(bench))
+    # the tracer looks up every module it wraps
+    for module in ("metric", "onetwo", "oracle", "asymmetric"):
+        importlib.import_module(f"smcycle.{module}")
+    from smcycle import asymmetric, core
+
+    text = format_instance(workloads.clustered_asymmetric(40, Random(3)))
+    with tracer.Tracer() as t:
+        with t.solve(0):
+            _cover, stages = asymmetric.approx_asymmetric(
+                core.parse_instance(text))
+    assert stages.iterations >= 2
+    calls = {name: row["calls"] for name, row in t.summary().items()}
+    assert {layer: calls.get(layer, 0) for layer in (
+        "core.parse_instance", "core.validate_instance",
+        "core.validate_solution", "twofactor.min_weight_directed_2factor",
+        "matching.min_cost_bipartite_perfect_matching",
+        "matching.minimal_edge_cover", "asymmetric.representatives",
+        "asymmetric.directed_shortcut")} == {
+        "core.parse_instance": 1, "core.validate_instance": 1,
+        "core.validate_solution": 1,
+        "twofactor.min_weight_directed_2factor": 1,
+        "matching.min_cost_bipartite_perfect_matching":
+            1 + stages.iterations,
+        "matching.minimal_edge_cover": stages.iterations,
+        "asymmetric.representatives": stages.iterations,
+        "asymmetric.directed_shortcut": stages.iterations}
 
 
 # The library's hard size caps.  ROADMAP treats each as a performance
