@@ -104,20 +104,18 @@ class Instance:
 class CycleCover:
     """A set of vertex-disjoint cycles, each a vertex sequence.
 
-    ``pair_flags[i]`` marks cycle ``i`` as a length-2 cycle realized by a
-    duplicated pair edge (undirected only).  Directed cycles follow the
-    listed vertex order.
+    Directed cycles follow the listed vertex order.  A 2-vertex cycle of an
+    undirected cover is a pair 2-cycle: the duplicated edge of a size-2
+    terminal group, whose cost counts twice.  ``pair_flags`` marks those
+    cycles and is derived, never passed in.
     """
 
     cycles: tuple[tuple[int, ...], ...]
     directed: bool = False
-    pair_flags: tuple[bool, ...] = ()
 
-    def __post_init__(self):
-        if not self.pair_flags:
-            object.__setattr__(self, "pair_flags", (False,) * len(self.cycles))
-        if len(self.pair_flags) != len(self.cycles):
-            raise InvalidCoverError("pair_flags length does not match cycles")
+    @property
+    def pair_flags(self) -> tuple[bool, ...]:
+        return tuple(not self.directed and len(c) == 2 for c in self.cycles)
 
     def covered_vertices(self) -> set[int]:
         seen: set[int] = set()
@@ -135,11 +133,9 @@ class FeasibilityReport:
         return self.feasible
 
 
-def make_cover(cycles: Iterable[Sequence[int]], directed: bool = False,
-               pair_flags: Iterable[bool] | None = None) -> CycleCover:
-    cyc = tuple(tuple(c) for c in cycles)
-    flags = tuple(pair_flags) if pair_flags is not None else (False,) * len(cyc)
-    return CycleCover(cycles=cyc, directed=directed, pair_flags=flags)
+def make_cover(cycles: Iterable[Sequence[int]], directed: bool = False
+               ) -> CycleCover:
+    return CycleCover(cycles=tuple(tuple(c) for c in cycles), directed=directed)
 
 
 def _as_weight(value) -> Weight:
@@ -323,19 +319,12 @@ def _structural_violations(inst: Instance, cover: CycleCover) -> list[str]:
         if cover.directed:
             if len(cyc) < 2:
                 violations.append(f"cycle {idx} shorter than 2")
-            if cover.pair_flags[idx]:
-                violations.append(f"cycle {idx}: pair flag on a directed cycle")
-        else:
-            if len(cyc) == 2:
-                if not cover.pair_flags[idx]:
-                    violations.append(f"illegal 2-cycle {tuple(cyc)}: not pair-flagged")
-                elif frozenset(cyc) not in pair_set:
-                    violations.append(
-                        f"illegal 2-cycle {tuple(cyc)}: not a size-2 terminal group")
-            elif len(cyc) < 3:
-                violations.append(f"cycle {idx} shorter than 3")
-            elif cover.pair_flags[idx]:
-                violations.append(f"cycle {idx}: pair flag on a length-{len(cyc)} cycle")
+        elif len(cyc) == 2:
+            if frozenset(cyc) not in pair_set:
+                violations.append(
+                    f"illegal 2-cycle {tuple(cyc)}: not a size-2 terminal group")
+        elif len(cyc) < 3:
+            violations.append(f"cycle {idx} shorter than 3")
     return violations
 
 
@@ -357,12 +346,11 @@ def validate_solution(inst: Instance, cover: CycleCover) -> FeasibilityReport:
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
 
 
-def cycle_cost(inst: Instance, cycle: Sequence[int],
-               pair_flag: bool = False) -> Weight:
-    """Weight of one cycle, following arc direction on asymmetric instances."""
-    if pair_flag:
-        u, v = cycle
-        return 2 * inst.w(u, v)
+def cycle_cost(inst: Instance, cycle: Sequence[int]) -> Weight:
+    """Weight of one cycle, following arc direction on asymmetric instances.
+
+    A pair 2-cycle (u, v) of a symmetric instance costs w(u,v) + w(v,u),
+    which is twice its edge."""
     total: Weight = 0
     k = len(cycle)
     for i in range(k):
@@ -376,8 +364,8 @@ def cover_cost(inst: Instance, cover: CycleCover) -> Weight:
     if violations:
         raise InvalidCoverError("; ".join(violations))
     total: Weight = 0
-    for cyc, flag in zip(cover.cycles, cover.pair_flags):
-        total += cycle_cost(inst, cyc, flag)
+    for cyc in cover.cycles:
+        total += cycle_cost(inst, cyc)
     return total
 
 
@@ -386,11 +374,7 @@ def count_weight2_edges(inst: Instance, cover: CycleCover) -> int:
     if inst.weight_class is not WeightClass.ONE_TWO:
         raise ValidationError("weight-2 edge count only applies to one-two instances")
     count = 0
-    for cyc, flag in zip(cover.cycles, cover.pair_flags):
-        if flag:
-            u, v = cyc
-            count += 2 * (1 if inst.w(u, v) == 2 else 0)
-            continue
+    for cyc in cover.cycles:
         k = len(cyc)
         for i in range(k):
             if inst.w(cyc[i], cyc[(i + 1) % k]) == 2:
@@ -712,8 +696,11 @@ def format_solution(cover: CycleCover) -> str:
 
 
 def parse_solution(text: str, directed: bool = False) -> CycleCover:
+    """Read one cycle per line, vertex ids [0-9]+.  The marker ``pair``
+    ends exactly the lines of the 2-vertex cycles of an undirected cover,
+    as :func:`format_solution` writes them; a line that breaks that rule
+    raises FormatError."""
     cycles = []
-    flags = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -724,7 +711,8 @@ def parse_solution(text: str, directed: bool = False) -> CycleCover:
             toks = toks[:-1]
         if not all(t.isascii() and t.isdigit() for t in toks):
             raise FormatError(f"bad solution line {ln!r}")
+        if flag != (not directed and len(toks) == 2):
+            raise FormatError(f"bad solution line {ln!r}: 'pair' ends exactly "
+                              "the 2-vertex cycles of an undirected cover")
         cycles.append(tuple(map(int, toks)))
-        flags.append(flag)
-    return CycleCover(cycles=tuple(cycles), directed=directed,
-                      pair_flags=tuple(flags))
+    return CycleCover(cycles=tuple(cycles), directed=directed)

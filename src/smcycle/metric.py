@@ -116,7 +116,6 @@ def min_t_join(g: EdgeSubgraph, inst: Instance, targets: list[int]) -> TJoin:
             cur = p
     out = TJoin(edges=frozenset(join))
 
-    odd = set()
     deg: dict[int, int] = {}
     for u, v in out.edges:
         deg[u] = deg.get(u, 0) + 1
@@ -131,7 +130,7 @@ def _euler_shortcut(n: int, slots: list[tuple[int, int]], inst: Instance
                     ) -> CycleCover:
     """Shortcut every Eulerian component of an edge multiset to a cycle
     along :func:`core.euler_shortcut`'s tour; a 2-vertex component becomes a
-    flagged pair 2-cycle."""
+    pair 2-cycle."""
     degree = [0] * n
     for u, v in slots:
         degree[u] += 1
@@ -145,8 +144,7 @@ def _euler_shortcut(n: int, slots: list[tuple[int, int]], inst: Instance
             raise SmcError("component with a single vertex cannot be covered")
         if len(cyc) == 2 and frozenset(cyc) not in pair_set:
             raise SmcError("2-vertex component is not a size-2 terminal group")
-    cover = make_cover(cycles, directed=False,
-                       pair_flags=[len(cyc) == 2 for cyc in cycles])
+    cover = make_cover(cycles)
     total_weight = sum(inst.w(u, v) for u, v in slots)
     if cover_cost(inst, cover) > total_weight:
         raise SmcError("shortcut increased the cost on a metric instance")

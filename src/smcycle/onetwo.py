@@ -35,12 +35,11 @@ ADVERSARIAL_MAX_RUNS = 20000
 class _WCycle:
     """Mutable cycle with bookkeeping for 'considered weight-2' edges."""
 
-    __slots__ = ("verts", "is_pair", "virtual2")
+    __slots__ = ("verts", "virtual2")
 
-    def __init__(self, verts: Sequence[int], is_pair: bool = False,
+    def __init__(self, verts: Sequence[int],
                  virtual2: set[frozenset[int]] | None = None):
         self.verts = list(verts)
-        self.is_pair = is_pair
         self.virtual2 = virtual2 if virtual2 is not None else set()
 
     def positional_edges(self) -> list[tuple[int, int]]:
@@ -81,12 +80,6 @@ def _neighbors_on(cycle: _WCycle, v: int) -> list[int]:
         return [other, other]
     i = cycle.verts.index(v)
     return [cycle.verts[(i - 1) % L], cycle.verts[(i + 1) % L]]
-
-
-def _to_cover(cycles: Iterable[_WCycle]) -> CycleCover:
-    cs = list(cycles)
-    return make_cover([c.verts for c in cs], directed=False,
-                      pair_flags=[c.is_pair for c in cs])
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +146,7 @@ def special_2factor(inst: Instance, base: CycleCover) -> SpecialTwoFactor:
     if inst.weight_class is not WeightClass.ONE_TWO:
         raise ValidationError("special 2-factor needs {1,2} weights")
     start_weight = cover_cost(inst, base)
-    work = [_WCycle(list(c), is_pair=f)
-            for c, f in zip(base.cycles, base.pair_flags)]
+    work = [_WCycle(c) for c in base.cycles]
 
     while True:
         nonpure = sorted((c for c in work if not c.is_pure(inst)),
@@ -187,7 +179,7 @@ def special_2factor(inst: Instance, base: CycleCover) -> SpecialTwoFactor:
         work.append(merged)
 
     work.sort(key=lambda c: min(c.verts))
-    cover = _to_cover(work)
+    cover = make_cover(c.verts for c in work)
     if cover_cost(inst, cover) != start_weight:
         raise SmcError("special 2-factor drifted from the minimum weight")
     pure = tuple(c.is_pure(inst) for c in work)
@@ -629,8 +621,7 @@ def join_component_cycles(inst: Instance, factor: SpecialTwoFactor,
                           dig: AttachmentDigraph, audit: dict,
                           worst: bool = False) -> list[_WCycle]:
     """Phase 1: merge the factor's cycles along each D' component."""
-    cycles = [_WCycle(list(c), is_pair=f)
-              for c, f in zip(factor.cover.cycles, factor.cover.pair_flags)]
+    cycles = [_WCycle(c) for c in factor.cover.cycles]
     matched_v = dict(dig.matched_vertex)
 
     def witness(ci: int, v: int) -> int:
@@ -773,7 +764,7 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
     audit = {"phase1_delta": 0, "phase2_delta": 0}
     merged = join_component_cycles(inst, factor, dig, audit, worst)
     final = join_disrespecting_cycles(inst, merged, audit, worst)
-    cover = _to_cover(sorted(final, key=lambda c: min(c.verts)))
+    cover = make_cover(sorted((c.verts for c in final), key=min))
 
     factor_weight = cover_cost(inst, factor.cover)
     e2 = count_weight2_edges(inst, factor.cover)

@@ -182,8 +182,7 @@ def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
             best_clusters = clusters
     best_cycles = [_walk_back(inst, flat[off[c[0]]:], bits, tables[c[0]],
                               *closed[c][1:]) for c in best_clusters]
-    flags = [not directed and len(c) == 2 for c in best_cycles]
-    cover = make_cover(best_cycles, directed=directed, pair_flags=flags)
+    cover = make_cover(best_cycles, directed=directed)
     report = validate_solution(inst, cover)
     if not report.feasible:
         raise ValidationError(f"oracle produced infeasible cover: {report.violations}")
@@ -192,8 +191,7 @@ def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
     return best_cost, cover
 
 
-def brute_force_smc_permutation(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
-                                ) -> Weight:
+def brute_force_smc_permutation(inst: Instance) -> Weight:
     """Independent multicycle optimum via raw permutation enumeration (n <= 7)."""
     if inst.n > 7:
         raise BudgetExceededError("permutation oracle capped at n=7")
@@ -318,15 +316,14 @@ def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False,
     pair_set = {frozenset(p) for p in inst.pair_groups()}
     out: list[CycleCover] = []
 
-    def rec(uncov: int, acc: Weight, cycles: list[tuple[tuple[int, ...], bool]]):
+    def rec(uncov: int, acc: Weight, cycles: list[list[int]]):
         if acc > best:
             return
         if uncov == 0:
             if acc == best:
                 if len(out) >= limit:
                     raise BudgetExceededError("too many optimal 2-factors")
-                out.append(make_cover([c for c, _f in cycles], directed=False,
-                                      pair_flags=[f for _c, f in cycles]))
+                out.append(make_cover(cycles))
             return
         anchor = (uncov & -uncov).bit_length() - 1
 
@@ -336,12 +333,12 @@ def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False,
             rest = uncov & ~pmask
             last = path[-1]
             length = len(path)
-            if length == 2 and frozenset(path) in pair_set:
-                rec(rest, acc + cost + inst.w(last, anchor),
-                    cycles + [(tuple(path), True)])
-            if length >= 3 and path[1] < last and not (triangle_free and length == 3):
-                rec(rest, acc + cost + inst.w(last, anchor),
-                    cycles + [(tuple(path), False)])
+            # a pair 2-cycle, or a longer cycle in one orientation
+            closes = (frozenset(path) in pair_set if length == 2 else
+                      length >= 3 and path[1] < last
+                      and not (triangle_free and length == 3))
+            if closes:
+                rec(rest, acc + cost + inst.w(last, anchor), cycles + [path])
             k = rest
             while k:
                 low = k & -k
@@ -392,11 +389,10 @@ def gadget_2factor(inst: Instance) -> CycleCover:
             raise ValidationError("gadget matching selected half an edge")
     chosen = [(edges[k][0], edges[k][1]) for k in range(len(edges))
               if (k, 0) in matched_to_core]
-    cycles, paths = _walk_degree2(range(inst.n), chosen)
+    cycles, paths = _walk_degree2(inst.n, chosen)
     if paths:
         raise ValidationError("selected edges are not a 2-factor")
-    return make_cover(cycles, directed=False,
-                      pair_flags=[len(c) == 2 for c in cycles])
+    return make_cover(cycles)
 
 
 # ---------------------------------------------------------------------------

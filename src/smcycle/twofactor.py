@@ -1,8 +1,9 @@
 """Minimum-weight 2-factor computation.
 
-Each route takes only the instance.  A pair 2-cycle, the doubled edge of a
-size-2 terminal group, is allowed exactly when the instance has size-2
-groups, as in the problem definition.  Three routes live here:
+Each route takes only the instance and returns only cycles: a 2-vertex
+cycle of an undirected cover is a pair 2-cycle, the doubled edge of a
+size-2 terminal group, as ``core.CycleCover`` derives.  Three routes live
+here:
 
 * ``min_weight_2factor``: {1,2} minimum 2-factor from a maximum simple
   2-matching of the weight-1 graph H, the instance's ``one_masks`` (plus a
@@ -18,7 +19,8 @@ groups, as in the problem definition.  Three routes live here:
 * ``min_weight_triangle_free_2factor``: {1,2} minimum 2-factor with no
   3-cycle, from a maximum triangle-free simple 2-matching of H, found per
   connected component of the masks by a branch and bound whose every
-  node is one ``max_simple_2matching`` call, under a node budget.
+  node is one ``max_simple_2matching`` call, under a node budget; it
+  refuses size-2 groups, as its one pipeline (onetwo76) does.
 
 Both {1,2} routes thus share one 2-matching core on the masks, and close
 their 2-matching with one component/chain/repair step,
@@ -33,28 +35,29 @@ from functools import reduce
 from operator import eq, itemgetter, or_
 from typing import Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass, bits, cover_cost,
-                   make_cover, successor_cycles)
+from .core import (CycleCover, Instance, Weight, WeightClass, bits, make_cover,
+                   successor_cycles)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import max_simple_2matching, min_cost_bipartite_perfect_matching
 
 TRIANGLE_FREE_NODE_BUDGET = 10_000
 
 
-def _walk_degree2(vertices: Sequence[int], edges: Sequence[tuple[int, int]]
+def _walk_degree2(n: int, edges: Sequence[tuple[int, int]]
                   ) -> tuple[list[list[int]], list[list[int]]]:
-    """Split a multigraph of maximum degree 2 into its cycles and paths.
+    """Split a multigraph on vertices 0..n-1 of maximum degree 2 into its
+    cycles and paths.
 
     ``edges`` may repeat an edge; its two copies form a 2-cycle.  Paths are
     walked from their smaller endpoint, an isolated vertex being a
     one-vertex path; cycles start at their smallest vertex and leave it by
     its first listed edge.  Both come out in order of their first vertex.
     """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
-    if any(len(a) > 2 for a in adj.values()):
+    if any(len(a) > 2 for a in adj):
         raise ValidationError("edges meet a vertex more than twice")
     used = [False] * len(edges)
 
@@ -71,20 +74,19 @@ def _walk_degree2(vertices: Sequence[int], edges: Sequence[tuple[int, int]]
             cur = step[0]
             seq.append(cur)
 
-    order = sorted(adj)
-    paths = [walk(v) for v in order
+    paths = [walk(v) for v in range(n)
              if len(adj[v]) < 2 and not any(used[eid] for _, eid in adj[v])]
-    cycles = [walk(v) for v in order if adj[v] and not used[adj[v][0][1]]]
+    cycles = [walk(v) for v in range(n) if adj[v] and not used[adj[v][0][1]]]
     return cycles, paths
 
 
-def _cycles_from_2matching(inst: Instance, vertices: Sequence[int],
-                           edges: Sequence[tuple[int, int]], min_len: int,
+def _cycles_from_2matching(inst: Instance, edges: Sequence[tuple[int, int]],
+                           min_len: int,
                            pairs: frozenset[frozenset[int]] = frozenset()
                            ) -> list[list[int]] | None:
     """Cycles of a minimum {1,2} 2-factor built from a maximum 2-matching.
 
-    ``edges`` is a maximum simple 2-matching of H+ on ``vertices``: H is the
+    ``edges`` is a maximum simple 2-matching of H+ on all vertices: H is the
     weight-1 graph and H+ adds a second copy of each weight-1 edge of an
     allowed pair group (``pairs``).  Cycles shorter than ``min_len`` are
     forbidden except those pair 2-cycles; a 2-vertex cycle in the result is
@@ -116,7 +118,7 @@ def _cycles_from_2matching(inst: Instance, vertices: Sequence[int],
     e2(F) >= 2 = p + 1.  The splice into the first cycle, at most one
     above 2n - |M|, is then optimal.
     """
-    cycles, paths = _walk_degree2(vertices, edges)
+    cycles, paths = _walk_degree2(inst.n, edges)
     for cyc in cycles:
         if len(cyc) < min_len and not (len(cyc) == 2 and frozenset(cyc) in pairs):
             raise ValidationError("2-matching has a cycle shorter than allowed")
@@ -166,12 +168,11 @@ def min_weight_2factor(inst: Instance) -> CycleCover:
     pairs = inst.pair_groups()
     chosen = max_simple_2matching(
         masks, [(u, v) for u, v in pairs if masks[u] >> v & 1])
-    cycles = _cycles_from_2matching(inst, range(inst.n), chosen, 3,
+    cycles = _cycles_from_2matching(inst, chosen, 3,
                                     frozenset(map(frozenset, pairs)))
     if cycles is None:
         raise ValidationError("no 2-factor exists")
-    return make_cover(cycles, directed=False,
-                      pair_flags=[len(c) == 2 for c in cycles])
+    return make_cover(cycles)
 
 
 def min_weight_directed_2factor(inst: Instance) -> CycleCover:
@@ -270,12 +271,11 @@ def _max_triangle_free_2matching(masks: Sequence[int], comp: int
     return best
 
 
-def _mask_components(masks: Sequence[int], vertices: Sequence[int]
-                     ) -> list[int]:
+def _mask_components(masks: Sequence[int]) -> list[int]:
     """Connected components, as bitmasks in order of their lowest vertex,
-    of the graph that ``masks`` induce on ``vertices``: one breadth-first
-    search that reads each vertex's mask once."""
-    left = sum(1 << v for v in vertices)
+    of the graph of ``masks``: one breadth-first search that reads each
+    vertex's mask once."""
+    left = (1 << len(masks)) - 1
     comps = []
     while left:
         comp, reach = 0, left & -left
@@ -290,39 +290,22 @@ def _mask_components(masks: Sequence[int], vertices: Sequence[int]
 def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
     """Minimum-weight {1,2} 2-factor among those with no length-3 cycle.
 
-    A pair 2-cycle is not a triangle.  Every subset of the size-2 groups is
-    tried as the set of pair 2-cycles; on the other vertices a maximum
-    triangle-free simple 2-matching of the weight-1 graph H is closed by
-    ``_cycles_from_2matching`` with cycles of length at least 4.  That
-    2-matching is the union of one per connected component of H, each from
-    ``_max_triangle_free_2matching``.  Each branch is exact, so the
-    cheapest one is.
+    Size-2 groups are refused: the one pipeline on this route, onetwo76,
+    needs every group to have at least 4 vertices.  A maximum triangle-free simple 2-matching of the weight-1
+    graph H, the union of one per connected component of H from
+    ``_max_triangle_free_2matching``, is closed by
+    ``_cycles_from_2matching`` with cycles of length at least 4.
     """
     if inst.weight_class is not WeightClass.ONE_TWO:
         raise ValidationError("{1,2} 2-factors need one-two weights")
-    pairs = inst.pair_groups()
-    best_cost: Weight | None = None
-    best_cover: CycleCover | None = None
+    if inst.pair_groups():
+        raise ValidationError("the triangle-free 2-factor takes no size-2 groups")
     masks = inst.one_masks
-    for subset in range(1 << len(pairs)):
-        committed = [pairs[i] for i in range(len(pairs)) if subset >> i & 1]
-        removed = {v for p in committed for v in p}
-        active = [v for v in range(inst.n) if v not in removed]
-        matching = [e for comp in _mask_components(masks, active)
-                    for e in _max_triangle_free_2matching(masks, comp)]
-        cycles = _cycles_from_2matching(inst, active, matching, 4)
-        if cycles is None:  # 1 to 3 active vertices
-            continue
-        all_cycles = [list(p) for p in committed] + cycles
-        flags = [True] * len(committed) + [False] * len(cycles)
-        cover = make_cover(all_cycles, directed=False, pair_flags=flags)
-        cost = cover_cost(inst, cover)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_cover = cover
-    if best_cover is None:
+    matching = [e for comp in _mask_components(masks)
+                for e in _max_triangle_free_2matching(masks, comp)]
+    cycles = _cycles_from_2matching(inst, matching, 4)
+    if cycles is None:
         raise ValidationError("no triangle-free 2-factor exists")
-    for cyc, flag in zip(best_cover.cycles, best_cover.pair_flags):
-        if not flag and len(cyc) < 4:
-            raise SmcError("triangle-free route produced a short cycle")
-    return best_cover
+    if any(len(c) < 4 for c in cycles):
+        raise SmcError("triangle-free route produced a short cycle")
+    return make_cover(cycles)

@@ -180,18 +180,32 @@ def test_negative_weight_in_one_two_instance_is_a_class_violation():
 
 def test_pair_two_cycle_is_feasible():
     inst = pair_instance()
-    cover = make_cover([[0, 1]], pair_flags=[True])
+    cover = make_cover([[0, 1]])
+    assert cover.pair_flags == (True,)
     report = validate_solution(inst, cover)
     assert report.feasible
     assert cover_cost(inst, cover) == 6
 
 
 def test_unflagged_two_cycle_is_rejected():
-    inst = pair_instance()
-    cover = make_cover([[0, 1]])
-    report = validate_solution(inst, cover)
+    # a cover derives its pair flags, so the file is where a missing or
+    # misplaced marker can appear
+    for text, directed in (("0 1\n", False), ("0 1 2 pair\n", False),
+                           ("0 1 pair\n", True)):
+        with pytest.raises(FormatError, match="'pair' ends exactly"):
+            parse_solution(text, directed=directed)
+    assert parse_solution("0 1\n", directed=True).pair_flags == (False,)
+    # a 2-cycle is legal only on a size-2 terminal group
+    w = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
+    inst = validate_instance(4, w, True, WeightClass.GENERAL_METRIC,
+                             [[0, 1], [2, 3]])
+    report = validate_solution(inst, make_cover([[0, 2], [1, 3]]))
     assert not report.feasible
-    assert any("2-cycle" in v for v in report.violations)
+    assert report.violations == (
+        "illegal 2-cycle (0, 2): not a size-2 terminal group",
+        "illegal 2-cycle (1, 3): not a size-2 terminal group",
+        "split group (0, 1): spread over cycles [0, 1]",
+        "split group (2, 3): spread over cycles [0, 1]")
 
 
 def test_non_spanning_cover_reported():
@@ -467,7 +481,7 @@ def test_format_writes_exact_tokens():
 
 
 def test_solution_file_round_trip():
-    cover = make_cover([[0, 1], [2, 5, 4, 3]], pair_flags=[True, False])
+    cover = make_cover([[0, 1], [2, 5, 4, 3]])
     text = format_solution(cover)
     again = parse_solution(text)
     assert again == cover
@@ -499,7 +513,7 @@ def test_instance_format_golden():
 
 
 def test_solution_format_golden():
-    cover = make_cover([[0, 1], [2, 5, 4, 3]], pair_flags=[True, False])
+    cover = make_cover([[0, 1], [2, 5, 4, 3]])
     assert format_solution(cover) == "0 1 pair\n2 5 4 3\n"
 
 

@@ -56,9 +56,7 @@ def test_one_two_cost_decomposition_property(inst):
     if inst.weight_class is not WeightClass.ONE_TWO:
         return
     cover = make_cover([list(g) for g in inst.groups if len(g) > 2]
-                       + [list(g) for g in inst.groups if len(g) == 2],
-                       pair_flags=[False] * sum(1 for g in inst.groups if len(g) > 2)
-                       + [True] * sum(1 for g in inst.groups if len(g) == 2))
+                       + [list(g) for g in inst.groups if len(g) == 2])
     assert cover_cost(inst, cover) == inst.n + count_weight2_edges(inst, cover)
 
 

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
 import smcycle
-from smcycle.core import format_instance, generate_instance
+from smcycle.core import CycleCover, format_instance, generate_instance
 
 SOURCES = sorted(Path(smcycle.__file__).resolve().parent.glob("*.py"))
 
@@ -301,6 +303,58 @@ def test_tracer_sees_every_asymmetric_layer():
         "matching.minimal_edge_cover": stages.iterations,
         "asymmetric.representatives": stages.iterations,
         "asymmetric.directed_shortcut": stages.iterations}
+
+
+def test_benchmark_reference_cost_matches_cover_cost():
+    # perfbench/run.py checks each solve's cover_cost against its own
+    # reference_cost, which reads cover.pair_flags: covers with pair
+    # 2-cycles from metric3, onetwo119 and the oracle, and an asym-log one
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        run = importlib.import_module("run")
+    finally:
+        sys.path.remove(str(bench))
+    from smcycle.asymmetric import approx_asymmetric
+    from smcycle.core import WeightClass, cover_cost, validate_instance
+    from smcycle.metric import approx_metric
+    from smcycle.onetwo import approx_onetwo
+    from smcycle.oracle import brute_force_smc
+
+    # two pairs and a triple far apart on a line, at Fraction positions
+    groups = [[0, 1], [2, 3], [4, 5, 6]]
+    points = [Fraction(p, 3) for p in (0, 1, 300, 302, 600, 601, 603)]
+    line = validate_instance(7, [[abs(p - q) for q in points] for p in points],
+                             True, WeightClass.GENERAL_METRIC, groups)
+    # 1-edges exactly inside the groups
+    group_of = {v: g for g, group in enumerate(groups) for v in group}
+    ones = validate_instance(7, [[0 if u == v else 1 + (group_of[u] != group_of[v])
+                                  for v in range(7)] for u in range(7)],
+                             True, WeightClass.ONE_TWO, groups)
+    covers = [(line, approx_metric(line)[0]), (ones, approx_onetwo(ones)[0]),
+              (line, brute_force_smc(line)[1]), (ones, brute_force_smc(ones)[1])]
+    assert all(cover.pair_flags == (True, True, False) for _inst, cover in covers)
+    asym = generate_instance("asymmetric", 8, [2, 2, 4], seed=1)
+    covers.append((asym, approx_asymmetric(asym)[0]))
+    for inst, cover in covers:
+        assert run.reference_cost(inst.weights, cover) == cover_cost(inst, cover)
+
+
+def test_pair_2cycles_are_decided_by_the_cover():
+    # CycleCover derives its pair flags: no constructor takes them, and no
+    # cycle object of the library carries one
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a name, an attribute, a parameter or a string such as a slot
+            names = [getattr(node, key, None)
+                     for key in ("id", "attr", "arg", "value")]
+            if ("is_pair" in names
+                    or isinstance(node, ast.keyword) and node.arg == "pair_flags"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert [f.name for f in dataclasses.fields(CycleCover)] == [
+        "cycles", "directed"]
 
 
 # The library's hard size caps.  ROADMAP treats each as a performance

@@ -248,15 +248,44 @@ def test_triangle_free_matches_oracle():
         assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
 
 
+def partition_triangle_free_2factor(inst):
+    """Minimum weight of a 2-factor with no 3-cycle and a pair 2-cycle
+    allowed on each size-2 group (n <= 8): the cheapest cycle through each
+    vertex set of 4 or more, by trying every order of it, and the doubled
+    edge of each pair group, then the cheapest partition of the vertices
+    into such sets."""
+    n, w = inst.n, inst.weights
+    cycle = {(1 << a) | (1 << b): 2 * w[a][b] for a, b in inst.pair_groups()}
+    for k in range(4, n + 1):
+        for first, *rest in itertools.combinations(range(n), k):
+            cycle[(1 << first) + sum(1 << v for v in rest)] = min(
+                sum(w[a][b] for a, b in zip((first,) + order, order + (first,)))
+                for order in itertools.permutations(rest))
+    best = [0] + [None] * ((1 << n) - 1)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        best[mask] = min((best[mask ^ s] + c for s, c in cycle.items()
+                          if s & low and s & mask == s
+                          and best[mask ^ s] is not None), default=None)
+    return best[-1]
+
+
+def check_triangle_free_pairs(inst):
+    """The route refuses size-2 groups; the oracle's triangle-free optimum
+    with pair 2-cycles is checked against an independent reference."""
+    with pytest.raises(ValidationError, match="no size-2 groups"):
+        min_weight_triangle_free_2factor(inst)
+    assert (brute_force_2factor(inst, triangle_free=True)
+            == partition_triangle_free_2factor(inst))
+
+
 def test_triangle_free_with_pairs_matches_oracle():
     rng = Random(29)
     for trial in range(60):
         n = rng.choice((6, 7, 8))
         sizes = [2, n - 2]
         inst = generate_instance("one-two", n, sizes, seed=rng.randrange(10 ** 6))
-        cover = min_weight_triangle_free_2factor(inst)
-        check_two_factor_shape(inst, cover, triangle_free=True)
-        assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
+        check_triangle_free_pairs(inst)
 
 
 def test_adapter_returns_unchanged_2factor():
@@ -307,7 +336,8 @@ def test_triangle_free_sparse_matches_oracle():
     # a cycle.  Odd trials plant one: a 1-edge ring through all but three
     # vertices x, y, z, of which only x has 1-edges into the ring, so that
     # the chain's middle is often its only escape.  Even trials are plain
-    # sparse graphs, every second one with a size-2 group.
+    # sparse graphs, every second one with a size-2 group, which the route
+    # refuses.
     rng = Random(31)
     for trial in range(520):
         order = list(range(4 + trial % 5 if trial % 40 else 9))
@@ -328,6 +358,9 @@ def test_triangle_free_sparse_matches_oracle():
             if trial % 4 == 2 and n >= 6:
                 groups = [order[:2], order[2:]]
         inst = ones_instance(n, {(min(e), max(e)) for e in pairs}, groups)
+        if len(groups) > 1:
+            check_triangle_free_pairs(inst)
+            continue
         cover = min_weight_triangle_free_2factor(inst)
         check_two_factor_shape(inst, cover, triangle_free=True)
         assert cover_cost(inst, cover) == brute_force_2factor(inst, triangle_free=True)
