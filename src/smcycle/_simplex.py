@@ -2,7 +2,7 @@
 
 ``solve_min_lp`` minimizes c.x subject to per-row <= or >= constraints and
 x >= 0 by the two-phase method.  ``ColumnLp`` (see "Column form") keeps
-one tableau whose columns arrive one at a time and re-optimises it warm;
+one tableau whose columns arrive in batches and re-optimises it warm;
 both run the same pivot primitive and Bland loop.
 
 Tableau.  Each input row, coefficients and right-hand side, is multiplied
@@ -16,18 +16,24 @@ of its own: in every tableau its column is minus the slack column of row
 ``i``, and its reduced cost is read off the slack's.
 
 Arithmetic.  The starting basis (slacks of <= rows, artificials of >=
-rows) is the identity, and ``d``, the absolute determinant of the current
-basis, times any true tableau row is an integer vector.  A stored row is
-its true row times a positive scale, the value of its basic cell.  A pivot
-on a row ``P`` whose entering cell is ``p`` at scale ``d`` (rescaled to
-``d`` first if needed) makes ``p`` the new determinant.  Any other row
-``R``, at scale ``s`` and with entering cell ``f``, becomes
-``R - f * P / p`` at scale ``s`` when that is integral, which touches only
-the nonzero cells of ``P`` and covers nearly every update, and otherwise
-the Bareiss update ``(p * R - f * P) / s`` at scale ``p``; both divisions
-are exact.  The objective row is updated in the same way, its scale kept
-beside it.  No Fraction is built until ``x`` is read off as right-hand
-side over scale.
+rows) is the identity, and ``d``, the absolute determinant of the
+current basis, times any true tableau row is an integer vector.  A
+stored row is its true row times a positive scale, the value of its
+basic cell.  A pivot on a row ``P`` whose entering cell is ``p`` at
+scale ``d`` (rescaled to ``d`` first if needed) makes ``p`` the new
+determinant.  Any other row ``R``, at scale ``s`` and with entering cell
+``f``, becomes ``R - f * P / p`` at scale ``s`` when that is integral,
+which touches only the nonzero cells of ``P`` and covers nearly every
+update.  Otherwise ``R`` is first multiplied by the least ``t`` that
+makes ``t * f * P / p`` integral, one C-level pass, and updated in the
+same way at scale ``s * t``.  Both ``s * t`` and ``p`` times the true
+row are integral, so ``g = gcd(s * t, p)`` times it is too, and the row
+is divided down to scale ``g`` when ``g < s * t``.  By induction over
+the pivots, a row's scale then divides the one the Bareiss update
+``(p * R - f * P) / s`` would have given it, so no cell is ever wider
+than under Bareiss.  The objective row is updated in the same way, its
+scale kept beside it.  No Fraction is built until ``x`` is read off as
+right-hand side over scale.
 
 Pivot rules.  A positive row or column scale changes no sign and no ratio
 the rules read, so the pivots are those of the rational tableau: Bland's
@@ -36,22 +42,25 @@ the smallest basic index) prevents cycling and makes every pivot sequence
 deterministic.
 
 Column form.  ``ColumnLp`` minimizes cost.w subject to A w <= b and
-w >= 0, with b >= 0, for an A whose columns arrive one at a time: the
-dual of a covering LP whose rows are found by separation.  Each column
-holds one int coefficient ``a`` in a set of rows and 0 elsewhere (a cut of
-the covering LP is a = 1 in the rows of its variables, a bound x_k <= 1
-is a = -1 in row k).  Its slack basis is feasible, so no phase 1 runs, and
-a new column leaves the current basis feasible, so each re-optimisation
+w >= 0, with b >= 0, for an A whose columns arrive in batches: the dual of
+a covering LP whose rows are found by separation.  Each column holds one
+int coefficient ``a`` in a set of rows and 0 elsewhere (a cut of the
+covering LP is a = 1 in the rows of its variables, a bound x_k <= 1 is
+a = -1 in row k).  Its slack basis is feasible, so no phase 1 runs, and a
+new column leaves the current basis feasible, so each re-optimisation
 starts where the last one ended, with the same pivots and Bland loop.
-The tableau is laid out as above (structural cells, then slacks); a new
-column is inserted before the slacks.  Pricing it needs no solve: the
-slack cells of a stored row are that row of B^-1 at the row's scale, so
-the new cell is ``a`` times the sum of the row's slack cells over the
-column's rows, one ``itemgetter`` sum, and the objective cell is
-``zs * cost`` plus ``a`` times the same sum over the objective row's
-slack cells.  The prices ``x`` of the rows, the solution of the dual
-max -b.x subject to A^T x >= -cost and x >= 0, are read exactly as the
-reduced costs of the slacks, ``z[slack] / zs``.
+The tableau is laid out as above (structural cells, then slacks).  The
+columns known before the first solve are laid down as the starting
+tableau: against the slack basis, the identity at d = 1, a column's cells
+are its coefficients and its objective cell is its cost.  A column added
+later is inserted before the slacks and priced without a solve: the slack
+cells of a stored row are that row of B^-1 at the row's scale, so the new
+cell is ``a`` times the sum of the row's slack cells over the column's
+rows, one ``itemgetter`` sum, and the objective cell is ``zs * cost``
+plus ``a`` times the same sum over the objective row's slack cells.  The
+prices ``x`` of the rows, the solution of the dual max -b.x subject to
+A^T x >= -cost and x >= 0, are read exactly as the reduced costs of the
+slacks, ``z[slack] / zs``.
 
 Certificate.  Every answer of ``ColumnLp.optimise`` is checked from the
 columns as given, not from the tableau: x >= 0 and A^T x >= -cost, w >= 0
@@ -63,9 +72,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Callable, Sequence
+from operator import call, floordiv, itemgetter, lt, mul
+from typing import Callable, Iterable, Sequence
 
 from .errors import SmcError
 
@@ -128,12 +138,24 @@ def _eliminate(row: list[int], s: int, f: int, pivot: _Pivot) -> int:
     """Subtract ``f / p`` times the pivot row from ``row``, at scale ``s``,
     in place; return the new scale of ``row``."""
     prow, p, g, nonzero = pivot
-    if f * g % p:  # f * prow / p is not integral
-        row[:] = [(p * a - f * v) // s for a, v in zip(row, prow)]
-        return p
+    fg = f * g
+    if fg % p == 0:
+        for k in nonzero:
+            row[k] -= f * prow[k] // p
+        return s
+    # f * prow / p is not integral: scale row by the least t that makes it
+    # so, subtract, and divide row and scale down to gcd(s * t, p)
+    # (see "Arithmetic" above)
+    t = p // gcd(p, fg)
+    row[:] = map(mul, row, repeat(t))
+    f *= t
     for k in nonzero:
         row[k] -= f * prow[k] // p
-    return s
+    s *= t
+    h = s // gcd(s, p)
+    if h > 1:
+        row[:] = map(floordiv, row, repeat(h))
+    return s // h
 
 
 def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
@@ -244,30 +266,49 @@ def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
 
 class ColumnLp:
     """Minimize cost.w subject to A w <= ``rhs`` and w >= 0, where ``rhs``
-    is a non-negative vector and the int columns of A are added one at a
-    time (see "Column form" above).
+    is a non-negative vector and the int columns of A are ``columns``,
+    then any added one at a time (see "Column form" above); each column is
+    (its rows, their coefficient, its cost).
 
     An int or Fraction ``rhs`` is multiplied by the lcm of its
     denominators, which scales w and the objective but not the prices x.
     """
 
-    def __init__(self, rhs: Sequence):
+    def __init__(self, rhs: Sequence,
+                 columns: Iterable[tuple[Sequence[int], int, int]] = ()):
         if any(b < 0 for b in rhs):
             raise SmcError("column LP needs a non-negative right-hand side")
         m = len(rhs)
         self.rhs, _ = _integers(rhs)
-        # each column added as (its rows, their coefficient, its cost)
+        # each column as (its rows, their coefficient, its cost), and the
+        # getter of its rows' cells
         self.columns: list[tuple[list[int], int, int]] = []
+        self._getters: list[Callable[[Sequence[int]], Sequence[int]]] = []
+        # against the slack basis, the identity at d = zs = 1, a column's
+        # cells are its coefficients and its objective cell is its cost
+        cells = []
+        for rows, coefficient, cost in columns:
+            column = [0] * m
+            for k in rows:
+                column[k] += coefficient
+            cells.append(column)
+            self._append(rows, coefficient, cost)
+        n = len(cells)
         self.rows = []
-        for i, b in enumerate(self.rhs):
-            row = [0] * (m + 1)
-            row[i] = 1
-            row[m] = b
+        for i, (structural, b) in enumerate(zip(
+                zip(*cells) if cells else repeat((), m), self.rhs)):
+            row = [*structural, *[0] * m, b]
+            row[n + i] = 1
             self.rows.append(row)
-        self.basis = list(range(m))  # the slack of row i has index n + i
-        self.z = [0] * (m + 1)
+        self.basis = list(range(n, n + m))  # the slack of row i is n + i
+        self.z = [cost for _rows, _a, cost in self.columns] + [0] * (m + 1)
         self.zs = 1  # scale of z
         self.d = 1  # determinant of the basis
+
+    def _append(self, rows: Sequence[int], coefficient: int,
+                cost: int) -> None:
+        self.columns.append((list(rows), coefficient, cost))
+        self._getters.append(_cells(rows))
 
     def add_column(self, rows: Sequence[int], coefficient: int,
                    cost: int) -> None:
@@ -280,7 +321,7 @@ class ColumnLp:
         z = self.z
         z.insert(n, self.zs * cost + coefficient * sum(cells(z)))
         self.basis = [b + (b >= n) for b in self.basis]
-        self.columns.append((list(rows), coefficient, cost))
+        self._append(rows, coefficient, cost)
 
     def optimise(self) -> tuple[list[int], int]:
         """Re-optimise from the current basis and return the row prices
@@ -311,19 +352,20 @@ class ColumnLp:
     def _certify(self, x: list[int], xs: int, w: list[int], ws: int) -> None:
         """Raise unless x / xs and w / ws are feasible and have equal
         objectives, which proves both optimal."""
-        rhs = self.rhs
-        if any(v < 0 for v in x) or any(v < 0 for v in w):
+        rhs, columns = self.rhs, self.columns
+        if min(x, default=0) < 0 or min(w, default=0) < 0:
             raise SmcError("column LP certificate: negative value")
+        # each column: a * (the sum of its rows' prices) >= -cost * xs
+        prices = map(sum, map(call, self._getters, repeat(x)))
+        if any(map(lt, map(mul, map(itemgetter(1), columns), prices),
+                   map(mul, map(itemgetter(2), columns), repeat(-xs)))):
+            raise SmcError("column LP certificate: prices violate a column")
         load = [0] * len(rhs)  # A w, over ws
-        value = 0  # cost.w, over ws
-        for (rows, a, cost), wj in zip(self.columns, w):
-            if a * sum(_cells(rows)(x)) < -cost * xs:
-                raise SmcError("column LP certificate: prices violate a column")
-            if wj:
-                value += cost * wj
-                for k in rows:
-                    load[k] += a * wj
-        if any(t > b * ws for t, b in zip(load, rhs)):
+        for (rows, a, _cost), wj in compress(zip(columns, w), w):
+            for k in rows:
+                load[k] += a * wj
+        if any(map(lt, map(mul, rhs, repeat(ws)), load)):
             raise SmcError("column LP certificate: values violate a row")
-        if value * xs != -ws * sum(b * v for b, v in zip(rhs, x)):
+        value = sum(map(mul, map(itemgetter(2), columns), w))  # over ws
+        if value * xs != -ws * sum(map(mul, rhs, x)):
             raise SmcError("column LP certificate: objectives differ")

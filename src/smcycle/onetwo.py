@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass, components,
-                   count_weight2_edges, cover_cost, make_cover,
+from .core import (CycleCover, Instance, Weight, WeightClass, bits,
+                   components, count_weight2_edges, cover_cost, make_cover,
                    validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import _augment_matching
@@ -50,12 +50,11 @@ class _WCycle:
         return 2 if frozenset((a, b)) in self.virtual2 else inst.w(a, b)
 
     def has_2edge(self, inst: Instance) -> bool:
-        if self.virtual2:
-            return True
-        return any(inst.w(a, b) == 2 for a, b in self.positional_edges())
+        return bool(self.virtual2) or not self.is_pure(inst)
 
     def is_pure(self, inst: Instance) -> bool:
-        return all(inst.w(a, b) == 1 for a, b in self.positional_edges())
+        masks = inst.one_masks
+        return all(masks[a] >> b & 1 for a, b in self.positional_edges())
 
 
 def _open_cycle(verts: Sequence[int], u: int, x: int) -> list[int]:
@@ -90,19 +89,22 @@ def _neighbors_on(cycle: _WCycle, v: int) -> list[int]:
 class SpecialTwoFactor:
     cover: CycleCover
     pure: tuple[bool, ...]
+    weight: Weight  # cover_cost of ``cover``
+
+
+def _first_2edge(inst: Instance, c: _WCycle) -> tuple[int, int]:
+    """The first weight-2 edge of ``c`` in its positional order."""
+    masks = inst.one_masks
+    for a, b in c.positional_edges():
+        if not masks[a] >> b & 1:
+            return a, b
+    raise SmcError("nonpure cycle without a 2-edge")
 
 
 def _merge_two_nonpure(inst: Instance, x: _WCycle, y: _WCycle) -> _WCycle:
     """Remove one 2-edge from each cycle, reconnect into a single cycle."""
-
-    def first_2edge(c: _WCycle) -> tuple[int, int]:
-        for a, b in c.positional_edges():
-            if inst.w(a, b) == 2:
-                return a, b
-        raise SmcError("nonpure cycle without a 2-edge")
-
-    ax, bx = first_2edge(x)
-    ay, by = first_2edge(y)
+    ax, bx = _first_2edge(inst, x)
+    ay, by = _first_2edge(inst, y)
     px = _open_cycle(x.verts, ax, bx)  # path ax .. bx
     py = _open_cycle(y.verts, ay, by)
     cands = []
@@ -120,18 +122,22 @@ def _merge_two_nonpure(inst: Instance, x: _WCycle, y: _WCycle) -> _WCycle:
 def _property2_violation(inst: Instance, nonpure: _WCycle,
                          pure_cycles: list[_WCycle]
                          ) -> tuple[int, int, int, int] | None:
-    """A 2-edge xy of the nonpure cycle with a 1-edge yz into a pure cycle."""
+    """A 2-edge xy of the nonpure cycle with a 1-edge yz into a pure cycle,
+    z the least such vertex."""
+    masks = inst.one_masks
     members: dict[int, int] = {}
     for ci, c in enumerate(pure_cycles):
         for v in c.verts:
             members[v] = ci
+    inside = sum(1 << v for v in members)
     for a, b in nonpure.positional_edges():
-        if inst.w(a, b) != 2:
+        if masks[a] >> b & 1:
             continue
         for x, y in ((a, b), (b, a)):
-            for z in sorted(members):
-                if inst.w(y, z) == 1:
-                    return x, y, z, members[z]
+            hit = masks[y] & inside
+            if hit:
+                z = (hit & -hit).bit_length() - 1
+                return x, y, z, members[z]
     return None
 
 
@@ -190,7 +196,7 @@ def special_2factor(inst: Instance, base: CycleCover) -> SpecialTwoFactor:
         others = [c for i, c in enumerate(work) if i != npi]
         if _property2_violation(inst, work[npi], others) is not None:
             raise SmcError("a 2-edge endpoint still reaches a pure cycle by a 1-edge")
-    return SpecialTwoFactor(cover=cover, pure=pure)
+    return SpecialTwoFactor(cover=cover, pure=pure, weight=start_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +219,16 @@ def build_B(inst: Instance, factor: SpecialTwoFactor) -> list[tuple[int, int]]:
     outside C and some u in C has w(u,v) = 1.  Pair 2-cycles keep their
     group whole, so they never show up as non-isolated right nodes.
     """
+    masks = inst.one_masks
     edges = []
     for ci, cyc in enumerate(factor.cover.cycles):
         if not factor.pure[ci] or _respects(inst, cyc):
             continue
-        inside = set(cyc)
-        for v in range(inst.n):
-            if v in inside:
-                continue
-            if any(inst.w(u, v) == 1 for u in cyc):
-                edges.append((v, ci))
+        reach = 0
+        for u in cyc:
+            reach |= masks[u]
+        reach &= ~sum(1 << u for u in cyc)
+        edges += [(v, ci) for v in bits(reach)]
     return edges
 
 
@@ -617,18 +623,20 @@ def _rotate_path(cb: _WCycle, m: int) -> list[int]:
     return [verts[(i + k) % L] for k in range(1, L)]
 
 
+def _witness(inst: Instance, verts: Sequence[int], v: int) -> int:
+    """The least of ``verts`` with a 1-edge to ``v``."""
+    hit = inst.one_masks[v] & sum(1 << u for u in verts)
+    if not hit:
+        raise SmcError("matched pair lost its 1-edge witness")
+    return (hit & -hit).bit_length() - 1
+
+
 def join_component_cycles(inst: Instance, factor: SpecialTwoFactor,
                           dig: AttachmentDigraph, audit: dict,
                           worst: bool = False) -> list[_WCycle]:
     """Phase 1: merge the factor's cycles along each D' component."""
     cycles = [_WCycle(c) for c in factor.cover.cycles]
     matched_v = dict(dig.matched_vertex)
-
-    def witness(ci: int, v: int) -> int:
-        cands = [u for u in cycles[ci].verts if inst.w(u, v) == 1]
-        if not cands:
-            raise SmcError("matched pair lost its 1-edge witness")
-        return min(cands)
 
     out: list[_WCycle] = []
     for comp in dig.dprime_components():
@@ -642,7 +650,8 @@ def join_component_cycles(inst: Instance, factor: SpecialTwoFactor,
             leaves = []
             for a, _b in comp_arcs:
                 v = matched_v[a]
-                leaves.append((cycles[a], v, witness(a, v)))
+                leaves.append((cycles[a], v,
+                               _witness(inst, cycles[a].verts, v)))
             out.append(_merge_star(inst, cycles[root], leaves, audit, worst))
         elif shape == "path":
             head = {a: b for a, b in comp_arcs}
@@ -650,8 +659,8 @@ def join_component_cycles(inst: Instance, factor: SpecialTwoFactor,
                           if v not in {b for _a, b in comp_arcs} and v in head)
             a, b, c = indeg0, head[indeg0], head[head[indeg0]]
             va, vb = matched_v[a], matched_v[b]
-            e1 = (witness(a, va), va)
-            e2 = (witness(b, vb), vb)
+            e1 = (_witness(inst, cycles[a].verts, va), va)
+            e2 = (_witness(inst, cycles[b].verts, vb), vb)
             out.append(_merge_path(inst, cycles[a], cycles[b], cycles[c],
                                    e1, e2, audit, worst))
         else:
@@ -766,7 +775,6 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
     final = join_disrespecting_cycles(inst, merged, audit, worst)
     cover = make_cover(sorted((c.verts for c in final), key=min))
 
-    factor_weight = cover_cost(inst, factor.cover)
     e2 = count_weight2_edges(inst, factor.cover)
     if audit["phase2_delta"] > c_p:
         raise SmcError("phase-2 total exceeded the isolated-pure-cycle count")
@@ -781,7 +789,7 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
         raise SmcError("phase-1 total exceeded the charge budget")
 
     cost = cover_cost(inst, cover)
-    if cost > factor_weight + audit["phase1_delta"] + audit["phase2_delta"]:
+    if cost > factor.weight + audit["phase1_delta"] + audit["phase2_delta"]:
         raise SmcError("final cost above the audited bound")
     # assembled inequality chain, in integers
     if not triangle_free_factor:
@@ -795,7 +803,7 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
         raise SmcError(f"pipeline produced infeasible cover: {report.violations}")
     return OneTwoStages(factor=factor, b_edges=tuple(b_edges),
                         matching=tuple(sorted(matching)), digraph=dig,
-                        c_p=c_p, factor_weight=factor_weight,
+                        c_p=c_p, factor_weight=factor.weight,
                         factor_two_edges=e2,
                         phase1_delta=audit["phase1_delta"],
                         phase2_delta=audit["phase2_delta"], cover=cover)

@@ -16,8 +16,9 @@ The weights are >= 0, so the slack basis is feasible and no phase 1 runs;
 a newly separated cut or bound is one added column, so the previous basis
 stays feasible and each round re-optimises from it.  A column holds one
 coefficient: 1 in the rows of the free slots crossing a cut, or -1 in the
-row of a slot bounded by x_e <= 1.  Each pooled cut becomes a column once
-per call, with its residual.  x is read off as the prices of the dual's
+row of a slot bounded by x_e <= 1.  Each call lays the pooled cuts that
+keep a residual down as the LP's starting columns, and adds each cut it
+separates as one column.  x is read off as the prices of the dual's
 rows, and every answer carries the strong-duality certificate of
 ``ColumnLp.optimise``: x >= 0 satisfies every pooled row and bound, the
 dual values are feasible, and the two objectives agree.  An unbounded dual
@@ -108,6 +109,14 @@ class EdgeSubgraph:
 
     def components(self) -> list[list[int]]:
         return components(self.n, self.edges)
+
+    @property
+    def bridges(self) -> frozenset[tuple[int, int]]:
+        """The bridges of the multigraph, searched for once."""
+        cached = self.__dict__.get("_bridges")
+        if cached is None:
+            cached = self.__dict__["_bridges"] = frozenset(_bridges(self))
+        return cached
 
 
 @dataclass(frozen=True)
@@ -205,22 +214,27 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
     """
     free = [s for s in edge_slots(inst) if s not in fixed]
     cost = [inst.w(u, v) for u, v, _c in free]
-    lp = ColumnLp(cost)
     group_masks = req.group_masks()
+
+    def columns(masks: Iterable[int]) -> Iterable[tuple[list[int], int, int]]:
+        """The column of each cut in ``masks`` that still has a residual."""
+        for mask in masks:
+            residual = 2 - sum((mask >> u ^ mask >> v) & 1
+                               for u, v, _c in fixed)
+            if residual > 0:
+                yield ([k for k, (u, v, _c) in enumerate(free)
+                        if (mask >> u ^ mask >> v) & 1], 1, -residual)
 
     pool = cut_pool if cut_pool is not None else []
     if not pool:
         pool.extend(1 << v for v in range(inst.n - 1))
         if inst.n > 2:  # at n = 2 vertex 1 has the cut of vertex 0
             pool.append((1 << inst.n - 1) - 1)
-    priced = 0  # pool[:priced] have their columns
+    lp = ColumnLp(cost, columns(pool))
+    priced = len(pool)  # pool[:priced] have their columns
     while True:
-        for mask in pool[priced:]:
-            residual = 2 - sum((mask >> u ^ mask >> v) & 1
-                               for u, v, _c in fixed)
-            if residual > 0:
-                lp.add_column([k for k, (u, v, _c) in enumerate(free)
-                               if (mask >> u ^ mask >> v) & 1], 1, -residual)
+        for column in columns(pool[priced:]):
+            lp.add_column(*column)
         priced = len(pool)
         try:
             x, scale = lp.optimise()
@@ -286,15 +300,15 @@ def jain_round(inst: Instance, req: SNDRequirements,
             trace.append(f"round {iterations}: fixing {sorted(take)}")
         fixed |= take
     sub = EdgeSubgraph(n=inst.n, edges=tuple(sorted(fixed)))
-    _assert_feasible(sub, req, _bridges(sub))
+    _assert_feasible(sub, req)
     return sub
 
 
-def _assert_feasible(g: EdgeSubgraph, req: SNDRequirements,
-                     bridges: set[tuple[int, int]]) -> None:
+def _assert_feasible(g: EdgeSubgraph, req: SNDRequirements) -> None:
     """Raise unless every group lies in one 2-edge-connected component of
-    ``g``, given the bridges of ``g``: two vertices are 2-edge-connected
-    exactly when they share a component once the bridges are removed."""
+    ``g``: two vertices are 2-edge-connected exactly when they share a
+    component once the bridges are removed."""
+    bridges = g.bridges
     bridgeless = EdgeSubgraph(n=g.n, edges=tuple(
         e for e in g.edges if (e[0], e[1]) not in bridges))
     component = [0] * g.n
@@ -347,11 +361,11 @@ def prune_bridges(g: EdgeSubgraph, req: SNDRequirements) -> EdgeSubgraph:
     A bridge never serves a 2-connectivity requirement, so feasibility is
     preserved (re-asserted here).
     """
-    edges = list(g.edges)
+    current = g
     while True:
-        current = EdgeSubgraph(n=g.n, edges=tuple(sorted(edges)))
-        bad = _bridges(current)
+        bad = current.bridges
         if not bad:
-            _assert_feasible(current, req, bad)
+            _assert_feasible(current, req)
             return current
-        edges = [e for e in edges if (e[0], e[1]) not in bad]
+        current = EdgeSubgraph(n=g.n, edges=tuple(sorted(
+            e for e in current.edges if (e[0], e[1]) not in bad)))

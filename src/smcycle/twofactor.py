@@ -145,13 +145,14 @@ def _cycles_from_2matching(inst: Instance, edges: Sequence[tuple[int, int]],
         a, b, c = chain
         arrangements += [[b, a, c], [b, c, a]]
     own = inner(chain)
+    masks = inst.one_masks
     for arr in arrangements:
         if inner(arr) > own:
             continue
-        u = arr[0]
+        escapes = masks[arr[0]]
         for ci, host in enumerate(cycles):
             for pos, v in enumerate(host):
-                if inst.w(u, v) == 1:
+                if escapes >> v & 1:
                     return splice(ci, pos, arr)
     return splice(0, 0, chain)
 

@@ -9,9 +9,12 @@ import pytest
 from smcycle.core import (WeightClass, count_weight2_edges, cover_cost,
                           generate_instance, make_cover, validate_instance,
                           validate_solution)
-from smcycle.errors import ValidationError
-from smcycle.onetwo import (approx_onetwo, build_B, build_D_and_Dprime,
-                            maximum_b_matching, special_2factor)
+from smcycle.errors import SmcError, ValidationError
+from smcycle.onetwo import (SpecialTwoFactor, _first_2edge,
+                            _property2_violation, _respects, _WCycle,
+                            _witness, approx_onetwo, build_B,
+                            build_D_and_Dprime, maximum_b_matching,
+                            special_2factor)
 from smcycle.oracle import brute_force_2factor, brute_force_smc
 from smcycle.twofactor import min_weight_2factor
 
@@ -243,3 +246,113 @@ def test_approx_onetwo_at_n80():
     assert stages.factor_weight == cover_cost(inst, base) == n + count_weight2_edges(
         inst, base)
     assert stages.factor_weight <= cover_cost(inst, cover)
+
+
+# Pairwise-weight versions of the helpers that read Instance.one_masks: the
+# reference the mask versions must equal.
+
+def pairwise_is_pure(inst, c):
+    return all(inst.w(a, b) == 1 for a, b in c.positional_edges())
+
+
+def pairwise_has_2edge(inst, c):
+    if c.virtual2:
+        return True
+    return any(inst.w(a, b) == 2 for a, b in c.positional_edges())
+
+
+def pairwise_first_2edge(inst, c):
+    for a, b in c.positional_edges():
+        if inst.w(a, b) == 2:
+            return a, b
+    raise SmcError("nonpure cycle without a 2-edge")
+
+
+def pairwise_property2_violation(inst, nonpure, pure_cycles):
+    members = {}
+    for ci, c in enumerate(pure_cycles):
+        for v in c.verts:
+            members[v] = ci
+    for a, b in nonpure.positional_edges():
+        if inst.w(a, b) != 2:
+            continue
+        for x, y in ((a, b), (b, a)):
+            for z in sorted(members):
+                if inst.w(y, z) == 1:
+                    return x, y, z, members[z]
+    return None
+
+
+def pairwise_build_B(inst, factor):
+    edges = []
+    for ci, cyc in enumerate(factor.cover.cycles):
+        if not factor.pure[ci] or _respects(inst, cyc):
+            continue
+        inside = set(cyc)
+        for v in range(inst.n):
+            if v in inside:
+                continue
+            if any(inst.w(u, v) == 1 for u in cyc):
+                edges.append((v, ci))
+    return edges
+
+
+def pairwise_witness(inst, verts, v):
+    cands = [u for u in verts if inst.w(u, v) == 1]
+    if not cands:
+        raise SmcError("matched pair lost its 1-edge witness")
+    return min(cands)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except SmcError as exc:
+        return str(exc)
+
+
+def test_mask_helpers_match_pairwise_weights():
+    # on minimum 2-factors, their special forms and random cycle covers of
+    # {1,2} instances, pair groups included, every helper that reads the
+    # weight-1 masks answers as its pairwise-weight version
+    rng = Random(19)
+    checked = hits = 0
+    for trial in range(150):
+        n = rng.randint(4, 16)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.choice((2, 2, 3, 4, 5)), n - sum(sizes)))
+        if sizes[-1] == 1:
+            sizes[-2:] = [sizes[-2] + 1]
+        inst = generate_instance("one-two", n, sizes, seed=rng.randrange(10 ** 6))
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(2, n - 1), rng.randint(0, (n - 4) // 2))
+                      if n >= 6 else [])
+        random_cover = [order[a:b] for a, b in
+                        zip([0, *cuts], [*cuts, n]) if b - a >= 2]
+        base = min_weight_2factor(inst)
+        factor = special_2factor(inst, base)
+        covers = [base.cycles, factor.cover.cycles, random_cover]
+        for cycles in covers:
+            work = [_WCycle(c) for c in cycles]
+            for i, c in enumerate(work):
+                others = work[:i] + work[i + 1:]
+                assert c.is_pure(inst) == pairwise_is_pure(inst, c)
+                assert c.has_2edge(inst) == pairwise_has_2edge(inst, c)
+                assert (outcome(_first_2edge, inst, c)
+                        == outcome(pairwise_first_2edge, inst, c))
+                hit = pairwise_property2_violation(inst, c, others)
+                assert _property2_violation(inst, c, others) == hit
+                hits += hit is not None
+                for v in range(n):
+                    assert (outcome(_witness, inst, c.verts, v)
+                            == outcome(pairwise_witness, inst, c.verts, v))
+                checked += 1
+            cover = make_cover(cycles)
+            pure = tuple(pairwise_is_pure(inst, c) for c in work)
+            factor_like = SpecialTwoFactor(cover=cover, pure=pure, weight=0)
+            assert build_B(inst, factor_like) == pairwise_build_B(inst,
+                                                                  factor_like)
+        assert factor.weight == cover_cost(inst, factor.cover)
+        assert factor.weight == cover_cost(inst, base)
+    assert checked > 600 and hits > 100, (checked, hits)

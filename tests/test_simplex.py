@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +240,122 @@ def test_column_lp_matches_cold_solves_after_each_batch(lp):
         x = [F(v, den) for v in x]
         assert feasible(x, rows)
         assert sum(ci * xi for ci, xi in zip(c, x)) == best == cold.objective
+
+
+@st.composite
+def column_lps(draw):
+    """A non-negative int or Fraction rhs and columns over its rows: cuts
+    (coefficient 1, cost < 0) and bounds (-1 in one row, cost 1), rows
+    repeated at will, as (rows, coefficient, cost)."""
+    m = draw(st.integers(0, 4))
+    rhs = draw(st.lists(st.one_of(st.integers(0, 5),
+                                  st.fractions(0, 5, max_denominator=6)),
+                        min_size=m, max_size=m))
+    columns = []
+    for _ in range(draw(st.integers(0, 7)) if m else 0):
+        if draw(st.booleans()):
+            columns.append(([draw(st.integers(0, m - 1))], -1, 1))
+        else:
+            columns.append((draw(st.lists(st.integers(0, m - 1), max_size=5)),
+                            draw(st.integers(1, 2)), -draw(st.integers(0, 3))))
+    return rhs, columns
+
+
+def optimum(lp):
+    try:
+        return lp.optimise()
+    except SmcError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_lps(), st.data())
+def test_starting_columns_lay_down_the_tableau_added_columns_build(lp, data):
+    # the columns given to the constructor leave the tableau that adding
+    # them one at a time to the slack basis leaves, and so the same answer;
+    # a later batch is priced against the optimised basis either way
+    rhs, columns = lp
+    k = data.draw(st.integers(0, len(columns)))
+    laid = ColumnLp(rhs, columns[:k])
+    added = ColumnLp(rhs)
+    for column in columns[:k]:
+        added.add_column(*column)
+    def state(t):
+        return t.rows, t.z, t.basis, t.d, t.zs, t.columns
+
+    assert state(laid) == state(added)
+    assert optimum(laid) == optimum(added)
+    for column in columns[k:]:
+        laid.add_column(*column)
+        added.add_column(*column)
+    assert state(laid) == state(added)
+    assert optimum(laid) == optimum(added)
+
+
+def bareiss_eliminate(row, s, f, pivot):
+    """The Bareiss update ``_eliminate`` made before it scaled rows: the
+    reference the scaled rows are checked against."""
+    prow, p, g, nonzero = pivot
+    if f * g % p:
+        row[:] = [(p * a - f * v) // s for a, v in zip(row, prow)]
+        return p
+    for k in nonzero:
+        row[k] -= f * prow[k] // p
+    return s
+
+
+def updates(monkeypatch, eliminate, solve):
+    """Run ``solve`` with ``eliminate`` as the row update and return each
+    updated row with its scale, in order, and what ``solve`` returned."""
+    seen = []
+
+    def spy(row, s, f, pivot):
+        scale = eliminate(row, s, f, pivot)
+        seen.append((list(row), scale))
+        return scale
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_simplex, "_eliminate", spy)
+        return seen, solve()
+
+
+def assert_rows_divide_bareiss(monkeypatch, solve):
+    """Every row the update leaves is a positive multiple of the row the
+    Bareiss update leaves at the same step, at a scale dividing its scale,
+    so no cell is wider; and the answer is the same."""
+    ours, answer = updates(monkeypatch, _simplex._eliminate, solve)
+    theirs, reference = updates(monkeypatch, bareiss_eliminate, solve)
+    assert answer == reference and len(ours) == len(theirs)
+    for (row, s), (ref, t) in zip(ours, theirs):
+        assert s > 0 and t % s == 0
+        assert [v * (t // s) for v in row] == ref
+        assert all(abs(v).bit_length() <= abs(r).bit_length()
+                   for v, r in zip(row, ref))
+    return len(ours)
+
+
+def test_scaled_rows_are_never_wider_than_bareiss_rows(monkeypatch):
+    # random dense LPs with Fraction cells, where the scaled update without
+    # its division would grow cells far wider than Bareiss', and metric3's
+    # cut LPs at n = 16
+    rng = Random(5)
+    num = lambda: rng.choice([rng.randint(-5, 9),
+                              F(rng.randint(-9, 9), rng.randint(1, 6))])
+    updated = 0
+    for _ in range(400):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        c = [abs(num()) for _ in range(n)]
+        rows = [([num() for _ in range(n)], rng.choice([GE, LE]), num())
+                for _ in range(m)]
+        updated += assert_rows_divide_bareiss(
+            monkeypatch, lambda: solve_min_lp(c, rows))
+    assert updated > 3000
+    updated = 0
+    for seed in range(1, 4):
+        inst = generate_instance("euclidean", 16, [4, 4, 4, 4], seed)
+        updated += assert_rows_divide_bareiss(
+            monkeypatch, lambda: approx_metric(inst)[0])
+    assert updated > 3000
 
 
 def test_column_lp_prices_and_reprices():

@@ -13,8 +13,8 @@ from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
 from smcycle.oracle import brute_force_snd
 from smcycle.snd import (EdgeSubgraph, SNDRequirements, _assert_feasible,
-                         _bridges, _scan_cuts, build_requirements,
-                         edge_slots, jain_round, prune_bridges, solve_cut_lp)
+                         _scan_cuts, build_requirements, edge_slots,
+                         jain_round, prune_bridges, solve_cut_lp)
 
 
 def unit_metric(n, groups):
@@ -145,9 +145,10 @@ def test_jain_outputs_prune_clean():
         assert all(d >= 2 for d in pruned.degrees())
 
 
-def test_metric_solve_searches_bridges_twice(monkeypatch):
-    # jain_round checks its subgraph, and prune_bridges checks feasibility
-    # against the bridge set of its last pass instead of searching again
+def test_metric_solve_searches_bridges_once(monkeypatch):
+    # jain_round checks its subgraph against its bridges, which the
+    # subgraph keeps, so prune_bridges starts from them instead of
+    # searching again, and checks feasibility against its last pass
     searches = []
     bridges = snd._bridges
 
@@ -164,7 +165,7 @@ def test_metric_solve_searches_bridges_twice(monkeypatch):
         searches.clear()
         _cover, stages = approx_metric(inst)
         assert stages.pruned == stages.snd_subgraph
-        assert searches == [stages.snd_subgraph] * 2
+        assert searches == [stages.snd_subgraph]
 
 
 def test_edge_slots_include_pair_duplicates():
@@ -216,7 +217,7 @@ def test_feasibility_check_matches_cut_scan():
         caps = [(u, v, 1) for u, v, _c in g.edges]
         scan_ok = not _scan_cuts(g.n, req.group_masks(), caps, 1)
         try:
-            _assert_feasible(g, req, _bridges(g))
+            _assert_feasible(g, req)
             check_ok = True
         except SmcError:
             check_ok = False

@@ -104,6 +104,36 @@ def test_core_holds_the_only_weight_1_graph():
         "    ok = [inst.w(u, v) == 1 for u, v in pairs]\n")) == [3, 6, 7]
 
 
+def weight_tests(tree: ast.AST) -> list[int]:
+    """Lines that compare a ``.w(...)`` call with the constant 1 or 2."""
+    def is_w_call(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "w")
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Compare)
+                   and any(map(is_w_call, [node.left, *node.comparators]))
+                   and any(isinstance(c, ast.Constant) and c.value in (1, 2)
+                           for c in [node.left, *node.comparators])})
+
+
+def test_weight_1_tests_read_the_masks():
+    # outside core, a {1,2} weight test reads Instance.one_masks, one bit,
+    # instead of comparing a pairwise weight with 1 or 2
+    found = [f"{path.name}:{line}" for path in SOURCES if path.name != "core.py"
+             for line in weight_tests(ast.parse(path.read_text()))]
+    assert found == []
+    # what it catches: the pair tests the {1,2} join phases used to make
+    assert weight_tests(ast.parse(
+        "def tests(inst, c, u, v, a, b, masks):\n"
+        "    pure = all(inst.w(a, b) == 1 for a, b in c)\n"
+        "    if inst.w(a, b) != 2:\n"
+        "        return 2 == inst.w(u, v)\n"
+        "    cost = inst.w(u, v) + 1 < 3\n"
+        "    return masks[u] >> v & 1\n")) == [2, 3, 4]
+
+
 def imports_networkx(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
