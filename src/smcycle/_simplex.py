@@ -72,9 +72,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, lcm
-from operator import call, floordiv, itemgetter, lt, mul
+from operator import floordiv, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import SmcError
@@ -280,10 +280,8 @@ class ColumnLp:
             raise SmcError("column LP needs a non-negative right-hand side")
         m = len(rhs)
         self.rhs, _ = _integers(rhs)
-        # each column as (its rows, their coefficient, its cost), and the
-        # getter of its rows' cells
+        # each column as (its rows, their coefficient, its cost)
         self.columns: list[tuple[list[int], int, int]] = []
-        self._getters: list[Callable[[Sequence[int]], Sequence[int]]] = []
         # against the slack basis, the identity at d = zs = 1, a column's
         # cells are its coefficients and its objective cell is its cost
         cells = []
@@ -292,7 +290,7 @@ class ColumnLp:
             for k in rows:
                 column[k] += coefficient
             cells.append(column)
-            self._append(rows, coefficient, cost)
+            self.columns.append((list(rows), coefficient, cost))
         n = len(cells)
         self.rows = []
         for i, (structural, b) in enumerate(zip(
@@ -305,11 +303,6 @@ class ColumnLp:
         self.zs = 1  # scale of z
         self.d = 1  # determinant of the basis
 
-    def _append(self, rows: Sequence[int], coefficient: int,
-                cost: int) -> None:
-        self.columns.append((list(rows), coefficient, cost))
-        self._getters.append(_cells(rows))
-
     def add_column(self, rows: Sequence[int], coefficient: int,
                    cost: int) -> None:
         """Append the column holding ``coefficient`` in each of ``rows`` and
@@ -321,7 +314,7 @@ class ColumnLp:
         z = self.z
         z.insert(n, self.zs * cost + coefficient * sum(cells(z)))
         self.basis = [b + (b >= n) for b in self.basis]
-        self._append(rows, coefficient, cost)
+        self.columns.append((list(rows), coefficient, cost))
 
     def optimise(self) -> tuple[list[int], int]:
         """Re-optimise from the current basis and return the row prices
@@ -352,20 +345,19 @@ class ColumnLp:
     def _certify(self, x: list[int], xs: int, w: list[int], ws: int) -> None:
         """Raise unless x / xs and w / ws are feasible and have equal
         objectives, which proves both optimal."""
-        rhs, columns = self.rhs, self.columns
-        if min(x, default=0) < 0 or min(w, default=0) < 0:
+        rhs = self.rhs
+        if any(v < 0 for v in x) or any(v < 0 for v in w):
             raise SmcError("column LP certificate: negative value")
-        # each column: a * (the sum of its rows' prices) >= -cost * xs
-        prices = map(sum, map(call, self._getters, repeat(x)))
-        if any(map(lt, map(mul, map(itemgetter(1), columns), prices),
-                   map(mul, map(itemgetter(2), columns), repeat(-xs)))):
-            raise SmcError("column LP certificate: prices violate a column")
         load = [0] * len(rhs)  # A w, over ws
-        for (rows, a, _cost), wj in compress(zip(columns, w), w):
-            for k in rows:
-                load[k] += a * wj
-        if any(map(lt, map(mul, rhs, repeat(ws)), load)):
+        value = 0  # cost.w, over ws
+        for (rows, a, cost), wj in zip(self.columns, w):
+            if a * sum(_cells(rows)(x)) < -cost * xs:
+                raise SmcError("column LP certificate: prices violate a column")
+            if wj:
+                value += cost * wj
+                for k in rows:
+                    load[k] += a * wj
+        if any(t > b * ws for t, b in zip(load, rhs)):
             raise SmcError("column LP certificate: values violate a row")
-        value = sum(map(mul, map(itemgetter(2), columns), w))  # over ws
-        if value * xs != -ws * sum(map(mul, rhs, x)):
+        if value * xs != -ws * sum(b * v for b, v in zip(rhs, x)):
             raise SmcError("column LP certificate: objectives differ")

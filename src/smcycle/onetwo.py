@@ -752,7 +752,6 @@ class OneTwoStages:
     matching: tuple[tuple[int, int], ...]
     digraph: AttachmentDigraph
     c_p: int
-    factor_weight: Weight
     factor_two_edges: int
     phase1_delta: Weight
     phase2_delta: Weight
@@ -803,8 +802,7 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
         raise SmcError(f"pipeline produced infeasible cover: {report.violations}")
     return OneTwoStages(factor=factor, b_edges=tuple(b_edges),
                         matching=tuple(sorted(matching)), digraph=dig,
-                        c_p=c_p, factor_weight=factor.weight,
-                        factor_two_edges=e2,
+                        c_p=c_p, factor_two_edges=e2,
                         phase1_delta=audit["phase1_delta"],
                         phase2_delta=audit["phase2_delta"], cover=cover)
 

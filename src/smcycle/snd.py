@@ -359,7 +359,8 @@ def prune_bridges(g: EdgeSubgraph, req: SNDRequirements) -> EdgeSubgraph:
     """Delete bridges until every component is 2-edge-connected.
 
     A bridge never serves a 2-connectivity requirement, so feasibility is
-    preserved (re-asserted here).
+    preserved (re-asserted here).  A bridgeless ``g`` is returned itself,
+    its edges in the order given; otherwise the result's edges are sorted.
     """
     current = g
     while True:

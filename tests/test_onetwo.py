@@ -181,7 +181,7 @@ def test_random_onetwo_within_ratio():
             assert stages.c_p <= opt - inst.n
         # inequality chain from the audit record
         cost = cover_cost(inst, cover)
-        assert cost <= (stages.factor_weight + stages.phase1_delta
+        assert cost <= (stages.factor.weight + stages.phase1_delta
                         + stages.phase2_delta)
         assert stages.phase2_delta <= stages.c_p
 
@@ -243,9 +243,9 @@ def test_approx_onetwo_at_n80():
     cover, stages = approx_onetwo(inst)
     assert validate_solution(inst, cover).feasible
     base = stages.factor.cover
-    assert stages.factor_weight == cover_cost(inst, base) == n + count_weight2_edges(
+    assert stages.factor.weight == cover_cost(inst, base) == n + count_weight2_edges(
         inst, base)
-    assert stages.factor_weight <= cover_cost(inst, cover)
+    assert stages.factor.weight <= cover_cost(inst, cover)
 
 
 # Pairwise-weight versions of the helpers that read Instance.one_masks: the

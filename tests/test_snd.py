@@ -122,6 +122,18 @@ def test_prune_bridges_keeps_2ec_components():
     assert prune_bridges(g, req).edges == edges
 
 
+def test_prune_bridges_returns_a_bridgeless_input_itself():
+    inst = two_far_triangles()
+    req = build_requirements(inst)
+    unsorted = ((4, 5, 0), (0, 2, 0), (1, 2, 0), (3, 4, 0), (0, 1, 0),
+                (3, 5, 0))
+    g = EdgeSubgraph(n=6, edges=unsorted)
+    assert prune_bridges(g, req) is g
+    # a pruned subgraph is built anew, its edges sorted
+    joined = EdgeSubgraph(n=6, edges=unsorted + ((2, 3, 0),))
+    assert prune_bridges(joined, req).edges == tuple(sorted(unsorted))
+
+
 def test_doubled_pair_edge_is_not_a_bridge():
     inst = validate_instance(2, [[0, 5], [5, 0]], True,
                              WeightClass.GENERAL_METRIC, [[0, 1]])

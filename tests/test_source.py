@@ -134,6 +134,74 @@ def test_weight_1_tests_read_the_masks():
         "    return masks[u] >> v & 1\n")) == [2, 3, 4]
 
 
+# standard-library names added after Python 3.10, the oldest version
+# pyproject.toml supports, in the modules a library like this one might use
+NEWER_THAN_3_10 = {
+    "contextlib": {"chdir"},
+    "datetime": {"UTC"},
+    "enum": {"EnumCheck", "FlagBoundary", "ReprEnum", "StrEnum",
+             "global_enum", "member", "nonmember", "property", "verify"},
+    "hashlib": {"file_digest"},
+    "itertools": {"batched"},
+    "math": {"cbrt", "exp2", "sumprod"},
+    "operator": {"call"},
+    "typing": {"LiteralString", "Never", "NotRequired", "Required", "Self",
+               "TypeVarTuple", "Unpack", "assert_never", "assert_type",
+               "dataclass_transform", "override", "reveal_type"},
+}
+MODULES_NEWER_THAN_3_10 = {"tomllib", "wsgiref.types"}
+BUILTINS_NEWER_THAN_3_10 = {"BaseExceptionGroup", "ExceptionGroup"}
+
+
+def newer_stdlib_uses(tree: ast.AST) -> list[int]:
+    """Lines that import or read a standard-library name that Python 3.10
+    lacks, as ``from m import name``, ``m.name`` or a bare builtin."""
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name in MODULES_NEWER_THAN_3_10
+                   for alias in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module in MODULES_NEWER_THAN_3_10
+                    or any(alias.name in NEWER_THAN_3_10.get(node.module, ())
+                           for alias in node.names)):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            if (isinstance(node.value, ast.Name)
+                    and node.attr in NEWER_THAN_3_10.get(
+                        modules.get(node.value.id), ())):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Name):
+            if node.id in BUILTINS_NEWER_THAN_3_10:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_library_runs_on_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10: the library's syntax
+    # parses as 3.10's and it uses no standard-library name added later
+    # (an ImportError there would stop every command at start-up)
+    found = []
+    for path in SOURCES:
+        source = path.read_text()
+        ast.parse(source, filename=str(path), feature_version=(3, 10))
+        found += [f"{path.name}:{line}"
+                  for line in newer_stdlib_uses(ast.parse(source))]
+    assert found == []
+    # what it catches
+    assert newer_stdlib_uses(ast.parse(
+        "import math as m, operator\n"
+        "from operator import call, itemgetter\n"
+        "import tomllib\n"
+        "x = m.cbrt(8) + m.sqrt(4)\n"
+        "y = operator.call(len, 'ab')\n"
+        "raise ExceptionGroup('e', [])\n")) == [2, 3, 4, 5, 6]
+
+
 def imports_networkx(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
