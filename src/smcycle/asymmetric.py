@@ -53,8 +53,6 @@ def eta(inst: Instance, cover: CycleCover) -> int:
 @dataclass(frozen=True)
 class RepresentativeSet:
     vertices: frozenset[int]
-    # one record per cover edge: (cycle_i, cycle_j, group_index, r_i, r_j)
-    provenance: tuple[tuple[int, int, int, int, int], ...]
     lonely_cycles: tuple[int, ...]
 
 
@@ -90,7 +88,6 @@ def representatives(inst: Instance, cover: CycleCover, *,
     cover_edges = minimal_edge_cover(aux_edges, vertices=offending)
 
     chosen: set[int] = set()
-    provenance = []
     per_cycle: dict[int, set[int]] = {ci: set() for ci in offending}
     for a, b in sorted(cover_edges):
         gi = shared_group.get((a, b), shared_group.get((b, a)))
@@ -100,7 +97,6 @@ def representatives(inst: Instance, cover: CycleCover, *,
         chosen.add(rb)
         per_cycle[a].add(ra)
         per_cycle[b].add(rb)
-        provenance.append((a, b, gi, ra, rb))
 
     for ci in offending:
         if not per_cycle[ci]:
@@ -111,9 +107,7 @@ def representatives(inst: Instance, cover: CycleCover, *,
     lonely = tuple(ci for ci in offending if len(per_cycle[ci]) == 1)
     if 2 * len(lonely) < len(offending):
         raise SmcError("fewer than half the offending cycles are lonely")
-    return RepresentativeSet(vertices=frozenset(chosen),
-                             provenance=tuple(provenance),
-                             lonely_cycles=lonely)
+    return RepresentativeSet(vertices=frozenset(chosen), lonely_cycles=lonely)
 
 
 @dataclass(frozen=True)
@@ -194,8 +188,7 @@ class AsymmetricStages:
     cover: CycleCover
 
 
-def approx_asymmetric(inst: Instance, trace: list[str] | None = None
-                      ) -> tuple[CycleCover, AsymmetricStages]:
+def approx_asymmetric(inst: Instance) -> tuple[CycleCover, AsymmetricStages]:
     """Iterated representative rounds on top of a minimum directed 2-factor."""
     if inst.symmetric:
         raise ValidationError("asymmetric pipeline needs a directed instance")
@@ -228,9 +221,6 @@ def approx_asymmetric(inst: Instance, trace: list[str] | None = None
         if 4 * new_eta > 3 * etas[-1]:
             raise SmcError(f"offending-cycle count fell only {etas[-1]} -> {new_eta}")
         etas.append(new_eta)
-        if trace is not None:
-            trace.append(f"iter {iterations}: |R|={len(order)} "
-                         f"inner={inner_weights[-1]} eta={new_eta}")
     report = validate_solution(inst, cover)
     if not report.feasible:
         raise SmcError(f"asymmetric pipeline produced infeasible cover: "

@@ -16,12 +16,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .asymmetric import approx_asymmetric, iteration_bound
+from .asymmetric import AsymmetricStages, approx_asymmetric, iteration_bound
 from .core import (Instance, cover_cost, format_instance, format_solution,
                    generate_instance, parse_instance, validate_solution)
 from .errors import BudgetExceededError, FormatError, SmcError, ValidationError
-from .metric import approx_metric, doubled_subgraph_baseline
-from .onetwo import approx_onetwo
+from .metric import MetricStages, approx_metric, doubled_subgraph_baseline
+from .onetwo import OneTwoStages, approx_onetwo
 from .oracle import OracleBudget, brute_force_smc, matching_vs_opt_probe
 
 EXIT_OK = 0
@@ -66,64 +66,61 @@ def _groups_label(inst: Instance) -> str:
     return ",".join(str(len(g)) for g in inst.groups)
 
 
-def _run_algorithm(name: str, inst: Instance, tie_break: str,
-                   trace: list[str] | None):
-    """Returns (cover, iterations-or-None, paper bound as a Fraction)."""
+def _run_algorithm(name: str, inst: Instance, tie_break: str):
+    """Returns (cover, stage record or None, paper bound as a Fraction)."""
     if name == "metric3":
-        cover, stages = approx_metric(inst, trace=trace)
-        if trace is not None:
-            _dump_metric_stages(trace, inst, stages)
-        return cover, None, Fraction(3)
+        return (*approx_metric(inst), Fraction(3))
     if name == "onetwo119":
-        cover, stages = approx_onetwo(inst, "ratio-11-9", tie_break=tie_break)
-        if trace is not None:
-            _dump_onetwo_stages(trace, inst, stages)
-        return cover, None, Fraction(11, 9)
+        return (*approx_onetwo(inst, "ratio-11-9", tie_break=tie_break),
+                Fraction(11, 9))
     if name == "onetwo76":
-        cover, stages = approx_onetwo(inst, "ratio-7-6", tie_break=tie_break)
-        if trace is not None:
-            _dump_onetwo_stages(trace, inst, stages)
-        return cover, None, Fraction(7, 6)
+        return (*approx_onetwo(inst, "ratio-7-6", tie_break=tie_break),
+                Fraction(7, 6))
     if name == "asym-log":
-        cover, stages = approx_asymmetric(inst, trace=trace)
-        return cover, stages.iterations, Fraction(iteration_bound(inst.n))
+        return (*approx_asymmetric(inst), Fraction(iteration_bound(inst.n)))
     if name == "prior-sf4":
         return doubled_subgraph_baseline(inst), None, Fraction(4)
     raise ValidationError(f"unknown algorithm {name!r}")
 
 
-def _dump_metric_stages(trace: list[str], inst: Instance, stages) -> None:
-    trace.append("stage snd-subgraph")
-    for u, v, c in stages.snd_subgraph.edges:
-        trace.append(f"  {u} {v} copy{c}")
-    trace.append("stage pruned")
-    for u, v, c in stages.pruned.edges:
-        trace.append(f"  {u} {v} copy{c}")
-    trace.append(f"stage odd-set {' '.join(map(str, stages.odd_vertices))}")
-    trace.append("stage t-join")
-    for u, v in sorted(stages.join.edges):
-        trace.append(f"  {u} {v}")
-    trace.append("stage eulerian")
-    for u, v, c in stages.pruned.edges:
-        trace.append(f"  {u} {v} copy{c}")
-    for u, v in sorted(stages.join.edges):
-        trace.append(f"  {u} {v} join")
-    trace.append(f"stage eulerian-weight {stages.eulerian_weight}")
-    trace.append("stage cover")
-    trace.append(format_solution(stages.cover).rstrip("\n"))
-
-
-def _dump_onetwo_stages(trace: list[str], inst: Instance, stages) -> None:
-    trace.append("stage special-2factor")
-    trace.append(format_solution(stages.factor.cover).rstrip("\n"))
-    trace.append(f"stage b-edges {sorted(stages.b_edges)}")
-    trace.append(f"stage matching {sorted(stages.matching)}")
-    trace.append(f"stage d-arcs {sorted(stages.digraph.arcs)}")
-    trace.append(f"stage dprime {sorted(stages.digraph.dprime)}")
-    trace.append(f"stage c_p {stages.c_p} phase1 {stages.phase1_delta} "
-                 f"phase2 {stages.phase2_delta}")
-    trace.append("stage cover")
-    trace.append(format_solution(stages.cover).rstrip("\n"))
+def _stage_lines(inst: Instance, stages) -> list[str]:
+    """The --dump-stages text of a stage record; none without a record."""
+    if isinstance(stages, MetricStages):
+        join = sorted(stages.join.edges)
+        lines = [f"round {k}: lp={value} fixing {list(fixed)}"
+                 for k, (value, fixed) in enumerate(stages.rounds, 1)]
+        lines.append(f"G'={stages.snd_subgraph.weight(inst)} "
+                     f"pruned={stages.pruned.weight(inst)} "
+                     f"T={len(stages.odd_vertices)} J={stages.join_weight} "
+                     f"cover={cover_cost(inst, stages.cover)}")
+        for title, g in (("snd-subgraph", stages.snd_subgraph),
+                         ("pruned", stages.pruned)):
+            lines.append(f"stage {title}")
+            lines += [f"  {u} {v} copy{c}" for u, v, c in g.edges]
+        lines.append(f"stage odd-set {' '.join(map(str, stages.odd_vertices))}")
+        lines.append("stage t-join")
+        lines += [f"  {u} {v}" for u, v in join]
+        lines.append("stage eulerian")
+        lines += [f"  {u} {v} copy{c}" for u, v, c in stages.pruned.edges]
+        lines += [f"  {u} {v} join" for u, v in join]
+        lines.append(f"stage eulerian-weight {stages.eulerian_weight}")
+    elif isinstance(stages, OneTwoStages):
+        lines = ["stage special-2factor",
+                 format_solution(stages.factor.cover).rstrip("\n"),
+                 f"stage b-edges {sorted(stages.b_edges)}",
+                 f"stage matching {sorted(stages.matching)}",
+                 f"stage d-arcs {sorted(stages.digraph.arcs)}",
+                 f"stage dprime {sorted(stages.digraph.dprime)}",
+                 f"stage c_p {stages.c_p} phase1 {stages.phase1_delta} "
+                 f"phase2 {stages.phase2_delta}"]
+    elif isinstance(stages, AsymmetricStages):
+        lines = [f"iter {k}: |R|={len(reps)} inner={inner} eta={eta}"
+                 for k, (reps, inner, eta) in enumerate(zip(
+                     stages.representative_sets, stages.inner_weights,
+                     stages.etas[1:]), 1)]
+    else:
+        return []
+    return lines + ["stage cover", format_solution(stages.cover).rstrip("\n")]
 
 
 def cmd_gen(args) -> int:
@@ -139,20 +136,18 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.infile)
-    trace: list[str] | None = [] if args.dump_stages else None
-    cover, iterations, bound = _run_algorithm(args.algo, inst,
-                                              args.tie_break, trace)
+    cover, stages, _bound = _run_algorithm(args.algo, inst, args.tie_break)
     report = validate_solution(inst, cover)
     cost = cover_cost(inst, cover)
     if args.out and report.feasible:
         Path(args.out).write_text(format_solution(cover), encoding="utf-8")
-    if trace is not None:
-        dump_path = (f"{args.out}.stages" if args.out else None)
-        payload = "\n".join(trace) + "\n"
-        if dump_path:
-            Path(dump_path).write_text(payload, encoding="utf-8")
+    if args.dump_stages:
+        payload = "\n".join(_stage_lines(inst, stages)) + "\n"
+        if args.out:
+            Path(f"{args.out}.stages").write_text(payload, encoding="utf-8")
         else:
             sys.stdout.write(payload)
+    iterations = getattr(stages, "iterations", None)
     iter_part = f" iterations={iterations}" if iterations is not None else ""
     print(f"algorithm={args.algo} cost={cost} "
           f"feasible={'yes' if report.feasible else 'no'} "
@@ -189,10 +184,9 @@ def cmd_compare(args) -> int:
             oracle_cost, _ = brute_force_smc(inst, budget)
         for algo in algos:
             t0 = time.perf_counter()
-            cover, iterations, bound = _run_algorithm(inst=inst, name=algo,
-                                                      tie_break=args.tie_break,
-                                                      trace=None)
+            cover, stages, bound = _run_algorithm(algo, inst, args.tie_break)
             wall = time.perf_counter() - t0
+            iterations = getattr(stages, "iterations", None)
             report = validate_solution(inst, cover)
             if not report.feasible:
                 raise SmcError(f"{algo} produced an infeasible cover on {path}")

@@ -1,9 +1,9 @@
 """End-to-end 3-approximation for symmetric metric instances.
 
-Pipeline: 2-approximate survivable-network subgraph (requirements 2 inside
-each group), bridge pruning, minimum T-join on the odd-degree set inside the
-subgraph, Eulerian doubling, and a metric shortcut of each component down to
-a cycle.
+Pipeline, from the instance alone: 2-approximate survivable-network
+subgraph (requirements 2 inside each group), bridge pruning, minimum T-join
+on the odd-degree set inside the subgraph, Eulerian doubling, and a metric
+shortcut of each component down to a cycle.
 
 Stage invariants asserted on every run: T-join parity, w(J) <= w(G')/2 on
 the pruned subgraph, and shortcut cost never above the Eulerian weight.
@@ -19,7 +19,7 @@ from .core import (CycleCover, Instance, Weight, cover_cost, euler_shortcut,
                    make_cover, validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import min_weight_perfect_matching
-from .snd import EdgeSubgraph, build_requirements, jain_round, prune_bridges
+from .snd import EdgeSubgraph, Round, jain_round, prune_bridges
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,11 @@ class TJoin:
 
 @dataclass(frozen=True)
 class MetricStages:
-    """Intermediate artifacts of one pipeline run, for dumps and audits."""
+    """Intermediate artifacts of one pipeline run, for dumps and audits.
+    ``rounds[0].value`` is LP*, the cut LP's optimum: LP* <= OPT,
+    w(snd_subgraph) <= 2 LP* and the cover costs at most 3 LP*."""
 
+    rounds: tuple[Round, ...]
     snd_subgraph: EdgeSubgraph
     pruned: EdgeSubgraph
     odd_vertices: tuple[int, ...]
@@ -158,17 +161,15 @@ def double_and_shortcut(g: EdgeSubgraph, join: TJoin, inst: Instance) -> CycleCo
     return _euler_shortcut(g.n, slots, inst)
 
 
-def approx_metric(inst: Instance, trace: list[str] | None = None
-                  ) -> tuple[CycleCover, MetricStages]:
+def approx_metric(inst: Instance) -> tuple[CycleCover, MetricStages]:
     """Survivable-network subgraph + T-join + Eulerian shortcut.
 
     Returns the cover and the stage record.
     """
     if not inst.symmetric:
         raise ValidationError("metric pipeline needs a symmetric instance")
-    req = build_requirements(inst)
-    raw = jain_round(inst, req, trace=trace)
-    pruned = prune_bridges(raw, req)
+    raw, rounds = jain_round(inst)
+    pruned = prune_bridges(raw, inst)
     odd = odd_degree_set(pruned)
     join = min_t_join(pruned, inst, odd)
     join_weight = join.weight(inst)
@@ -181,14 +182,11 @@ def approx_metric(inst: Instance, trace: list[str] | None = None
     if not report.feasible:
         raise SmcError(f"metric pipeline produced infeasible cover: "
                        f"{report.violations}")
-    stages = MetricStages(snd_subgraph=raw, pruned=pruned,
+    stages = MetricStages(rounds=rounds, snd_subgraph=raw, pruned=pruned,
                           odd_vertices=tuple(sorted(odd)), join=join,
                           join_weight=join_weight,
                           eulerian_weight=pruned_weight + join_weight,
                           cover=cover)
-    if trace is not None:
-        trace.append(f"G'={raw.weight(inst)} pruned={pruned_weight} "
-                     f"T={len(odd)} J={join_weight} cover={cover_cost(inst, cover)}")
     return cover, stages
 
 
@@ -202,8 +200,7 @@ def doubled_subgraph_baseline(inst: Instance,
     if not inst.symmetric:
         raise ValidationError("metric pipeline needs a symmetric instance")
     if pruned is None:
-        req = build_requirements(inst)
-        pruned = prune_bridges(jain_round(inst, req), req)
+        pruned = prune_bridges(jain_round(inst)[0], inst)
     slots = [(u, v) for u, v, _c in pruned.edges] * 2
     cover = _euler_shortcut(inst.n, slots, inst)
     report = validate_solution(inst, cover)

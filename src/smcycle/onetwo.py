@@ -101,18 +101,23 @@ def _first_2edge(inst: Instance, c: _WCycle) -> tuple[int, int]:
     raise SmcError("nonpure cycle without a 2-edge")
 
 
+def _close_paths(inst: Instance, p: list[int], q: list[int],
+                 worst: bool = False) -> tuple[Weight, list[int]]:
+    """Join the paths p and q into the cycle p + q, q in the orientation
+    whose two closing edges weigh least (most when ``worst``), the
+    lexicographically smaller q on a tie; returns (closing weight, cycle)."""
+    sign = -1 if worst else 1
+    key, q = min((sign * (inst.w(p[-1], r[0]) + inst.w(r[-1], p[0])), r)
+                 for r in (q, q[::-1]))
+    return sign * key, p + q
+
+
 def _merge_two_nonpure(inst: Instance, x: _WCycle, y: _WCycle) -> _WCycle:
     """Remove one 2-edge from each cycle, reconnect into a single cycle."""
     ax, bx = _first_2edge(inst, x)
     ay, by = _first_2edge(inst, y)
-    px = _open_cycle(x.verts, ax, bx)  # path ax .. bx
-    py = _open_cycle(y.verts, ay, by)
-    cands = []
-    for q in (py, list(reversed(py))):
-        added = inst.w(px[-1], q[0]) + inst.w(q[-1], px[0])
-        cands.append((added, px + q))
-    cands.sort(key=lambda t: (t[0], t[1]))
-    added, verts = cands[0]
+    added, verts = _close_paths(inst, _open_cycle(x.verts, ax, bx),
+                                _open_cycle(y.verts, ay, by))
     removed = inst.w(ax, bx) + inst.w(ay, by)
     if added > removed:
         raise SmcError("joining two nonpure cycles increased the weight")
@@ -716,15 +721,8 @@ def join_disrespecting_cycles(inst: Instance, cycles: list[_WCycle],
         ci, cj = work[i], work[j]
         ei = _removal_candidates(inst, ci)[0][-1]
         ej = _removal_candidates(inst, cj)[0][-1]
-        pi = _open_cycle(ci.verts, *ei)
-        pj = _open_cycle(cj.verts, *ej)
-        sign = -1 if worst else 1
-        best = None
-        for q in (pj, list(reversed(pj))):
-            added = inst.w(pi[-1], q[0]) + inst.w(q[-1], pi[0])
-            if best is None or (sign * added, q) < best:
-                best = (sign * added, q)
-        added, q = best[0] * sign, best[1]
+        added, verts = _close_paths(inst, _open_cycle(ci.verts, *ei),
+                                    _open_cycle(cj.verts, *ej), worst)
         removed = ci.virtual_w(inst, *ei) + cj.virtual_w(inst, *ej)
         delta = added - removed
         both = ci.has_2edge(inst) + cj.has_2edge(inst)
@@ -732,7 +730,6 @@ def join_disrespecting_cycles(inst: Instance, cycles: list[_WCycle],
         if delta > limit:
             raise SmcError("phase-2 merge exceeded its cost budget")
         audit["phase2_delta"] += delta
-        verts = pi + q
         edge_set = {frozenset((verts[p], verts[(p + 1) % len(verts)]))
                     for p in range(len(verts))}
         marks = {m for m in (ci.virtual2 | cj.virtual2) if m in edge_set}

@@ -1,11 +1,11 @@
 """2-approximate survivable network design specialized to {0,2} requirements.
 
-The requirement function is never materialized as a pair matrix: a cut needs
-two crossing edges exactly when it splits some terminal group.  The LP over
-the cut family is solved exactly with lazily generated rows, and iterative
-rounding permanently includes every edge whose value reaches 1/2; such an
-edge must exist at every step, so a miss is reported as a bug, never a
-degraded answer.
+The requirements are the instance's groups, never a pair matrix or an
+object of their own: a cut needs two crossing edges exactly when it splits
+some group.  The LP over the cut family is solved exactly with lazily
+generated rows, and iterative rounding permanently includes every edge
+whose value reaches 1/2; such an edge must exist at every step, so a miss
+is reported as a bug, never a degraded answer.
 
 Cut LP.  Over the free slots e the residual LP is min c.x subject to
 x(delta(C)) >= r_C for each pooled cut C with residual requirement
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._simplex import ColumnLp
 from .core import Instance, Weight, components
@@ -50,21 +50,6 @@ from .errors import BudgetExceededError, SmcError, ValidationError
 EdgeSlot = tuple[int, int, int]  # (u, v, copy) with u < v
 
 CUT_ENUMERATION_MAX_N = 16
-
-
-@dataclass(frozen=True)
-class SNDRequirements:
-    """Connectivity 2 inside each group, 0 across groups."""
-
-    n: int
-    groups: tuple[tuple[int, ...], ...]
-
-    def group_masks(self) -> list[tuple[int, int]]:
-        return [(sum(1 << v for v in g), len(g)) for g in self.groups]
-
-
-def build_requirements(inst: Instance) -> SNDRequirements:
-    return SNDRequirements(n=inst.n, groups=inst.groups)
 
 
 def edge_slots(inst: Instance) -> list[EdgeSlot]:
@@ -200,10 +185,9 @@ def _scan_cuts(n: int, group_masks: Sequence[tuple[int, int]],
     return out
 
 
-def solve_cut_lp(inst: Instance, req: SNDRequirements,
+def solve_cut_lp(inst: Instance,
                  fixed: frozenset[EdgeSlot] | set[EdgeSlot] = frozenset(),
-                 cut_pool: list[int] | None = None,
-                 trace: list[str] | None = None) -> FractionalEdgeVector:
+                 cut_pool: list[int] | None = None) -> FractionalEdgeVector:
     """Exact optimum of the residual cut LP, by lazy constraint generation
     on its dual (see the module docstring).
 
@@ -214,7 +198,7 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
     """
     free = [s for s in edge_slots(inst) if s not in fixed]
     cost = [inst.w(u, v) for u, v, _c in free]
-    group_masks = req.group_masks()
+    group_masks = [(sum(1 << v for v in g), len(g)) for g in inst.groups]
 
     def columns(masks: Iterable[int]) -> Iterable[tuple[list[int], int, int]]:
         """The column of each cut in ``masks`` that still has a residual."""
@@ -243,9 +227,6 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
                 raise
             raise SmcError("cut LP infeasible: separation produced an "
                            "unsatisfiable system") from exc
-        if trace is not None:
-            value = Fraction(sum(c * v for c, v in zip(cost, x)), scale)
-            trace.append(f"lp rows={len(lp.columns)} value={value}")
 
         # the certificate holds x_e <= 1 wherever a bound was added
         new_bounds = [k for k, v in enumerate(x) if v > scale]
@@ -273,38 +254,47 @@ def solve_cut_lp(inst: Instance, req: SNDRequirements,
             raise SmcError("separation loop stalled: violated cuts already pooled")
 
 
-def jain_round(inst: Instance, req: SNDRequirements,
-               trace: list[str] | None = None) -> EdgeSubgraph:
+class Round(NamedTuple):
+    """One rounding round: the certified optimum of the residual cut LP it
+    solved, and the edges it fixed, sorted."""
+
+    value: Fraction
+    fixed: tuple[EdgeSlot, ...]
+
+
+def jain_round(inst: Instance) -> tuple[EdgeSubgraph, tuple[Round, ...]]:
     """Iterative rounding: fix every edge at value >= 1/2, re-solve, repeat.
 
-    The returned subgraph satisfies every requirement cut and weighs at most
-    twice the SND optimum (Jain's guarantee; asserted against the oracle at
-    desk scale in the tests).
+    Returns the subgraph and its rounds; the first round's value LP*, the
+    full cut LP's optimum, is a lower bound on OPT.  The subgraph satisfies
+    every requirement cut and weighs at most 2 LP* (Jain's guarantee).
     """
     slots = edge_slots(inst)
     fixed: set[EdgeSlot] = set()
     pool: list[int] = []
-    iterations = 0
+    rounds: list[Round] = []
     while True:
-        x = solve_cut_lp(inst, req, fixed, cut_pool=pool, trace=trace)
+        x = solve_cut_lp(inst, fixed, cut_pool=pool)
         if not any(x.numerators):
             break
-        iterations += 1
-        if iterations > len(slots):
+        if len(rounds) >= len(slots):
             raise SmcError("rounding did not terminate within |E| iterations")
-        take = {s for s, v in zip(x.slots, x.numerators) if 2 * v >= x.scale}
+        take = sorted(s for s, v in zip(x.slots, x.numerators)
+                      if 2 * v >= x.scale)
         if not take:
             raise SmcError("rounding-stall: no edge reached 1/2 in an optimal "
                            "extreme point; this signals an LP or separation bug")
-        if trace is not None:
-            trace.append(f"round {iterations}: fixing {sorted(take)}")
-        fixed |= take
+        value = sum(inst.w(u, v) * k for (u, v, _c), k
+                    in zip(x.slots, x.numerators) if k)
+        rounds.append(Round(Fraction(value, x.scale), tuple(take)))
+        fixed.update(take)
     sub = EdgeSubgraph(n=inst.n, edges=tuple(sorted(fixed)))
-    _assert_feasible(sub, req)
-    return sub
+    _assert_feasible(sub, inst.groups)
+    return sub, tuple(rounds)
 
 
-def _assert_feasible(g: EdgeSubgraph, req: SNDRequirements) -> None:
+def _assert_feasible(g: EdgeSubgraph,
+                     groups: Sequence[Sequence[int]]) -> None:
     """Raise unless every group lies in one 2-edge-connected component of
     ``g``: two vertices are 2-edge-connected exactly when they share a
     component once the bridges are removed."""
@@ -315,7 +305,7 @@ def _assert_feasible(g: EdgeSubgraph, req: SNDRequirements) -> None:
     for ci, comp in enumerate(bridgeless.components()):
         for v in comp:
             component[v] = ci
-    split = [grp for grp in req.groups
+    split = [grp for grp in groups
              if len({component[v] for v in grp}) > 1]
     if split:
         raise SmcError(f"subgraph leaves {len(split)} groups without two "
@@ -355,7 +345,7 @@ def _bridges(g: EdgeSubgraph) -> set[tuple[int, int]]:
     return out
 
 
-def prune_bridges(g: EdgeSubgraph, req: SNDRequirements) -> EdgeSubgraph:
+def prune_bridges(g: EdgeSubgraph, inst: Instance) -> EdgeSubgraph:
     """Delete bridges until every component is 2-edge-connected.
 
     A bridge never serves a 2-connectivity requirement, so feasibility is
@@ -366,7 +356,7 @@ def prune_bridges(g: EdgeSubgraph, req: SNDRequirements) -> EdgeSubgraph:
     while True:
         bad = current.bridges
         if not bad:
-            _assert_feasible(current, req)
+            _assert_feasible(current, inst.groups)
             return current
         current = EdgeSubgraph(n=g.n, edges=tuple(sorted(
             e for e in current.edges if (e[0], e[1]) not in bad)))

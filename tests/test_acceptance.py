@@ -20,7 +20,7 @@ from smcycle.onetwo import approx_onetwo, special_2factor
 from smcycle.oracle import (brute_force_2factor, brute_force_smc,
                             brute_force_snd, brute_force_steiner_forest,
                             approx_steiner_forest, matching_vs_opt_probe)
-from smcycle.snd import EdgeSubgraph, build_requirements, jain_round, prune_bridges
+from smcycle.snd import EdgeSubgraph, jain_round, prune_bridges
 from smcycle.twofactor import (min_weight_2factor, min_weight_directed_2factor,
                                min_weight_triangle_free_2factor)
 
@@ -243,8 +243,7 @@ def test_criterion_6_subroutine_oracles(matching_weight):
         opt_snd = brute_force_snd(inst)
         opt_smc, _ = brute_force_smc(inst)
         assert opt_sf <= opt_snd <= opt_smc <= 2 * opt_sf
-        req = build_requirements(inst)
-        jained = jain_round(inst, req)
+        jained, _rounds = jain_round(inst)
         assert jained.weight(inst) <= 2 * opt_snd
         forest = approx_steiner_forest(inst)
         assert sum(inst.w(u, v) for u, v in forest) <= 2 * opt_sf
@@ -310,8 +309,7 @@ def test_criterion_7_structural_invariants():
         n = rng.randint(4, 8)
         inst = generate_instance("euclidean", n, _random_sizes(rng, n),
                                  seed=rng.randrange(1 << 30))
-        req = build_requirements(inst)
-        pruned = prune_bridges(jain_round(inst, req), req)
+        pruned = prune_bridges(jain_round(inst)[0], inst)
         from smcycle.snd import _bridges
         assert _bridges(pruned) == set()
     _report("7 structural-invariants")
@@ -326,8 +324,7 @@ def test_criterion_8_jain_rounding_never_stalls():
         kind = "euclidean" if trial % 2 == 0 else "one-two"
         inst = generate_instance(kind, n, _random_sizes(rng, n),
                                  seed=rng.randrange(1 << 30))
-        req = build_requirements(inst)
-        jain_round(inst, req)  # raises on a rounding stall
+        jain_round(inst)  # raises on a rounding stall
         solved += 1
     assert solved == 150
     _report("8 jain-rounding")

@@ -7,7 +7,10 @@ import pytest
 
 from smcycle.cli import (COMPARE_COLUMNS, EXIT_BUDGET, EXIT_FAIL, EXIT_OK,
                          EXIT_USAGE, PROBE_COLUMNS, main)
-from smcycle.core import parse_instance, parse_solution, validate_solution
+from smcycle.asymmetric import approx_asymmetric
+from smcycle.core import (format_instance, format_solution, generate_instance,
+                          parse_instance, parse_solution, validate_solution)
+from smcycle.metric import approx_metric
 
 
 def run(argv):
@@ -102,6 +105,85 @@ def test_solve_dump_stages(tmp_path):
     sol3 = tmp_path / "as2.sol"
     assert run(["solve", "--algo", "asym-log", "--in", str(asym),
                 "--out", str(sol3), "--dump-stages"]) == EXIT_OK
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden_stages"
+
+# (algorithm, generator kind, n, group sizes, seed) of each golden dump
+GOLDEN_CASES = [
+    ("onetwo119", "one-two", 9, [3, 3, 3], 5),
+    ("onetwo119", "one-two", 12, [3, 3, 3, 3], 3),
+    ("onetwo76", "one-two", 8, [4, 4], 3),
+    ("onetwo76", "one-two", 12, [4, 4, 4], 3),
+    ("metric3", "euclidean", 9, [3, 3, 3], 1),
+    ("metric3", "euclidean", 11, [6, 3, 2], 120),
+    ("metric3", "euclidean", 11, [2, 4, 5], 237420),
+    ("metric3", "one-two", 6, [3, 3], 180015),
+    ("asym-log", "asymmetric", 6, [3, 3], 5),
+    ("asym-log", "asymmetric", 16, [2, 3, 3, 4, 4], 19),
+]
+
+
+def metric_golden_rounds(lines):
+    """The golden metric3 dumps come from a trace of the separation loop:
+    an ``lp rows=R value=V`` line per LP solve and ``round k: fixing E``
+    after the LP of round k.  The stage record keeps one line per round,
+    ``round k: lp=V fixing E``, with the value of that LP."""
+    out, value = [], None
+    for line in lines:
+        if line.startswith("lp rows="):
+            value = line.split("value=")[1]
+        elif line.startswith("round "):
+            head, fixing = line.split(": fixing ")
+            out.append(f"{head}: lp={value} fixing {fixing}")
+        else:
+            out.append(line)
+    return out
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES,
+                         ids=lambda c: f"{c[0]}-n{c[2]}-s{c[4]}")
+def test_dump_stages_golden(tmp_path, capsys, case):
+    algo, kind, n, sizes, seed = case
+    inst = generate_instance(kind, n, sizes, seed=seed)
+    path = tmp_path / "i.smc"
+    path.write_text(format_instance(inst))
+    sol = tmp_path / "i.sol"
+    assert run(["solve", "--algo", algo, "--in", str(path), "--out", str(sol),
+                "--dump-stages"]) == EXIT_OK
+    dump = Path(f"{sol}.stages").read_text()
+    golden = (GOLDEN / f"{algo}-{kind}-n{n}-{'-'.join(map(str, sizes))}"
+              f"-s{seed}.stages").read_text()
+    lines = dump.rstrip("\n").split("\n")
+    if algo.startswith("onetwo"):
+        assert dump == golden
+    elif algo == "metric3":
+        _cover, stages = approx_metric(inst)
+        rounds = [line for line in lines if line.startswith("round ")]
+        assert lines[:len(stages.rounds)] == rounds
+        assert len(rounds) == len(stages.rounds) >= 1
+        assert lines == metric_golden_rounds(golden.rstrip("\n").split("\n"))
+    else:
+        cover, stages = approx_asymmetric(inst)
+        iters = [line for line in lines if line.startswith("iter ")]
+        assert lines[:stages.iterations] == iters
+        assert len(iters) == stages.iterations
+        assert dump == (golden.lstrip("\n") + "stage cover\n"
+                        + format_solution(cover))
+        assert f"iterations={stages.iterations}" in capsys.readouterr().out
+
+
+def test_compare_reads_iterations_from_the_record(tmp_path):
+    for algo, kind, sizes, seed, iterations in (
+            ("asym-log", "asymmetric", [2, 3, 3, 4, 4], 19, "2"),
+            ("metric3", "euclidean", [3, 3, 3], 1, "")):
+        inst = generate_instance(kind, sum(sizes), sizes, seed=seed)
+        (tmp_path / f"{algo}.smc").write_text(format_instance(inst))
+        out = tmp_path / f"{algo}.csv"
+        assert run(["compare", "--algo", algo, "--in",
+                    str(tmp_path / f"{algo}.smc"), "--out", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            assert [r["iterations"] for r in csv.DictReader(fh)] == [iterations]
 
 
 def test_compare_csv_stable(tmp_path):

@@ -51,7 +51,7 @@ def test_degenerate_instance(case):
     solved = 0
     for algo in ALGORITHMS:
         try:
-            cover, _iterations, bound = _run_algorithm(algo, inst, "lex", None)
+            cover, _stages, bound = _run_algorithm(algo, inst, "lex")
         except SmcError:
             continue
         solved += 1

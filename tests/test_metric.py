@@ -176,6 +176,39 @@ def test_approx_metric_random_ratio_and_bounds():
         assert cover_cost(inst, cover) <= stages.eulerian_weight
 
 
+# one-two instances whose cut-LP optimum lies strictly below OPT
+LP_GAP_CASES = [(6, [3, 3], 180015), (6, [3, 3], 173871),
+                (9, [3, 3, 3], 278248), (10, [3, 3, 2, 2], 82255)]
+
+
+def test_first_round_lp_bounds_the_pipeline():
+    # LP*, the value of the first rounding round, is the cut-LP optimum:
+    # every multicycle is feasible for it, so LP* <= OPT; Jain's rounding
+    # keeps w(G') <= 2 LP* and the T-join keeps the cover within 3 LP*.
+    # The rounds fix disjoint sorted edge sets that make up G'
+    rng = Random(3)
+    cases = [("one-two", n, sizes, seed) for n, sizes, seed in LP_GAP_CASES]
+    for trial in range(60):
+        n = rng.randint(5, 11)
+        sizes = [3] * (n // 3 - 1) + [3 + n % 3]
+        kind = "euclidean" if trial % 2 else "one-two"
+        cases.append((kind, n, sizes, rng.randrange(10 ** 6)))
+    gaps = 0
+    for kind, n, sizes, seed in cases:
+        inst = generate_instance(kind, n, sizes, seed=seed)
+        cover, stages = approx_metric(inst)
+        lp_star = stages.rounds[0].value
+        opt, _ = brute_force_smc(inst)
+        assert lp_star <= opt
+        assert stages.snd_subgraph.weight(inst) <= 2 * lp_star
+        assert cover_cost(inst, cover) <= 3 * lp_star
+        gaps += lp_star < opt
+        assert all(list(r.fixed) == sorted(r.fixed) for r in stages.rounds)
+        assert sorted(e for r in stages.rounds for e in r.fixed) \
+            == list(stages.snd_subgraph.edges)
+    assert gaps >= len(LP_GAP_CASES)
+
+
 def test_doubled_baseline_is_four_approx():
     rng = Random(30)
     for trial in range(15):

@@ -12,9 +12,8 @@ from smcycle.core import (WeightClass, cover_cost, generate_instance,
 from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
 from smcycle.oracle import brute_force_snd
-from smcycle.snd import (EdgeSubgraph, SNDRequirements, _assert_feasible,
-                         _scan_cuts, build_requirements, edge_slots,
-                         jain_round, prune_bridges, solve_cut_lp)
+from smcycle.snd import (EdgeSubgraph, _assert_feasible, _scan_cuts,
+                         edge_slots, jain_round, prune_bridges, solve_cut_lp)
 
 
 def unit_metric(n, groups):
@@ -33,15 +32,9 @@ def two_far_triangles():
                              [[0, 1, 2], [3, 4, 5]])
 
 
-def test_requirements_shape():
-    inst = generate_instance("euclidean", 7, [3, 4], seed=1)
-    req = build_requirements(inst)
-    assert req.groups == inst.groups
-    masks = req.group_masks()
-    assert sorted(size for _mask, size in masks) == [3, 4]
-    assert [size for _mask, size in masks] == [len(g) for g in inst.groups]
-    assert [[v for v in range(7) if mask >> v & 1] for mask, _size in masks] \
-        == [list(g) for g in inst.groups]
+def group_masks(groups):
+    """(vertex mask, size) of each group, as ``_scan_cuts`` takes them."""
+    return [(sum(1 << v for v in g), len(g)) for g in groups]
 
 
 def values(x):
@@ -55,23 +48,20 @@ def lp_value(inst, x):
 def test_pair_group_lp_uses_both_copies():
     inst = validate_instance(2, [[0, 5], [5, 0]], True,
                              WeightClass.GENERAL_METRIC, [[0, 1]])
-    req = build_requirements(inst)
-    x = solve_cut_lp(inst, req)
+    x = solve_cut_lp(inst)
     assert list(zip(x.slots, values(x))) == [((0, 1, 0), 1), ((0, 1, 1), 1)]
     assert lp_value(inst, x) == 10
 
 
 def test_triangle_lp_is_integral():
     inst = unit_metric(3, [[0, 1, 2]])
-    req = build_requirements(inst)
-    x = solve_cut_lp(inst, req)
+    x = solve_cut_lp(inst)
     assert all(v == 1 for v in values(x))
 
 
 def test_two_far_triangles_lp_value():
     inst = two_far_triangles()
-    req = build_requirements(inst)
-    x = solve_cut_lp(inst, req)
+    x = solve_cut_lp(inst)
     assert lp_value(inst, x) == 6
     assert brute_force_snd(inst) == 6
 
@@ -79,14 +69,14 @@ def test_two_far_triangles_lp_value():
 def test_jain_pair_group():
     inst = validate_instance(2, [[0, 5], [5, 0]], True,
                              WeightClass.GENERAL_METRIC, [[0, 1]])
-    g = jain_round(inst, build_requirements(inst))
+    g, _rounds = jain_round(inst)
     assert sorted(g.edges) == [(0, 1, 0), (0, 1, 1)]
     assert g.weight(inst) == 10
 
 
 def test_jain_unit_triangle_is_optimal():
     inst = unit_metric(3, [[0, 1, 2]])
-    g = jain_round(inst, build_requirements(inst))
+    g, _rounds = jain_round(inst)
     assert g.weight(inst) == 3 == brute_force_snd(inst)
 
 
@@ -98,48 +88,43 @@ def test_jain_within_twice_oracle():
                  7: rng.choice([[3, 4], [2, 5]])}[n]
         kind = rng.choice(("euclidean", "one-two"))
         inst = generate_instance(kind, n, sizes, seed=rng.randrange(10 ** 6))
-        req = build_requirements(inst)
-        g = jain_round(inst, req)
+        g, _rounds = jain_round(inst)
         assert g.weight(inst) <= 2 * brute_force_snd(inst)
 
 
 def test_prune_bridges_removes_connector():
     inst = two_far_triangles()
-    req = build_requirements(inst)
     edges = ((0, 1, 0), (0, 2, 0), (1, 2, 0), (2, 3, 0),
              (3, 4, 0), (3, 5, 0), (4, 5, 0))
     g = EdgeSubgraph(n=6, edges=edges)
-    pruned = prune_bridges(g, req)
+    pruned = prune_bridges(g, inst)
     assert (2, 3, 0) not in pruned.edges
     assert len(pruned.edges) == 6
 
 
 def test_prune_bridges_keeps_2ec_components():
     inst = two_far_triangles()
-    req = build_requirements(inst)
     edges = ((0, 1, 0), (0, 2, 0), (1, 2, 0), (3, 4, 0), (3, 5, 0), (4, 5, 0))
     g = EdgeSubgraph(n=6, edges=edges)
-    assert prune_bridges(g, req).edges == edges
+    assert prune_bridges(g, inst).edges == edges
 
 
 def test_prune_bridges_returns_a_bridgeless_input_itself():
     inst = two_far_triangles()
-    req = build_requirements(inst)
     unsorted = ((4, 5, 0), (0, 2, 0), (1, 2, 0), (3, 4, 0), (0, 1, 0),
                 (3, 5, 0))
     g = EdgeSubgraph(n=6, edges=unsorted)
-    assert prune_bridges(g, req) is g
+    assert prune_bridges(g, inst) is g
     # a pruned subgraph is built anew, its edges sorted
     joined = EdgeSubgraph(n=6, edges=unsorted + ((2, 3, 0),))
-    assert prune_bridges(joined, req).edges == tuple(sorted(unsorted))
+    assert prune_bridges(joined, inst).edges == tuple(sorted(unsorted))
 
 
 def test_doubled_pair_edge_is_not_a_bridge():
     inst = validate_instance(2, [[0, 5], [5, 0]], True,
                              WeightClass.GENERAL_METRIC, [[0, 1]])
-    req = build_requirements(inst)
     g = EdgeSubgraph(n=2, edges=((0, 1, 0), (0, 1, 1)))
-    assert prune_bridges(g, req).edges == g.edges
+    assert prune_bridges(g, inst).edges == g.edges
 
 
 def test_jain_outputs_prune_clean():
@@ -148,9 +133,8 @@ def test_jain_outputs_prune_clean():
         n = rng.choice((5, 6, 7))
         sizes = {5: [2, 3], 6: [3, 3], 7: [3, 4]}[n]
         inst = generate_instance("euclidean", n, sizes, seed=rng.randrange(10 ** 6))
-        req = build_requirements(inst)
-        g = jain_round(inst, req)
-        pruned = prune_bridges(g, req)
+        g, _rounds = jain_round(inst)
+        pruned = prune_bridges(g, inst)
         assert pruned.weight(inst) <= g.weight(inst)
         # feasibility is asserted inside prune_bridges; components 2ec means
         # every vertex still has degree >= 2
@@ -194,8 +178,7 @@ def test_lp_values_stay_in_unit_box():
         n = rng.choice((4, 5, 6))
         sizes = {4: [2, 2], 5: [2, 3], 6: [2, 2, 2]}[n]
         inst = generate_instance("euclidean", n, sizes, seed=rng.randrange(10 ** 6))
-        req = build_requirements(inst)
-        x = solve_cut_lp(inst, req)
+        x = solve_cut_lp(inst)
         assert all(0 <= v <= 1 for v in values(x))
         assert any(v >= Fraction(1, 2) for v in values(x))
 
@@ -218,22 +201,22 @@ def random_multigraph(rng, n):
         take = rng.randint(1, len(order))
         groups.append(tuple(sorted(order[:take])))
         order = order[take:]
-    return EdgeSubgraph(n=n, edges=tuple(edges)), SNDRequirements(n, tuple(groups))
+    return EdgeSubgraph(n=n, edges=tuple(edges)), groups
 
 
 def test_feasibility_check_matches_cut_scan():
     rng = Random(2024)
     outcomes = {True: 0, False: 0}
     for trial in range(2400):
-        g, req = random_multigraph(rng, rng.randint(2, 9))
+        g, groups = random_multigraph(rng, rng.randint(2, 9))
         caps = [(u, v, 1) for u, v, _c in g.edges]
-        scan_ok = not _scan_cuts(g.n, req.group_masks(), caps, 1)
+        scan_ok = not _scan_cuts(g.n, group_masks(groups), caps, 1)
         try:
-            _assert_feasible(g, req)
+            _assert_feasible(g, groups)
             check_ok = True
         except SmcError:
             check_ok = False
-        assert check_ok == scan_ok, (g, req)
+        assert check_ok == scan_ok, (g, groups)
         outcomes[check_ok] += 1
     assert min(outcomes.values()) >= 400
 
@@ -275,28 +258,27 @@ def test_scan_cuts_matches_direct_enumeration():
     for trial in range(300):
         n = rng.randint(2, 8)
         scale = rng.choice((1, 2, 6))
-        g, req = random_multigraph(rng, n)
-        cases.append((n, req.group_masks(), triples(n, g, scale, 0.3, 1),
+        g, groups = random_multigraph(rng, n)
+        cases.append((n, group_masks(groups), triples(n, g, scale, 0.3, 1),
                       scale))
     # n up to 12, and a scale of 2^70 for fields wider than 8 bytes
     for trial in range(16):
         n = 9 + trial % 4 if trial < 12 else rng.randint(2, 7)
         scale = 2 ** 70 + trial if trial % 3 == 0 else rng.choice((1, 6))
-        g, req = random_multigraph(rng, n)
-        cases.append((n, req.group_masks(), triples(n, g, scale, 0.2, 0.4),
+        g, groups = random_multigraph(rng, n)
+        cases.append((n, group_masks(groups), triples(n, g, scale, 0.2, 0.4),
                       scale))
     # groups holding vertex n - 1: a pair with vertex 0, and a singleton,
     # which never splits a cut
     for n in (2, 3, 6, 10):
         rest = tuple(range(1, n - 1))
         for groups in (((0, n - 1), rest), ((n - 1,), (0, *rest))):
-            req = SNDRequirements(n, tuple(g for g in groups if g))
             caps = [(u, v, rng.randint(0, 2))
                     for u in range(n) for v in range(u + 1, n)]
-            cases.append((n, req.group_masks(), caps, 3))
+            cases.append((n, group_masks(g for g in groups if g), caps, 3))
     # all-zero capacities: every splitting cut is violated by 2 * scale
     for n in (2, 7, 12):
-        masks = random_multigraph(rng, n)[1].group_masks()
+        masks = group_masks(random_multigraph(rng, n)[1])
         splitting = [mask for mask in range(1, 1 << (n - 1))
                      if any(0 < bin(mask & g).count("1") < size
                             for g, size in masks)]
@@ -348,12 +330,11 @@ def test_seeded_cut_lp_is_the_full_cut_lp():
         if trial % 3 == 1:
             inst = scaled(inst, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
                           Fraction(rng.randint(0, 5), rng.randint(1, 7)))
-        req = build_requirements(inst)
         slots = edge_slots(inst)
         some = rng.randint(1, min(3, len(slots) - 1))
         for fixed in (set(), set(rng.sample(slots, some))):
             pool = []
-            x = solve_cut_lp(inst, req, fixed, cut_pool=pool)
+            x = solve_cut_lp(inst, fixed, cut_pool=pool)
             sides = [{v for v in range(n) if mask >> v & 1}
                      for mask in pool[:n]]
             if n == 2:
@@ -366,7 +347,7 @@ def test_seeded_cut_lp_is_the_full_cut_lp():
                     for k in range(len(free))]
             for mask in range(1, 1 << (n - 1)):
                 if not any(0 < bin(mask & g).count("1") < size
-                           for g, size in req.group_masks()):
+                           for g, size in group_masks(inst.groups)):
                     continue
                 residual = 2 - sum((mask >> u ^ mask >> v) & 1
                                    for u, v, _c in fixed)
@@ -427,4 +408,4 @@ def test_cut_lp_certificate_rejects_corrupted_prices(monkeypatch):
 
     monkeypatch.setattr(ColumnLp, "_solution", corrupt)
     with pytest.raises(SmcError, match="certificate"):
-        solve_cut_lp(two_far_triangles(), build_requirements(two_far_triangles()))
+        solve_cut_lp(two_far_triangles())

@@ -202,6 +202,32 @@ def test_library_runs_on_the_oldest_supported_python():
         "raise ExceptionGroup('e', [])\n")) == [2, 3, 4, 5, 6]
 
 
+def trace_parameters(tree: ast.AST) -> list[str]:
+    """Names of the functions that take a parameter named ``trace``."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(arg.arg == "trace" for arg in (
+                *node.args.posonlyargs, *node.args.args,
+                *node.args.kwonlyargs, node.args.vararg, node.args.kwarg)
+                    if arg is not None)]
+
+
+def test_no_function_takes_a_trace_list():
+    # a pipeline returns its stage record and --dump-stages renders it, so
+    # no function threads a list of trace strings through its callees
+    found = []
+    for path in SOURCES:
+        found += [f"{path.name}:{name}" for name
+                  in trace_parameters(ast.parse(path.read_text()))]
+    assert found == []
+    # what it catches: parameters, not a function named trace
+    assert trace_parameters(ast.parse(
+        "def f(inst, trace=None): pass\n"
+        "def g(*, trace): pass\n"
+        "def h(x, /, trace): pass\n"
+        "def trace(v): pass\n")) == ["f", "g", "h"]
+
+
 def imports_networkx(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
