@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import (CycleCover, Instance, Weight, WeightClass, bits,
-                   components, count_weight2_edges, cover_cost, make_cover,
-                   validate_solution)
+                   components, count_weight2_edges, cover_cost, cycle_cost,
+                   make_cover, validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import _augment_matching
 from .twofactor import min_weight_2factor, min_weight_triangle_free_2factor
@@ -784,7 +784,10 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
     if Fraction(audit["phase1_delta"]) > charge_cap * chargeable:
         raise SmcError("phase-1 total exceeded the charge budget")
 
-    cost = cover_cost(inst, cover)
+    report = validate_solution(inst, cover)
+    if not report.feasible:
+        raise SmcError(f"pipeline produced infeasible cover: {report.violations}")
+    cost = sum(cycle_cost(inst, cyc) for cyc in cover.cycles)
     if cost > factor.weight + audit["phase1_delta"] + audit["phase2_delta"]:
         raise SmcError("final cost above the audited bound")
     # assembled inequality chain, in integers
@@ -794,9 +797,6 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
     else:
         if 6 * cost > 7 * inst.n + 5 * e2 + 2 * c_p:
             raise SmcError("final cost above the 7/6 inequality chain")
-    report = validate_solution(inst, cover)
-    if not report.feasible:
-        raise SmcError(f"pipeline produced infeasible cover: {report.violations}")
     return OneTwoStages(factor=factor, b_edges=tuple(b_edges),
                         matching=tuple(sorted(matching)), digraph=dig,
                         c_p=c_p, factor_two_edges=e2,

@@ -5,7 +5,10 @@ object of their own: a cut needs two crossing edges exactly when it splits
 some group.  The LP over the cut family is solved exactly with lazily
 generated rows, and iterative rounding permanently includes every edge
 whose value reaches 1/2; such an edge must exist at every step, so a miss
-is reported as a bug, never a degraded answer.
+is reported as a bug, never a degraded answer.  Rounding stops as soon as
+the fixed edges leave every group inside one 2-edge-connected component,
+which is exactly when they meet every cut, so the residual LP that would
+answer x = 0 is not solved.
 
 Cut LP.  Over the free slots e the residual LP is min c.x subject to
 x(delta(C)) >= r_C for each pooled cut C with residual requirement
@@ -101,6 +104,22 @@ class EdgeSubgraph:
         cached = self.__dict__.get("_bridges")
         if cached is None:
             cached = self.__dict__["_bridges"] = frozenset(_bridges(self))
+        return cached
+
+    @property
+    def two_edge_components(self) -> tuple[int, ...]:
+        """The component label of each vertex once the bridges are
+        removed, computed once: two vertices are 2-edge-connected exactly
+        when their labels agree."""
+        cached = self.__dict__.get("_two_edge_components")
+        if cached is None:
+            bridges = self.bridges
+            label = [0] * self.n
+            for ci, comp in enumerate(components(self.n, (
+                    e for e in self.edges if (e[0], e[1]) not in bridges))):
+                for v in comp:
+                    label[v] = ci
+            cached = self.__dict__["_two_edge_components"] = tuple(label)
         return cached
 
 
@@ -263,11 +282,18 @@ class Round(NamedTuple):
 
 
 def jain_round(inst: Instance) -> tuple[EdgeSubgraph, tuple[Round, ...]]:
-    """Iterative rounding: fix every edge at value >= 1/2, re-solve, repeat.
+    """Iterative rounding: fix every edge at value >= 1/2, re-solve, repeat
+    until the fixed edges meet every requirement cut.
 
     Returns the subgraph and its rounds; the first round's value LP*, the
     full cut LP's optimum, is a lower bound on OPT.  The subgraph satisfies
     every requirement cut and weighs at most 2 LP* (Jain's guarantee).
+
+    The loop stops once every group lies in one 2-edge-connected component
+    of the fixed subgraph, exactly when the residual LP would answer x = 0.
+    A vertex of fixed degree below 2 fails that check without a bridge
+    search, since its degree cut splits its group.  An x = 0 answer while a
+    group is still split is reported as a bug.
     """
     slots = edge_slots(inst)
     fixed: set[EdgeSlot] = set()
@@ -276,7 +302,8 @@ def jain_round(inst: Instance) -> tuple[EdgeSubgraph, tuple[Round, ...]]:
     while True:
         x = solve_cut_lp(inst, fixed, cut_pool=pool)
         if not any(x.numerators):
-            break
+            raise SmcError("cut LP answered x = 0 while the fixed edges "
+                           "still split a group")
         if len(rounds) >= len(slots):
             raise SmcError("rounding did not terminate within |E| iterations")
         take = sorted(s for s, v in zip(x.slots, x.numerators)
@@ -288,25 +315,24 @@ def jain_round(inst: Instance) -> tuple[EdgeSubgraph, tuple[Round, ...]]:
                     in zip(x.slots, x.numerators) if k)
         rounds.append(Round(Fraction(value, x.scale), tuple(take)))
         fixed.update(take)
-    sub = EdgeSubgraph(n=inst.n, edges=tuple(sorted(fixed)))
-    _assert_feasible(sub, inst.groups)
-    return sub, tuple(rounds)
+        sub = EdgeSubgraph(n=inst.n, edges=tuple(sorted(fixed)))
+        if min(sub.degrees()) >= 2 and not _groups_split(sub, inst.groups):
+            return sub, tuple(rounds)
+
+
+def _groups_split(g: EdgeSubgraph, groups: Sequence[Sequence[int]]
+                  ) -> list[Sequence[int]]:
+    """The groups that do not lie in one 2-edge-connected component of
+    ``g``, that is, the groups some cut with fewer than two edges splits."""
+    label = g.two_edge_components
+    return [grp for grp in groups if len({label[v] for v in grp}) > 1]
 
 
 def _assert_feasible(g: EdgeSubgraph,
                      groups: Sequence[Sequence[int]]) -> None:
     """Raise unless every group lies in one 2-edge-connected component of
-    ``g``: two vertices are 2-edge-connected exactly when they share a
-    component once the bridges are removed."""
-    bridges = g.bridges
-    bridgeless = EdgeSubgraph(n=g.n, edges=tuple(
-        e for e in g.edges if (e[0], e[1]) not in bridges))
-    component = [0] * g.n
-    for ci, comp in enumerate(bridgeless.components()):
-        for v in comp:
-            component[v] = ci
-    split = [grp for grp in groups
-             if len({component[v] for v in grp}) > 1]
+    ``g``."""
+    split = _groups_split(g, groups)
     if split:
         raise SmcError(f"subgraph leaves {len(split)} groups without two "
                        "edge-disjoint paths")
@@ -351,6 +377,9 @@ def prune_bridges(g: EdgeSubgraph, inst: Instance) -> EdgeSubgraph:
     A bridge never serves a 2-connectivity requirement, so feasibility is
     preserved (re-asserted here).  A bridgeless ``g`` is returned itself,
     its edges in the order given; otherwise the result's edges are sorted.
+    The re-assertion reads the subgraph's cached bridges and labelling, so
+    on a bridgeless subgraph that ``jain_round`` has just accepted it
+    repeats no search.
     """
     current = g
     while True:

@@ -5,15 +5,16 @@ from random import Random
 
 import pytest
 
-from smcycle import snd
+from smcycle import metric, snd
 from smcycle._simplex import GE, LE, ColumnLp, solve_min_lp
 from smcycle.core import (WeightClass, cover_cost, generate_instance,
                           validate_instance)
 from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
 from smcycle.oracle import brute_force_snd
-from smcycle.snd import (EdgeSubgraph, _assert_feasible, _scan_cuts,
-                         edge_slots, jain_round, prune_bridges, solve_cut_lp)
+from smcycle.snd import (EdgeSubgraph, FractionalEdgeVector, Round,
+                         _assert_feasible, _scan_cuts, edge_slots, jain_round,
+                         prune_bridges, solve_cut_lp)
 
 
 def unit_metric(n, groups):
@@ -141,10 +142,18 @@ def test_jain_outputs_prune_clean():
         assert all(d >= 2 for d in pruned.degrees())
 
 
+# one-two instances whose rounding takes 2 rounds; round 1 leaves a vertex
+# of fixed degree 1
+TWO_ROUND_ONE_TWO = [(10, [2, 2, 4, 2], 567077), (11, [3, 2, 4, 2], 630667),
+                     (11, [4, 4, 3], 890209), (12, [2, 2, 3, 2, 3], 957049),
+                     (12, [2, 2, 2, 2, 2, 2], 478105)]
+
+
 def test_metric_solve_searches_bridges_once(monkeypatch):
     # jain_round checks its subgraph against its bridges, which the
     # subgraph keeps, so prune_bridges starts from them instead of
-    # searching again, and checks feasibility against its last pass
+    # searching again, and checks feasibility against its last pass.  A
+    # round that leaves a vertex of degree below 2 gets no search at all
     searches = []
     bridges = snd._bridges
 
@@ -154,14 +163,22 @@ def test_metric_solve_searches_bridges_once(monkeypatch):
 
     monkeypatch.setattr(snd, "_bridges", spy)
     rng = Random(7)
+    instances = []
     for trial in range(20):
         n = rng.choice((5, 6, 7, 8, 9))
         sizes = {5: [2, 3], 6: [3, 3], 7: [3, 4], 8: [2, 3, 3], 9: [3, 3, 3]}[n]
-        inst = generate_instance("euclidean", n, sizes, seed=rng.randrange(10 ** 6))
+        instances.append(generate_instance("euclidean", n, sizes,
+                                           seed=rng.randrange(10 ** 6)))
+    instances += [generate_instance("one-two", n, sizes, seed)
+                  for n, sizes, seed in TWO_ROUND_ONE_TWO]
+    rounds = []
+    for inst in instances:
         searches.clear()
         _cover, stages = approx_metric(inst)
         assert stages.pruned == stages.snd_subgraph
         assert searches == [stages.snd_subgraph]
+        rounds.append(len(stages.rounds))
+    assert rounds[-5:] == [2] * 5
 
 
 def test_edge_slots_include_pair_duplicates():
@@ -376,7 +393,7 @@ def test_warm_rounds_match_cold_solves(monkeypatch):
 
     monkeypatch.setattr(ColumnLp, "optimise", spy)
     rng = Random(31)
-    for trial in range(80):
+    for trial in range(110):
         n = 5 + trial % 5
         sizes = rng.choice({5: [[2, 3], [5]], 6: [[3, 3], [2, 2, 2]],
                             7: [[3, 4], [2, 2, 3]], 8: [[4, 4], [2, 3, 3]],
@@ -397,6 +414,124 @@ def test_warm_rounds_match_cold_solves(monkeypatch):
         cold = solve_min_lp(cost, rows)
         assert cold.status == "optimal"
         assert cold.objective == Fraction(sum(c * v for c, v in zip(cost, x)), den)
+
+
+def confirming_jain_round(inst):
+    """Reference rounding that re-solves until the residual cut LP answers
+    x = 0, confirming with one more LP that the fixed edges meet every cut,
+    and only then checks the subgraph."""
+    fixed = set()
+    pool = []
+    rounds = []
+    while True:
+        x = solve_cut_lp(inst, fixed, cut_pool=pool)
+        if not any(x.numerators):
+            break
+        take = sorted(s for s, v in zip(x.slots, x.numerators)
+                      if 2 * v >= x.scale)
+        value = sum(inst.w(u, v) * k
+                    for (u, v, _c), k in zip(x.slots, x.numerators))
+        rounds.append(Round(Fraction(value, x.scale), tuple(take)))
+        fixed.update(take)
+    sub = EdgeSubgraph(n=inst.n, edges=tuple(sorted(fixed)))
+    _assert_feasible(sub, inst.groups)
+    return sub, tuple(rounds)
+
+
+def random_sizes(rng, n):
+    """A random split of n into group sizes >= 2, often with pairs."""
+    sizes = []
+    rest = n
+    while rest >= 4 and rng.random() < 0.75:
+        sizes.append(rng.randint(2, rest - 2))
+        rest -= sizes[-1]
+    return sizes + [rest]
+
+
+def test_rounding_stops_where_the_confirming_lp_did(monkeypatch):
+    # stopping on the 2-edge-connectivity check gives the rounds, subgraph
+    # and cover of the loop that stopped on a zero LP answer, with one LP
+    # fewer: the fixed edges meet every cut exactly when the residual LP's
+    # optimum is x = 0
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_cut_lp(*args, **kwargs)
+
+    instances = [generate_instance("one-two", n, sizes, seed)
+                 for n, sizes, seed in TWO_ROUND_ONE_TWO]
+    rng = Random(59)
+    for trial in range(1000):
+        n = rng.randint(3, 14)
+        kind = ("euclidean", "one-two", "euclidean")[trial % 3]
+        inst = generate_instance(kind, n, random_sizes(rng, n),
+                                 rng.randrange(10 ** 6))
+        if trial % 3 == 2:
+            inst = scaled(inst, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                          Fraction(rng.randint(0, 5), rng.randint(1, 7)))
+        instances.append(inst)
+    paired = multi = 0
+    for inst in instances:
+        with monkeypatch.context() as m:
+            m.setattr(metric, "jain_round", confirming_jain_round)
+            ref_cover, ref = approx_metric(inst)
+        with monkeypatch.context() as m:
+            m.setattr(snd, "solve_cut_lp", counting)
+            calls.clear()
+            cover, stages = approx_metric(inst)
+        assert stages.rounds == ref.rounds
+        assert stages.snd_subgraph == ref.snd_subgraph
+        assert cover == ref_cover
+        assert len(calls) == len(stages.rounds)
+        paired += bool(inst.pair_groups())
+        multi += len(stages.rounds) > 1
+    assert paired > 300 and multi >= len(TWO_ROUND_ONE_TWO)
+
+
+def test_zero_lp_answer_on_a_split_group_is_a_bug(monkeypatch):
+    # round 1 of this instance leaves a vertex of fixed degree 1, so an LP
+    # answering x = 0 in round 2 contradicts the split group it still has
+    n, sizes, seed = TWO_ROUND_ONE_TWO[0]
+    inst = generate_instance("one-two", n, sizes, seed)
+    answers = []
+
+    def zero_after_first(*args, **kwargs):
+        x = solve_cut_lp(*args, **kwargs)
+        answers.append(x)
+        if len(answers) == 1:
+            return x
+        return FractionalEdgeVector(x.slots, (0,) * len(x.slots), 1)
+
+    monkeypatch.setattr(snd, "solve_cut_lp", zero_after_first)
+    with pytest.raises(SmcError, match="x = 0"):
+        jain_round(inst)
+    assert len(answers) == 2 and any(answers[1].numerators)
+
+
+def test_rounding_goes_on_while_degree_two_edges_split_a_group(monkeypatch):
+    # a round that fixes two disjoint triangles leaves every degree at 2,
+    # yet the one group spans both: rounding must solve again, not stop
+    far = two_far_triangles()
+    inst = validate_instance(6, far.weights, True, far.weight_class,
+                             [list(range(6))])
+    triangles = {(0, 1, 0), (0, 2, 0), (1, 2, 0),
+                 (3, 4, 0), (3, 5, 0), (4, 5, 0)}
+    calls = []
+
+    def triangles_first(*args, **kwargs):
+        calls.append(args)
+        x = solve_cut_lp(*args, **kwargs)
+        if len(calls) > 1:
+            return x
+        return FractionalEdgeVector(
+            x.slots, tuple(int(s in triangles) for s in x.slots), 1)
+
+    monkeypatch.setattr(snd, "solve_cut_lp", triangles_first)
+    g, rounds = jain_round(inst)
+    assert set(rounds[0].fixed) == triangles and len(calls) == len(rounds) > 1
+    assert min(EdgeSubgraph(6, rounds[0].fixed).degrees()) == 2
+    _assert_feasible(g, inst.groups)
 
 
 def test_cut_lp_certificate_rejects_corrupted_prices(monkeypatch):
