@@ -138,7 +138,6 @@ def cmd_solve(args) -> int:
     inst = _read_instance(args.infile)
     cover, stages, _bound = _run_algorithm(args.algo, inst, args.tie_break)
     report = validate_solution(inst, cover)
-    cost = cover_cost(inst, cover)
     if args.out and report.feasible:
         Path(args.out).write_text(format_solution(cover), encoding="utf-8")
     if args.dump_stages:
@@ -149,7 +148,7 @@ def cmd_solve(args) -> int:
             sys.stdout.write(payload)
     iterations = getattr(stages, "iterations", None)
     iter_part = f" iterations={iterations}" if iterations is not None else ""
-    print(f"algorithm={args.algo} cost={cost} "
+    print(f"algorithm={args.algo} cost={report.cost} "
           f"feasible={'yes' if report.feasible else 'no'} "
           f"cycles={len(cover.cycles)}{iter_part}")
     if not report.feasible:
@@ -190,7 +189,7 @@ def cmd_compare(args) -> int:
             report = validate_solution(inst, cover)
             if not report.feasible:
                 raise SmcError(f"{algo} produced an infeasible cover on {path}")
-            cost = cover_cost(inst, cover)
+            cost = report.cost
             ratio = ""
             passed = ""
             if oracle_cost is not None:

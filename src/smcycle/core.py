@@ -126,8 +126,12 @@ class CycleCover:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Outcome of :func:`validate_solution`.  ``cost`` is the cover's weight
+    as :func:`cover_cost` sums it, or ``None`` when a cycle is malformed."""
+
     feasible: bool
     violations: tuple[str, ...]
+    cost: Weight | None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -329,8 +333,11 @@ def _structural_violations(inst: Instance, cover: CycleCover) -> list[str]:
 
 
 def validate_solution(inst: Instance, cover: CycleCover) -> FeasibilityReport:
-    """Full feasibility report: structure, spanning, and group placement."""
+    """Full feasibility report: structure, spanning, and group placement,
+    and the cover's cost whenever every cycle is well formed."""
     violations = _structural_violations(inst, cover)
+    cost = None if violations else sum(cycle_cost(inst, cyc)
+                                       for cyc in cover.cycles)
     covered = cover.covered_vertices()
     missing = sorted(set(range(inst.n)) - covered)
     if missing:
@@ -343,7 +350,8 @@ def validate_solution(inst: Instance, cover: CycleCover) -> FeasibilityReport:
         homes = {cycle_of[v] for v in group if v in cycle_of}
         if len(homes) > 1:
             violations.append(f"split group {group}: spread over cycles {sorted(homes)}")
-    return FeasibilityReport(feasible=not violations, violations=tuple(violations))
+    return FeasibilityReport(feasible=not violations,
+                             violations=tuple(violations), cost=cost)
 
 
 def cycle_cost(inst: Instance, cycle: Sequence[int]) -> Weight:
@@ -363,10 +371,7 @@ def cover_cost(inst: Instance, cover: CycleCover) -> Weight:
     violations = _structural_violations(inst, cover)
     if violations:
         raise InvalidCoverError("; ".join(violations))
-    total: Weight = 0
-    for cyc in cover.cycles:
-        total += cycle_cost(inst, cyc)
-    return total
+    return sum(cycle_cost(inst, cyc) for cyc in cover.cycles)
 
 
 def count_weight2_edges(inst: Instance, cover: CycleCover) -> int:

@@ -7,6 +7,8 @@ shortcut of each component down to a cycle.
 
 Stage invariants asserted on every run: T-join parity, w(J) <= w(G')/2 on
 the pruned subgraph, and shortcut cost never above the Eulerian weight.
+The shortcut's check is the cover's one feasibility check, for metric3 and
+for the doubled-subgraph baseline alike.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (CycleCover, Instance, Weight, cover_cost, euler_shortcut,
-                   make_cover, validate_solution)
+from .core import (CycleCover, Instance, Weight, euler_shortcut, make_cover,
+                   validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 from .snd import EdgeSubgraph, Round, jain_round, prune_bridges
@@ -133,23 +135,21 @@ def _euler_shortcut(n: int, slots: list[tuple[int, int]], inst: Instance
                     ) -> CycleCover:
     """Shortcut every Eulerian component of an edge multiset to a cycle
     along :func:`core.euler_shortcut`'s tour; a 2-vertex component becomes a
-    pair 2-cycle."""
+    pair 2-cycle.  This is the one feasibility check of every metric cover:
+    the cover must pass :func:`core.validate_solution` and weigh no more than
+    the multiset."""
     degree = [0] * n
     for u, v in slots:
         degree[u] += 1
         degree[v] += 1
     if any(d % 2 for d in degree):
         raise SmcError("multigraph has an odd-degree vertex")
-    pair_set = {frozenset(p) for p in inst.pair_groups()}
-    cycles = euler_shortcut(n, slots, directed=False)
-    for cyc in cycles:
-        if len(cyc) < 2:
-            raise SmcError("component with a single vertex cannot be covered")
-        if len(cyc) == 2 and frozenset(cyc) not in pair_set:
-            raise SmcError("2-vertex component is not a size-2 terminal group")
-    cover = make_cover(cycles)
-    total_weight = sum(inst.w(u, v) for u, v in slots)
-    if cover_cost(inst, cover) > total_weight:
+    cover = make_cover(euler_shortcut(n, slots, directed=False))
+    report = validate_solution(inst, cover)
+    if not report.feasible:
+        raise SmcError(f"shortcut produced an infeasible cover: "
+                       f"{report.violations}")
+    if report.cost > sum(inst.w(u, v) for u, v in slots):
         raise SmcError("shortcut increased the cost on a metric instance")
     return cover
 
@@ -178,10 +178,6 @@ def approx_metric(inst: Instance) -> tuple[CycleCover, MetricStages]:
         raise SmcError("T-join heavier than half the pruned subgraph")
 
     cover = double_and_shortcut(pruned, join, inst)
-    report = validate_solution(inst, cover)
-    if not report.feasible:
-        raise SmcError(f"metric pipeline produced infeasible cover: "
-                       f"{report.violations}")
     stages = MetricStages(rounds=rounds, snd_subgraph=raw, pruned=pruned,
                           odd_vertices=tuple(sorted(odd)), join=join,
                           join_weight=join_weight,
@@ -202,8 +198,4 @@ def doubled_subgraph_baseline(inst: Instance,
     if pruned is None:
         pruned = prune_bridges(jain_round(inst)[0], inst)
     slots = [(u, v) for u, v, _c in pruned.edges] * 2
-    cover = _euler_shortcut(inst.n, slots, inst)
-    report = validate_solution(inst, cover)
-    if not report.feasible:
-        raise SmcError("baseline produced an infeasible cover")
-    return cover
+    return _euler_shortcut(inst.n, slots, inst)

@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import (CycleCover, Instance, Weight, WeightClass, bits,
-                   components, count_weight2_edges, cover_cost, cycle_cost,
-                   make_cover, validate_solution)
+                   components, count_weight2_edges, cover_cost, make_cover,
+                   validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import _augment_matching
 from .twofactor import min_weight_2factor, min_weight_triangle_free_2factor
@@ -196,11 +196,6 @@ def special_2factor(inst: Instance, base: CycleCover) -> SpecialTwoFactor:
     pure = tuple(c.is_pure(inst) for c in work)
     if sum(1 for p in pure if not p) > 1:
         raise SmcError("more than one nonpure cycle survived")
-    npi = next((i for i, p in enumerate(pure) if not p), None)
-    if npi is not None:
-        others = [c for i, c in enumerate(work) if i != npi]
-        if _property2_violation(inst, work[npi], others) is not None:
-            raise SmcError("a 2-edge endpoint still reaches a pure cycle by a 1-edge")
     return SpecialTwoFactor(cover=cover, pure=pure, weight=start_weight)
 
 
@@ -279,8 +274,6 @@ class AttachmentDigraph:
 
 
 def _component_shape(arcs_in_comp: list[tuple[int, int]], nodes: list[int]) -> str:
-    if not arcs_in_comp:
-        return "isolated" if len(nodes) == 1 else "broken"
     outdeg = {v: 0 for v in nodes}
     indeg = {v: 0 for v in nodes}
     head: dict[int, int] = {}
@@ -428,10 +421,6 @@ def _assert_dprime_shape(dig: AttachmentDigraph) -> None:
     for a, b in dig.dprime:
         if (a, b) not in arcs:
             raise SmcError("D' contains an arc outside D")
-    for comp in dig.dprime_components():
-        comp_arcs = [(a, b) for a, b in dig.dprime if a in comp]
-        if _component_shape(comp_arcs, comp) == "broken":
-            raise SmcError(f"D' component {comp} is not a star, path or node")
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +658,7 @@ def join_component_cycles(inst: Instance, factor: SpecialTwoFactor,
             out.append(_merge_path(inst, cycles[a], cycles[b], cycles[c],
                                    e1, e2, audit, worst))
         else:
-            raise SmcError("unexpected D' component shape")
+            raise SmcError(f"D' component {comp} is not a star, path or node")
     return out
 
 
@@ -787,7 +776,7 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
     report = validate_solution(inst, cover)
     if not report.feasible:
         raise SmcError(f"pipeline produced infeasible cover: {report.violations}")
-    cost = sum(cycle_cost(inst, cyc) for cyc in cover.cycles)
+    cost = report.cost
     if cost > factor.weight + audit["phase1_delta"] + audit["phase2_delta"]:
         raise SmcError("final cost above the audited bound")
     # assembled inequality chain, in integers
@@ -848,9 +837,9 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
                 stages = _run_join_phases(inst, factor, b_edges, matching,
                                           break_choice, worst=True,
                                           triangle_free_factor=tf)
-                if worst is None or cover_cost(inst, stages.cover) > cover_cost(
-                        inst, worst.cover):
-                    worst = stages
+                cost = cover_cost(inst, stages.cover)
+                if worst is None or cost > worst_cost:
+                    worst, worst_cost = stages, cost
     if worst is None:
         raise SmcError("adversarial search produced no candidate cover")
     return worst.cover, worst

@@ -20,9 +20,8 @@ from itertools import permutations
 from operator import add
 from random import Random
 
-from .core import (CycleCover, Instance, Weight, cover_cost, find,
-                   generate_instance, make_cover, successor_cycles,
-                   validate_solution)
+from .core import (CycleCover, Instance, Weight, find, generate_instance,
+                   make_cover, successor_cycles, validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 from .twofactor import _walk_degree2
@@ -186,7 +185,7 @@ def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
     report = validate_solution(inst, cover)
     if not report.feasible:
         raise ValidationError(f"oracle produced infeasible cover: {report.violations}")
-    if cover_cost(inst, cover) != best_cost:
+    if report.cost != best_cost:
         raise SmcError("oracle cover cost differs from its enumerated optimum")
     return best_cost, cover
 

@@ -80,6 +80,24 @@ def test_solve_precondition_mismatch(tmp_path):
     assert run(["solve", "--algo", "onetwo76", "--in", str(onetwo)]) == EXIT_USAGE
 
 
+def test_solve_reports_a_malformed_cover(tmp_path, capsys, monkeypatch):
+    # a cycle that repeats a vertex is reported, not raised on while pricing
+    from smcycle import cli
+    from smcycle.core import make_cover
+
+    path = tmp_path / "ot.smc"
+    run(["gen", "onetwo", "6", "3,3", "3", "--out", str(path)])
+    monkeypatch.setattr(cli, "_run_algorithm", lambda name, inst, tie_break: (
+        make_cover([[0, 1, 2, 1], [3, 4, 5]]), None, None))
+    sol = tmp_path / "bad.sol"
+    assert run(["solve", "--algo", "metric3", "--in", str(path),
+                "--out", str(sol)]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "feasible=no" in out
+    assert "violation: cycle 0 repeats a vertex" in err.splitlines()
+    assert not sol.exists()
+
+
 def test_solve_dump_stages(tmp_path):
     onetwo = tmp_path / "ot.smc"
     run(["gen", "onetwo", "7", "3,4", "5", "--out", str(onetwo)])

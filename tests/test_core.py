@@ -184,7 +184,7 @@ def test_pair_two_cycle_is_feasible():
     assert cover.pair_flags == (True,)
     report = validate_solution(inst, cover)
     assert report.feasible
-    assert cover_cost(inst, cover) == 6
+    assert report.cost == cover_cost(inst, cover) == 6
 
 
 def test_unflagged_two_cycle_is_rejected():
@@ -201,6 +201,7 @@ def test_unflagged_two_cycle_is_rejected():
                              [[0, 1], [2, 3]])
     report = validate_solution(inst, make_cover([[0, 2], [1, 3]]))
     assert not report.feasible
+    assert report.cost is None
     assert report.violations == (
         "illegal 2-cycle (0, 2): not a size-2 terminal group",
         "illegal 2-cycle (1, 3): not a size-2 terminal group",
@@ -225,19 +226,32 @@ def test_split_group_reported():
     report = validate_solution(inst, cover)
     assert not report.feasible
     assert any("split group" in v for v in report.violations)
+    # the cycles are well formed, so the report still prices the cover
+    assert report.cost == cover_cost(inst, cover)
 
 
 def test_triangle_cover_cost():
-    w = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    inst = validate_instance(3, w, True, WeightClass.GENERAL_METRIC, [[0, 1, 2]])
-    assert cover_cost(inst, make_cover([[0, 1, 2]])) == 3
+    cover = make_cover([[0, 1, 2]])
+    for a, b, cost in ((1, 1, 3), (Fraction(1, 3), Fraction(1, 2), Fraction(4, 3))):
+        w = [[0, a, b], [a, 0, b], [b, b, 0]]
+        inst = validate_instance(3, w, True, WeightClass.GENERAL_METRIC,
+                                 [[0, 1, 2]])
+        assert cover_cost(inst, cover) == validate_solution(inst, cover).cost == cost
 
 
 def test_cover_cost_rejects_overlap():
+    # and every other malformed cycle, which the report leaves unpriced
     inst = generate_instance("euclidean", 6, [3, 3], seed=5)
-    cover = make_cover([[0, 1, 2], [2, 3, 4]])
-    with pytest.raises(InvalidCoverError):
-        cover_cost(inst, cover)
+    for cycles in ([[0, 1, 2], [2, 3, 4]],      # overlap
+                   [[0, 1, 2, 1], [3, 4, 5]],   # repeated vertex
+                   [[0, 1, 2], [3, 4, 6]],      # out-of-range vertex
+                   [[0, 1], [2, 3, 4, 5]],      # 2-cycle off a size-2 group
+                   [[0], [1, 2, 3, 4, 5]]):     # 1-vertex cycle
+        cover = make_cover(cycles)
+        with pytest.raises(InvalidCoverError):
+            cover_cost(inst, cover)
+        report = validate_solution(inst, cover)
+        assert not report.feasible and report.cost is None
 
 
 def test_cover_cost_rotation_and_reversal_invariant():
@@ -253,10 +267,10 @@ def test_directed_cost_follows_arcs():
     w = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     inst = validate_instance(3, w, False, WeightClass.ASYMMETRIC_METRIC,
                              [[0, 1, 2]])
-    fwd = cover_cost(inst, make_cover([[0, 1, 2]], directed=True))
-    bwd = cover_cost(inst, make_cover([[2, 1, 0]], directed=True))
-    assert fwd == 3
-    assert bwd == 6
+    fwd = make_cover([[0, 1, 2]], directed=True)
+    bwd = make_cover([[2, 1, 0]], directed=True)
+    assert cover_cost(inst, fwd) == validate_solution(inst, fwd).cost == 3
+    assert cover_cost(inst, bwd) == validate_solution(inst, bwd).cost == 6
 
 
 def test_generators_are_deterministic():

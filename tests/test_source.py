@@ -429,6 +429,76 @@ def test_tracer_sees_every_asymmetric_layer():
         "asymmetric.directed_shortcut": stages.iterations}
 
 
+def test_each_solve_checks_its_cover_shape_once(monkeypatch):
+    # validate_solution prices the cover it checks, and each pipeline checks
+    # its final cover once; onetwo also checks the special 2-factor's input
+    # and output, which it changes.  directed_shortcut finds the components
+    # of its overlay once and learns all else from its walks
+    from smcycle import asymmetric, core, metric, onetwo, oracle
+
+    checks = []
+    structural = core._structural_violations
+
+    def check_spy(inst, cover):
+        checks.append(cover)
+        return structural(inst, cover)
+
+    splits = []
+    components = asymmetric.components
+
+    def components_spy(n, edges):
+        splits.append(n)
+        return components(n, edges)
+
+    monkeypatch.setattr(core, "_structural_violations", check_spy)
+    monkeypatch.setattr(asymmetric, "components", components_spy)
+
+    def count(solve, inst):
+        checks.clear()
+        solve(inst)
+        return len(checks)
+
+    for seed in range(4):
+        inst = generate_instance("euclidean", 8, [2, 3, 3], seed=seed)
+        assert count(metric.approx_metric, inst) == 1
+        assert count(metric.doubled_subgraph_baseline, inst) == 1
+        assert count(oracle.brute_force_smc, inst) == 1
+        inst = generate_instance("one-two", 9, [3, 3, 3], seed=seed)
+        assert count(onetwo.approx_onetwo, inst) == 3
+
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    checks.clear()
+    splits.clear()
+    _cover, stages = asymmetric.approx_asymmetric(
+        workloads.clustered_asymmetric(40, Random(3)))
+    assert (len(checks), len(splits), stages.iterations) == (1, 3, 3)
+
+
+def calls_all(func: ast.AST, names: set[str]) -> bool:
+    """Whether ``func`` calls every function named in ``names``."""
+    called = {sub.func.id if isinstance(sub.func, ast.Name) else
+              getattr(sub.func, "attr", None)
+              for sub in ast.walk(func) if isinstance(sub, ast.Call)}
+    return names <= called
+
+
+def test_no_function_validates_and_prices_a_cover():
+    # validate_solution returns the cost of the cover it checks, so a
+    # function that also calls cover_cost checks the same cover twice
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and calls_all(node, {"validate_solution", "cover_cost"})]
+    assert found == []
+
+
 def test_benchmark_reference_cost_matches_cover_cost():
     # perfbench/run.py checks each solve's cover_cost against its own
     # reference_cost, which reads cover.pair_flags: covers with pair
