@@ -84,16 +84,12 @@ class Instance:
     @property
     def one_masks(self) -> tuple[int, ...]:
         """The weight-1 graph of a {1,2} instance as bitmasks: bit j of
-        ``one_masks[i]`` is set exactly when j != i and w(i,j) = 1."""
-        cached = self.__dict__.get("_one_masks")
-        if cached is None:
-            if self.weight_class is not WeightClass.ONE_TWO:
-                raise ValidationError("weight-1 masks need one-two weights")
-            # validate_instance stores {1,2} rows as ints 0, 1 and 2
-            cached = tuple(int(bytes(row).translate(_ONE_BITS)[::-1], 2)
-                           for row in self.weights)
-            self.__dict__["_one_masks"] = cached
-        return cached
+        ``one_masks[i]`` is set exactly when j != i and w(i,j) = 1.  Built
+        once, by :func:`validate_instance`, from the validated rows."""
+        masks = self.__dict__.get("_one_masks")
+        if masks is None:
+            raise ValidationError("weight-1 masks need one-two weights")
+        return masks
 
     def pair_groups(self) -> list[tuple[int, int]]:
         """Size-2 groups, each eligible for a duplicated pair edge."""
@@ -158,6 +154,15 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     ``triangle-violation`` or ``weight-class-violation``.  A {1,2} matrix
     is stored as ints with a zero diagonal, so ``Fraction(1)`` becomes 1.
 
+    A {1,2} matrix is checked as one byte buffer of its joined rows, in C
+    passes: the diagonal is zeroed, the matrix is symmetric when the buffer
+    equals its n strided column slices joined, and every other cell is 1
+    or 2 when deleting the bytes 1 and 2 leaves n zero bytes.  A failed
+    check, or a cell that is no int in range(256), runs a plain scan that
+    finds the first bad cell, so each message names the cell a cell-by-cell
+    check would.  The weight rows and :attr:`Instance.one_masks` are built
+    from the same row slices of the checked buffer.
+
     The triangle inequality w(a,b) <= w(a,c) + w(c,b) is checked exactly
     with O(n^2) interpreter steps.  An int matrix is taken as it is; any
     other is scaled to ints by the lcm of its denominators.  The diagonal
@@ -185,21 +190,19 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     if len(weights) != n or any(len(row) != n for row in weights):
         raise ValidationError("weight matrix must be n x n")
 
-    all_int = all(set(map(type, row)) == {int} for row in weights)
-    w = tuple(tuple(row) if all_int else tuple(map(_as_weight, row))
-              for row in weights)
-    if weight_class is WeightClass.ONE_TWO:
-        # a negative weight can only lie in a row that fails the {1,2} count
-        suspect = [i for i, row in enumerate(w)
-                   if row.count(1) + row.count(2) - (row[i] in (1, 2)) < n - 1]
-    else:
+    flat = _byte_matrix(weights) if weight_class is WeightClass.ONE_TWO else None
+    if flat is None:
+        all_int = all(set(map(type, row)) == {int} for row in weights)
+        w = tuple(tuple(row) if all_int else tuple(map(_as_weight, row))
+                  for row in weights)
         low = [min(row[:i] + row[i + 1:]) for i, row in enumerate(w)]
-        suspect = [i for i, least in enumerate(low) if least < 0]
-    for i in suspect:
-        j = next((j for j, x in enumerate(w[i]) if j != i and x < 0), None)
-        if j is not None:
+        i = next((i for i, least in enumerate(low) if least < 0), None)
+        if i is not None:
+            j = next(j for j, x in enumerate(w[i]) if j != i and x < 0)
             raise ValidationError(f"negative weight at ({i},{j})",
                                   code="weight-class-violation")
+    else:
+        flat[::n + 1] = bytes(n)
 
     seen: set[int] = set()
     norm_groups = []
@@ -225,9 +228,10 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
                               code="partition-overlap")
     norm_groups.sort()
 
-    if symmetric and tuple(zip(*w)) != w:
+    if symmetric and (tuple(zip(*w)) != w if flat is None else
+                      b"".join(flat[i::n] for i in range(n)) != flat):
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                    if w[i][j] != w[j][i])
+                    if weights[i][j] != weights[j][i])
         raise ValidationError(
             f"asymmetric weights at ({i},{j}) in symmetric instance")
     if weight_class in (WeightClass.GENERAL_METRIC, WeightClass.ONE_TWO) and not symmetric:
@@ -235,20 +239,42 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
     if weight_class is WeightClass.ASYMMETRIC_METRIC and symmetric:
         raise ValidationError("asymmetric-metric instances must set symmetric=False")
 
-    if weight_class is WeightClass.ONE_TWO:
-        if suspect:
-            i = suspect[0]
-            j = next(j for j, x in enumerate(w[i]) if j != i and x not in (1, 2))
-            raise ValidationError(f"weight {w[i][j]} at ({i},{j}) outside "
-                                  "{1,2}", code="weight-class-violation")
-        if not all_int or any(w[i][i] for i in range(n)):
-            w = tuple(tuple(0 if i == j else int(x) for j, x in enumerate(row))
-                      for i, row in enumerate(w))
-    else:
+    if weight_class is not WeightClass.ONE_TWO:
         _check_triangles(n, w, low, all_int)
+        return Instance(n=n, weights=w, symmetric=symmetric,
+                        weight_class=weight_class, groups=tuple(norm_groups))
 
-    return Instance(n=n, weights=w, symmetric=symmetric,
+    if flat is None or flat.translate(None, b"\x01\x02") != bytes(n):
+        bad = next(((i, j) for i, row in enumerate(weights)
+                    for j, x in enumerate(row) if j != i and x not in (1, 2)),
+                   None)
+        if bad is not None:
+            i, j = bad
+            raise ValidationError(f"weight {weights[i][j]} at ({i},{j}) "
+                                  "outside {1,2}", code="weight-class-violation")
+        # the byte read failed only on a Fraction equal to 1 or 2 or on
+        # the ignored diagonal
+        flat = bytearray(0 if i == j else int(x) for i, row in enumerate(w)
+                         for j, x in enumerate(row))
+    rows = [flat[k:k + n] for k in range(0, n * n, n)]
+    inst = Instance(n=n, weights=tuple(map(tuple, rows)), symmetric=symmetric,
                     weight_class=weight_class, groups=tuple(norm_groups))
+    inst.__dict__["_one_masks"] = tuple(
+        int(row.translate(_ONE_BITS)[::-1], 2) for row in rows)
+    return inst
+
+
+def _byte_matrix(weights: Sequence[Sequence[Weight]]) -> bytearray | None:
+    """The rows of ``weights`` joined into one buffer, or None when a cell is
+    no int in range(256).  A bytes or bytearray row is taken as it is; any
+    other row is read item by item, so an array of wider items is never
+    read as its raw bytes."""
+    try:
+        return bytearray().join(
+            row if isinstance(row, (bytes, bytearray)) else bytes(iter(row))
+            for row in weights)
+    except (TypeError, ValueError):
+        return None
 
 
 # array typecodes by item size, for packing rows of small ints in C
@@ -591,20 +617,25 @@ _INT_ROW_CHARS = b"0123456789 -"
 _raw_decode = None  # json's C decoder, bound on first use
 
 
-def _parse_weight_row(line: str) -> list[Weight]:
+def _parse_weight_row(line: str) -> list[Weight] | bytearray:
     """Tokens of one weight row.  A row of single ASCII digits split by
-    single spaces, as every {1,2} row is written, is read in one pass.  A
-    row of ints split by single spaces, as every int row is written, is
-    one call of json's C decoder on the row with its spaces made commas:
-    json's ints, -?(0|[1-9][0-9]*), are tokens of the grammar with the
-    same value.  What json refuses there (a leading zero, a bare "-", a
-    double space, an int over the digit limit), and any other row, goes
-    token by token through :func:`_parse_weight`."""
+    single spaces, as every {1,2} row is written, is read in one pass into
+    a bytearray, which :func:`validate_instance` joins into its byte
+    matrix as it is.  A row of ints split by single spaces, as every int
+    row is written, is one call of json's C decoder on the row with its
+    spaces made commas: json's ints, -?(0|[1-9][0-9]*), are tokens of the
+    grammar with the same value.  What json refuses there (a leading zero,
+    a bare "-", a double space, an int over the digit limit), and any
+    other row, goes token by token through :func:`_parse_weight`."""
     global _raw_decode
     if line[1:2] == " " and line[1::2].count(" ") == len(line) // 2:
         digits = line[::2]
-        if digits.isascii() and digits.isdigit():
-            return list(digits.encode().translate(_DIGIT_VALUES))
+        if digits.isascii():
+            # bytes.isdigit is a table lookup per byte, str.isdigit a
+            # Unicode lookup per character
+            data = digits.encode()
+            if data.isdigit():
+                return bytearray(data.translate(_DIGIT_VALUES))
     if line.isascii() and not line.encode().translate(None, _INT_ROW_CHARS):
         if _raw_decode is None:
             # imported on first use, to keep it out of the import time

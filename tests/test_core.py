@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import re
+from array import array
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -88,13 +90,15 @@ def first_bad_cell(n, w):
 def test_symmetry_and_one_two_checks_report_the_first_cell():
     # a few cells of a symmetric {1,2} matrix overwritten, alone or with
     # their mirror cell, the diagonal included (it is ignored), also by
-    # Fractions equal to 1 or 2 and by negative weights
+    # Fractions equal to 1 or 2, by negative weights, by ints outside the
+    # byte range and by True; rows of small ints are also passed as bytes,
+    # bytearrays or arrays of signed bytes or of C ints
     rng = Random(12)
     values = (1, 2, 0, 3, Fraction(1), Fraction(2), Fraction(3, 2), -1,
-              Fraction(-1, 3))
+              Fraction(-1, 3), 256, 2**70, True)
     outcomes = {None: 0, "validation": 0, "weight-class-violation": 0}
-    negatives = 0
-    for trial in range(600):
+    negatives = typed_rows = 0
+    for trial in range(800):
         n = rng.randint(2, 7)
         w = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -105,19 +109,33 @@ def test_symmetry_and_one_two_checks_report_the_first_cell():
             w[i][j] = x
             if rng.random() < 0.6:
                 w[j][i] = x
+        rows = w
+        if (rng.random() < 0.5 and all(type(x) is int and -128 <= x < 128
+                                       for row in w for x in row)):
+            # an array row is read as its items, never as its raw bytes
+            makers = [partial(array, "b"), partial(array, "i")]
+            if all(x >= 0 for row in w for x in row):
+                makers += [bytes, bytearray]
+            rows = [rng.choice(makers)(row) for row in w]
+            typed_rows += 1
+        before = [bytes(row) for row in rows] if rows is not w else None
         expected = first_bad_cell(n, w)
         if expected is None:
-            inst = validate_instance(n, w, True, WeightClass.ONE_TWO,
+            inst = validate_instance(n, rows, True, WeightClass.ONE_TWO,
                                      [range(n)])
             check_one_two_storage(inst, w)
             outcomes[None] += 1
         else:
             with pytest.raises(ValidationError) as err:
-                validate_instance(n, w, True, WeightClass.ONE_TWO, [range(n)])
+                validate_instance(n, rows, True, WeightClass.ONE_TWO,
+                                  [range(n)])
             assert (str(err.value), err.value.code) == expected
             outcomes[expected[1]] += 1
             negatives += expected[0].startswith("negative")
+        if before is not None:
+            assert [bytes(row) for row in rows] == before
     assert min(outcomes.values()) >= 100 and negatives >= 50
+    assert typed_rows >= 100
 
 
 def check_one_two_storage(inst, w):
@@ -134,9 +152,9 @@ def check_one_two_storage(inst, w):
 
 
 def test_one_masks_mark_the_weight_1_pairs():
-    for seed in range(10):
-        inst = generate_instance("one-two", 3 + 6 * seed, [3] * (1 + 2 * seed),
-                                 seed)
+    # n = 321 makes masks many machine words wide
+    for seed, n in enumerate([3 + 6 * k for k in range(10)] + [321]):
+        inst = generate_instance("one-two", n, [3] * (n // 3), seed)
         check_one_two_storage(inst, inst.weights)
         text = format_instance(inst)
         # a non-zero diagonal token is read as 0
@@ -404,8 +422,20 @@ def test_single_digit_rows_read_as_their_tokens(cells):
     # the one-pass read of a row of single digits gives what reading it
     # token by token gives, value for value and error for error
     line = "".join(sep + tok for sep, tok in cells)[len(cells[0][0]):]
-    assert parse_outcome(_parse_weight_row, line) == parse_outcome(
-        lambda text: [_parse_weight(tok) for tok in text.split()], line)
+    got, want = typed_outcome(line)
+    assert got == want
+
+
+def typed_outcome(text):
+    """``_parse_weight_row``'s and the token path's outcome on ``text``:
+    each value with its type, whatever sequence holds them (json's true
+    would equal 1, and a row of single digits comes back as a bytearray),
+    or the FormatError message."""
+    return tuple(
+        out if isinstance(out, str) else [(type(x), x) for x in out]
+        for out in (parse_outcome(_parse_weight_row, text),
+                    parse_outcome(lambda t: [_parse_weight(tok)
+                                             for tok in t.split()], text)))
 
 
 # ints json reads as the grammar does, tokens only one of them takes ("007",
@@ -414,16 +444,6 @@ def test_single_digit_rows_read_as_their_tokens(cells):
 _INT_ROW_TOKENS = ["0", "7", "209", "007", "-0", "-3", "-", "1-2", "--1",
                    "7/2", "1.5", "1e3", "NaN", "Infinity", "true", "null",
                    "[1]", _LONG]
-
-
-def typed_outcome(text):
-    """``_parse_weight_row``'s and the token path's outcome on ``text``,
-    each value with its type, since json's true would equal 1."""
-    return tuple(
-        [(type(x), x) for x in out] if isinstance(out, list) else out
-        for out in (parse_outcome(_parse_weight_row, text),
-                    parse_outcome(lambda t: [_parse_weight(tok)
-                                             for tok in t.split()], text)))
 
 
 def test_int_rows_read_as_their_tokens():
