@@ -147,12 +147,19 @@ def _as_weight(value) -> Weight:
 
 def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
                       symmetric: bool, weight_class: WeightClass | str,
-                      groups: Sequence[Sequence[int]]) -> Instance:
+                      groups: Sequence[Sequence[int]], *,
+                      _int_rows: bool = False) -> Instance:
     """Check every instance invariant and return a frozen Instance.
 
     Raises ValidationError with codes ``partition-overlap``, ``unit-group``,
     ``triangle-violation`` or ``weight-class-violation``.  A {1,2} matrix
     is stored as ints with a zero diagonal, so ``Fraction(1)`` becomes 1.
+
+    Any other matrix has its cell types scanned, to tell an int matrix
+    from one that holds a Fraction or a value that is no exact rational.
+    ``_int_rows`` is :func:`parse_instance`'s proof that every row is a
+    list of exact ints, as json decoded them, and skips that scan; every
+    other check runs, in the same order, with the same messages.
 
     A {1,2} matrix is checked as one byte buffer of its joined rows, in C
     passes: the diagonal is zeroed, the matrix is symmetric when the buffer
@@ -192,7 +199,8 @@ def validate_instance(n: int, weights: Sequence[Sequence[Weight]],
 
     flat = _byte_matrix(weights) if weight_class is WeightClass.ONE_TWO else None
     if flat is None:
-        all_int = all(set(map(type, row)) == {int} for row in weights)
+        all_int = _int_rows or all(set(map(type, row)) == {int}
+                                   for row in weights)
         w = tuple(tuple(row) if all_int else tuple(map(_as_weight, row))
                   for row in weights)
         low = [min(row[:i] + row[i + 1:]) for i, row in enumerate(w)]
@@ -617,6 +625,46 @@ _INT_ROW_CHARS = b"0123456789 -"
 _raw_decode = None  # json's C decoder, bound on first use
 
 
+def _json_ints(text: str) -> list:
+    """json's C decoder on ``text``, a json array of ints, or of arrays of
+    ints, without whitespace, so the decode ends where ``text`` ends.
+    Raises ValueError where json refuses ``text``."""
+    global _raw_decode
+    if _raw_decode is None:
+        # imported on first use, to keep it out of the import time
+        import json
+        _raw_decode = json.JSONDecoder().raw_decode
+    return _raw_decode(text)[0]
+
+
+def _is_int_text(text: str) -> bool:
+    """Whether ``text`` holds only digits, spaces and "-"."""
+    return text.isascii() and not text.encode().translate(None, _INT_ROW_CHARS)
+
+
+def _parse_int_block(block: list[str], n: int) -> list[list[int]] | None:
+    """The n weight rows ``block`` of an int matrix, from one json call on
+    the rows with their spaces made commas, as :func:`_parse_weight_row`
+    reads one row; json's ints are exact ints.  None when n is 0, when
+    ``block`` has not n rows, when a row holds a character other than a
+    digit, a space or "-", when json refuses a token or when a row has not
+    n entries: the caller then reads the rows one by one, which raises the
+    error of the first bad row."""
+    if n == 0 or len(block) != n or not all(map(_is_int_text, block)):
+        return None
+    # commas row by row, so that one copy of the whole block is made
+    cells = [row.replace(" ", ",") for row in block]
+    cells[0] = "[[" + cells[0]
+    cells[-1] += "]]"
+    try:
+        rows = _json_ints("],[".join(cells))
+    except ValueError:
+        return None
+    if any(len(row) != n for row in rows):
+        return None
+    return rows
+
+
 def _parse_weight_row(line: str) -> list[Weight] | bytearray:
     """Tokens of one weight row.  A row of single ASCII digits split by
     single spaces, as every {1,2} row is written, is read in one pass into
@@ -626,8 +674,9 @@ def _parse_weight_row(line: str) -> list[Weight] | bytearray:
     spaces made commas: json's ints, -?(0|[1-9][0-9]*), are tokens of the
     grammar with the same value.  What json refuses there (a leading zero,
     a bare "-", a double space, an int over the digit limit), and any
-    other row, goes token by token through :func:`_parse_weight`."""
-    global _raw_decode
+    other row, goes token by token through :func:`_parse_weight`.
+    :func:`parse_instance` reads the rows of a class other than ``onetwo``
+    here only where :func:`_parse_int_block` refuses them."""
     if line[1:2] == " " and line[1::2].count(" ") == len(line) // 2:
         digits = line[::2]
         if digits.isascii():
@@ -636,13 +685,9 @@ def _parse_weight_row(line: str) -> list[Weight] | bytearray:
             data = digits.encode()
             if data.isdigit():
                 return bytearray(data.translate(_DIGIT_VALUES))
-    if line.isascii() and not line.encode().translate(None, _INT_ROW_CHARS):
-        if _raw_decode is None:
-            # imported on first use, to keep it out of the import time
-            import json
-            _raw_decode = json.JSONDecoder().raw_decode
+    if _is_int_text(line):
         try:
-            return _raw_decode("[" + line.replace(" ", ",") + "]")[0]
+            return _json_ints("[" + line.replace(" ", ",") + "]")
         except ValueError:
             pass
     return [_parse_weight(tok) for tok in line.split()]
@@ -676,7 +721,9 @@ def parse_instance(text: str) -> Instance:
     """Read the text format: ``smc 1``, ``n``, ``mode``, ``class`` and
     ``groups`` lines, one line of vertex ids per group, then n weight rows.
     Counts and vertex ids are [0-9]+ and weights -?[0-9]+(/[0-9]+)?; any
-    other token raises FormatError."""
+    other token raises FormatError.  The rows of a class other than
+    ``onetwo`` are read as one block where :func:`_parse_int_block` takes
+    them, else row by row."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or lines[0] != "smc 1":
         raise FormatError("missing 'smc 1' header")
@@ -704,21 +751,29 @@ def parse_instance(text: str) -> Instance:
             raise FormatError("truncated file: missing group line")
         groups.append([_parse_int(tok, "vertex") for tok in lines[at].split()])
         at += 1
-    rows = []
-    for _ in range(n):
-        if at >= len(lines):
-            raise FormatError("truncated file: missing weight row")
-        row = _parse_weight_row(lines[at])
-        if len(row) != n:
-            raise FormatError(f"weight row has {len(row)} entries, expected {n}")
-        rows.append(row)
-        at += 1
+    weight_class = _TOKEN_CLASSES[cls_token]
+    rows = (None if weight_class is WeightClass.ONE_TWO
+            else _parse_int_block(lines[at:at + n], n))
+    int_rows = rows is not None
+    if int_rows:
+        at += n
+    else:
+        rows = []
+        for _ in range(n):
+            if at >= len(lines):
+                raise FormatError("truncated file: missing weight row")
+            row = _parse_weight_row(lines[at])
+            if len(row) != n:
+                raise FormatError(
+                    f"weight row has {len(row)} entries, expected {n}")
+            rows.append(row)
+            at += 1
     if at != len(lines):
         raise FormatError("trailing content after weight rows")
     for i in range(n):
         rows[i][i] = 0  # diagonal ignored
-    return validate_instance(n, rows, mode == "symmetric",
-                             _TOKEN_CLASSES[cls_token], groups)
+    return validate_instance(n, rows, mode == "symmetric", weight_class,
+                             groups, _int_rows=int_rows)
 
 
 def format_solution(cover: CycleCover) -> str:

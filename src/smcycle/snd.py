@@ -43,11 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from functools import reduce
+from itertools import chain, compress
+from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
 from ._simplex import ColumnLp
-from .core import Instance, Weight, components
+from .core import Instance, Weight, bits, components
 from .errors import BudgetExceededError, SmcError, ValidationError
 
 EdgeSlot = tuple[int, int, int]  # (u, v, copy) with u < v
@@ -218,15 +220,23 @@ def solve_cut_lp(inst: Instance,
     free = [s for s in edge_slots(inst) if s not in fixed]
     cost = [inst.w(u, v) for u, v, _c in free]
     group_masks = [(sum(1 << v for v in g), len(g)) for g in inst.groups]
+    # bit k of slots_at[v] marks slot k of free + fixed at v, so the fixed
+    # slots take the bits from len(free) up
+    slots_at = [0] * inst.n
+    for k, (u, v, _c) in enumerate(chain(free, fixed)):
+        slots_at[u] |= 1 << k
+        slots_at[v] |= 1 << k
+    free_bits = (1 << len(free)) - 1
 
     def columns(masks: Iterable[int]) -> Iterable[tuple[list[int], int, int]]:
-        """The column of each cut in ``masks`` that still has a residual."""
+        """The column of each cut in ``masks`` that still has a residual.
+        The XOR of the masks of a cut's vertices keeps the slots with one
+        end in it; a slot with both ends inside is flipped twice."""
         for mask in masks:
-            residual = 2 - sum((mask >> u ^ mask >> v) & 1
-                               for u, v, _c in fixed)
+            crossing = reduce(xor, map(slots_at.__getitem__, bits(mask)), 0)
+            residual = 2 - (crossing >> len(free)).bit_count()
             if residual > 0:
-                yield ([k for k, (u, v, _c) in enumerate(free)
-                        if (mask >> u ^ mask >> v) & 1], 1, -residual)
+                yield bits(crossing & free_bits), 1, -residual
 
     pool = cut_pool if cut_pool is not None else []
     if not pool:

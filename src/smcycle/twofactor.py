@@ -196,11 +196,15 @@ def directed_2factor_cycles(inst: Instance, order: Sequence[int]
 
     One assignment between out-copies and in-copies; a self-arc costs
     2*S + 1, S the sum of the non-negative off-diagonal weights, more than
-    any assignment without one.
+    any assignment without one.  An ``order`` of all n vertices is
+    range(n), so its cost rows are copies of the weight rows.
     """
     k = len(order)
-    pick = itemgetter(*order)
-    costs = [list(pick(row)) for row in pick(inst.weights)]
+    if k == inst.n:
+        costs = list(map(list, inst.weights))
+    else:
+        pick = itemgetter(*order)
+        costs = [list(pick(row)) for row in pick(inst.weights)]
     for i, row in enumerate(costs):
         row[i] = 0
     big = 2 * sum(map(sum, costs)) + 1

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import importlib
 import itertools
+import sys
 from fractions import Fraction
+from operator import itemgetter
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from smcycle.core import WeightClass, generate_instance, validate_instance
+from smcycle.core import (WeightClass, generate_instance, successor_cycles,
+                          validate_instance)
 from smcycle.errors import ValidationError
 from smcycle.matching import (_augment_matching, max_cardinality_matching,
                               max_simple_2matching,
@@ -411,6 +416,49 @@ def test_assignment_respects_forbidden_cells_on_sub_digraphs():
             WeightClass.ASYMMETRIC_METRIC, [list(range(len(order)))])
         assert (sum(inst.w(c[i - 1], c[i]) for c in cycles
                     for i in range(len(c))) == brute_force_2factor(sub))
+
+
+def picked_2factor_cycles(inst, order):
+    """Reference for ``directed_2factor_cycles``: the cost rows picked out
+    of the weight rows by ``order`` through ``itemgetter``, whatever it
+    spans."""
+    pick = itemgetter(*order)
+    costs = [list(pick(row)) for row in pick(inst.weights)]
+    for i, row in enumerate(costs):
+        row[i] = 0
+    big = 2 * sum(map(sum, costs)) + 1
+    for i, row in enumerate(costs):
+        row[i] = big
+    succ, _total = min_cost_bipartite_perfect_matching(costs)
+    return [tuple(order[v] for v in cyc) for cyc in successor_cycles(succ)]
+
+
+def test_full_order_2factor_matches_picked_rows():
+    # with every vertex in the order the cost rows are copies of the weight
+    # rows; the cycles are those of the rows picked one by one, on
+    # instances with int, Fraction and non-zero diagonal weights and on the
+    # clustered instances of the asym-files benchmark
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    rng = Random(17)
+    instances = [directed_instance(k, rng.randrange(10 ** 6), kind)
+                 for kind in ("int", "fraction", "diagonal")
+                 for k in range(2, 24)]
+    for n in (8, 20, 40):
+        inst = workloads.clustered_asymmetric(n, rng)
+        w = [list(row) for row in inst.weights]
+        for i in range(n):
+            w[i][i] = rng.choice((-10 ** 6, 10 ** 6 + i))
+        instances += [inst, validate_instance(
+            n, w, False, WeightClass.ASYMMETRIC_METRIC, inst.groups)]
+    for inst in instances:
+        order = range(inst.n)
+        assert (directed_2factor_cycles(inst, order)
+                == picked_2factor_cycles(inst, order))
 
 
 def test_assignment_agrees_with_brute_force():
