@@ -22,7 +22,7 @@ from .core import (Instance, cover_cost, format_instance, format_solution,
 from .errors import BudgetExceededError, FormatError, SmcError, ValidationError
 from .metric import MetricStages, approx_metric, doubled_subgraph_baseline
 from .onetwo import OneTwoStages, approx_onetwo
-from .oracle import OracleBudget, brute_force_smc, matching_vs_opt_probe
+from .oracle import brute_force_smc, matching_vs_opt_probe
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -172,15 +172,13 @@ def cmd_compare(args) -> int:
     if args.oracle and not paths:
         raise ValidationError(f"no instance file matches {args.instances!r}: "
                               "--oracle has nothing to check")
-    budget = OracleBudget() if args.budget_n is None else OracleBudget(
-        smc_max_n=args.budget_n, smc_directed_max_n=args.budget_n)
     rows = []
     all_pass = True
     for path in paths:
         inst = _read_instance(path)
         oracle_cost = None
         if args.oracle:
-            oracle_cost, _ = brute_force_smc(inst, budget)
+            oracle_cost, _ = brute_force_smc(inst, args.budget_n)
         for algo in algos:
             t0 = time.perf_counter()
             cover, stages, bound = _run_algorithm(algo, inst, args.tie_break)
@@ -229,9 +227,7 @@ def cmd_compare(args) -> int:
 def cmd_probe(args) -> int:
     if args.trials < 0:
         raise ValidationError(f"--trials must be >= 0, got {args.trials}")
-    budget = OracleBudget()
-    report = matching_vs_opt_probe(seed=args.seed, trials=args.trials,
-                                   budget=budget)
+    report = matching_vs_opt_probe(seed=args.seed, trials=args.trials)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=PROBE_COLUMNS)
         writer.writeheader()

@@ -626,8 +626,8 @@ _raw_decode = None  # json's C decoder, bound on first use
 
 
 def _json_ints(text: str) -> list:
-    """json's C decoder on ``text``, a json array of ints, or of arrays of
-    ints, without whitespace, so the decode ends where ``text`` ends.
+    """json's C decoder on ``text``, a json array of arrays of ints,
+    without whitespace, so the decode ends where ``text`` ends.
     Raises ValueError where json refuses ``text``."""
     global _raw_decode
     if _raw_decode is None:
@@ -644,8 +644,9 @@ def _is_int_text(text: str) -> bool:
 
 def _parse_int_block(block: list[str], n: int) -> list[list[int]] | None:
     """The n weight rows ``block`` of an int matrix, from one json call on
-    the rows with their spaces made commas, as :func:`_parse_weight_row`
-    reads one row; json's ints are exact ints.  None when n is 0, when
+    the rows with their spaces made commas: json's ints,
+    -?(0|[1-9][0-9]*), are exact ints and tokens of the grammar with the
+    same value.  None when n is 0, when
     ``block`` has not n rows, when a row holds a character other than a
     digit, a space or "-", when json refuses a token or when a row has not
     n entries: the caller then reads the rows one by one, which raises the
@@ -669,14 +670,10 @@ def _parse_weight_row(line: str) -> list[Weight] | bytearray:
     """Tokens of one weight row.  A row of single ASCII digits split by
     single spaces, as every {1,2} row is written, is read in one pass into
     a bytearray, which :func:`validate_instance` joins into its byte
-    matrix as it is.  A row of ints split by single spaces, as every int
-    row is written, is one call of json's C decoder on the row with its
-    spaces made commas: json's ints, -?(0|[1-9][0-9]*), are tokens of the
-    grammar with the same value.  What json refuses there (a leading zero,
-    a bare "-", a double space, an int over the digit limit), and any
-    other row, goes token by token through :func:`_parse_weight`.
-    :func:`parse_instance` reads the rows of a class other than ``onetwo``
-    here only where :func:`_parse_int_block` refuses them."""
+    matrix as it is; any other row goes token by token through
+    :func:`_parse_weight`.  :func:`parse_instance` reads the rows of a
+    class other than ``onetwo`` here only where :func:`_parse_int_block`
+    refuses them."""
     if line[1:2] == " " and line[1::2].count(" ") == len(line) // 2:
         digits = line[::2]
         if digits.isascii():
@@ -685,11 +682,6 @@ def _parse_weight_row(line: str) -> list[Weight] | bytearray:
             data = digits.encode()
             if data.isdigit():
                 return bytearray(data.translate(_DIGIT_VALUES))
-    if _is_int_text(line):
-        try:
-            return _json_ints("[" + line.replace(" ", ",") + "]")
-        except ValueError:
-            pass
     return [_parse_weight(tok) for tok in line.split()]
 
 

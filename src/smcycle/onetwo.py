@@ -749,7 +749,10 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
                      matching: list[tuple[int, int]],
                      break_choice: dict[int, tuple[int, int]] | None = None,
                      worst: bool = False,
-                     triangle_free_factor: bool = False) -> OneTwoStages:
+                     triangle_free_factor: bool = False
+                     ) -> tuple[OneTwoStages, Weight]:
+    """The joining phases on one attachment choice: the stage record and
+    the cost of its validated final cover."""
     dig = build_D_and_Dprime(inst, factor, matching, break_choice)
     isolated = dig.isolated_nodes()
     c_p = sum(1 for ci in isolated
@@ -790,7 +793,7 @@ def _run_join_phases(inst: Instance, factor: SpecialTwoFactor,
                         matching=tuple(sorted(matching)), digraph=dig,
                         c_p=c_p, factor_two_edges=e2,
                         phase1_delta=audit["phase1_delta"],
-                        phase2_delta=audit["phase2_delta"], cover=cover)
+                        phase2_delta=audit["phase2_delta"], cover=cover), cost
 
 
 def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
@@ -816,9 +819,9 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
     if tie_break == "lex":
         factor = special_2factor(inst, base=_base_factor(inst, variant))
         b_edges = build_B(inst, factor)
-        stages = _run_join_phases(inst, factor, b_edges,
-                                  maximum_b_matching(b_edges),
-                                  triangle_free_factor=tf)
+        stages, _cost = _run_join_phases(inst, factor, b_edges,
+                                         maximum_b_matching(b_edges),
+                                         triangle_free_factor=tf)
         return stages.cover, stages
     if tie_break != "adversarial":
         raise ValidationError(f"unknown tie break {tie_break!r}")
@@ -834,10 +837,10 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
                 if runs > ADVERSARIAL_MAX_RUNS:
                     raise BudgetExceededError(
                         "adversarial tie-break search exceeded its run budget")
-                stages = _run_join_phases(inst, factor, b_edges, matching,
-                                          break_choice, worst=True,
-                                          triangle_free_factor=tf)
-                cost = cover_cost(inst, stages.cover)
+                stages, cost = _run_join_phases(inst, factor, b_edges,
+                                                matching, break_choice,
+                                                worst=True,
+                                                triangle_free_factor=tf)
                 if worst is None or cost > worst_cost:
                     worst, worst_cost = stages, cost
     if worst is None:

@@ -1,19 +1,19 @@
 """Desk-scale exact solvers used as ground truth by the test suites.
 
-Budgets are hard errors, never silent truncation: every enumerating
-solver refuses inputs beyond its cap.  Two independent routes exist for the
-multicycle optimum (group clustering priced by Held-Karp, and raw
-permutation enumeration) so the oracles can cross-check each other.  The
-clustering route builds one Held-Karp table per terminal group, shared by
-every cluster whose first group it is, and a fixed table ceiling that no
-budget lifts bounds its memory.  The minimum 2-factor has an enumeration
-and, for sizes beyond its cap, the polynomial degree-gadget reduction to
-weighted perfect matching.
+Caps are hard errors, never silent truncation: every enumerating solver
+states its own cap on n and raises ``BudgetExceededError`` above it.  Only
+the multicycle optimum's cap can be set, per call, and never above the
+``SMC_TABLE_MAX_N`` ceiling that bounds its tables' memory.  Two
+independent routes exist for the multicycle optimum (group clustering
+priced by Held-Karp, and raw permutation enumeration) so the oracles can
+cross-check each other.  The clustering route builds one Held-Karp table
+per terminal group, shared by every cluster whose first group it is.  The
+minimum 2-factor has an enumeration and, for sizes beyond its cap, the
+polynomial degree-gadget reduction to weighted perfect matching.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -27,34 +27,9 @@ from .matching import min_weight_perfect_matching
 from .twofactor import _walk_degree2
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard input caps per solver plus an optional wall-clock ceiling."""
-
-    smc_max_n: int = 12
-    smc_directed_max_n: int = 8
-    twofactor_max_n: int = 9
-    twofactor_directed_max_n: int = 7
-    snd_max_n: int = 7
-    steiner_forest_max_n: int = 8
-    time_limit_s: float | None = None
-
-    def deadline(self) -> float | None:
-        if self.time_limit_s is None:
-            return None
-        return time.monotonic() + self.time_limit_s
-
-
-DEFAULT_BUDGET = OracleBudget()
-
-# brute_force_smc refuses larger n whatever the budget: its largest Held-Karp
+# brute_force_smc refuses larger n whatever its max_n: its largest Held-Karp
 # table holds 2^(n-1) rows
 SMC_TABLE_MAX_N = 16
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError("oracle time ceiling exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +48,8 @@ def _group_partitions(k: int):
         yield rest + [[v]]
 
 
-def _path_table(inst: Instance, verts: list[int], bits: list[list[int]],
-                deadline: float | None) -> list[list[Weight]]:
+def _path_table(inst: Instance, verts: list[int], bits: list[list[int]]
+                ) -> list[list[Weight]]:
     """Held-Karp over ``verts``, bit t of a mask standing for ``verts[t + 1]``.
 
     ``dp[mask][i]`` is the cheapest path that starts at ``verts[0]``, visits
@@ -89,11 +64,9 @@ def _path_table(inst: Instance, verts: list[int], bits: list[list[int]],
     first = weights[start]
     dp: list[list[Weight]] = [[]]
     for t, v in enumerate(others):
-        _check_deadline(deadline)
         dp.append([first[v]])
         # the masks with top bit t are the masks below 2^t, plus t
         for mask in range((1 << t) + 1, 2 << t):
-            _check_deadline(deadline)
             row = []
             for j in bits[mask]:
                 prev = mask ^ (1 << j)
@@ -124,7 +97,7 @@ def _walk_back(inst: Instance, verts: list[int], bits: list[list[int]],
     return path
 
 
-def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
+def brute_force_smc(inst: Instance, max_n: int | None = None
                     ) -> tuple[Weight, CycleCover]:
     """Exact multicycle optimum.
 
@@ -134,15 +107,16 @@ def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
     first group, so one Held-Karp table per group, from that vertex over
     that group and every later one, prices every cluster that the group
     starts with a read-off; the optimum's cycles are walked back through
-    the tables.  The first table has 2^(n-1) rows, so no budget lets n
-    exceed ``SMC_TABLE_MAX_N``.
+    the tables.  The cap on n is ``max_n``, by default 12 on a symmetric
+    instance and 8 on a directed one; the first table has 2^(n-1) rows, so
+    no ``max_n`` lets n exceed ``SMC_TABLE_MAX_N``.
     """
     directed = not inst.symmetric
-    cap = min(budget.smc_directed_max_n if directed else budget.smc_max_n,
-              SMC_TABLE_MAX_N)
+    if max_n is None:
+        max_n = 8 if directed else 12
+    cap = min(max_n, SMC_TABLE_MAX_N)
     if inst.n > cap:
         raise BudgetExceededError(f"smc oracle capped at n={cap}, got {inst.n}")
-    deadline = budget.deadline()
 
     # group gi holds the positions off[gi] .. off[gi + 1] - 1 of flat, and its
     # table runs over flat[off[gi]:]
@@ -154,7 +128,7 @@ def brute_force_smc(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET
     bits: list[list[int]] = [[]]
     for t in range(inst.n - 1):
         bits += [b + [t] for b in bits]
-    tables = [_path_table(inst, flat[a:], bits, deadline) for a in off[:-1]]
+    tables = [_path_table(inst, flat[a:], bits) for a in off[:-1]]
 
     def close(cluster: tuple[int, ...]) -> tuple[Weight, int, int]:
         """Cost, mask and last-vertex entry of the cluster's cheapest cycle."""
@@ -222,18 +196,17 @@ def brute_force_smc_permutation(inst: Instance) -> Weight:
 # minimum-weight 2-factor (all variants)
 
 
-def brute_force_2factor(inst: Instance, triangle_free: bool = False,
-                        budget: OracleBudget = DEFAULT_BUDGET) -> Weight:
-    """Exact minimum over all (triangle-free) 2-factors by cycle enumeration.
+def brute_force_2factor(inst: Instance, triangle_free: bool = False) -> Weight:
+    """Exact minimum over all (triangle-free) 2-factors by cycle enumeration,
+    up to n = 12 on a symmetric instance and n = 7 on a directed one.
 
     Directed on an asymmetric instance; on a symmetric one a pair 2-cycle
     is allowed for each size-2 group.
     """
     directed = not inst.symmetric
-    cap = budget.twofactor_directed_max_n if directed else budget.twofactor_max_n
+    cap = 7 if directed else 12
     if inst.n > cap:
         raise BudgetExceededError(f"2-factor oracle capped at n={cap}, got {inst.n}")
-    deadline = budget.deadline()
     n = inst.n
     pair_set = {frozenset(p) for p in inst.pair_groups()}
     min_incident = [min(min(inst.w(v, u), inst.w(u, v))
@@ -259,7 +232,6 @@ def brute_force_2factor(inst: Instance, triangle_free: bool = False,
         return length >= 3
 
     def rec(uncov: int, acc: Weight) -> None:
-        _check_deadline(deadline)
         if best[0] is not None and acc + lb(uncov) >= best[0]:
             return
         if uncov == 0:
@@ -292,25 +264,21 @@ def brute_force_2factor(inst: Instance, triangle_free: bool = False,
     return best[0]
 
 
-def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False,
-                               budget: OracleBudget = DEFAULT_BUDGET,
-                               limit: int = 20000) -> list[CycleCover]:
-    """Every undirected 2-factor attaining the minimum weight (desk scale),
-    with a pair 2-cycle allowed for each size-2 group.
+def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False
+                               ) -> list[CycleCover]:
+    """Every undirected 2-factor attaining the minimum weight (desk scale:
+    n <= 12 and at most 20,000 of them), with a pair 2-cycle allowed for
+    each size-2 group.
 
     Supports the adversarial tie-break searches; enumeration order is
     canonical (each cycle anchored at its smallest vertex, orientation
     fixed), so the result is deterministic and duplicate-free.
     """
-    if inst.n > budget.twofactor_max_n + 3:
-        raise BudgetExceededError("optimal 2-factor enumeration capped at "
-                                  f"n={budget.twofactor_max_n + 3}")
+    if inst.n > 12:
+        raise BudgetExceededError("optimal 2-factor enumeration capped at n=12")
     if not inst.symmetric:
         raise ValidationError("2-factor enumeration handles symmetric instances")
-    best = brute_force_2factor(inst, triangle_free=triangle_free,
-                               budget=OracleBudget(
-                                   twofactor_max_n=budget.twofactor_max_n + 3,
-                                   time_limit_s=budget.time_limit_s))
+    best = brute_force_2factor(inst, triangle_free=triangle_free)
     n = inst.n
     pair_set = {frozenset(p) for p in inst.pair_groups()}
     out: list[CycleCover] = []
@@ -320,7 +288,7 @@ def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False,
             return
         if uncov == 0:
             if acc == best:
-                if len(out) >= limit:
+                if len(out) >= 20000:
                     raise BudgetExceededError("too many optimal 2-factors")
                 out.append(make_cover(cycles))
             return
@@ -398,8 +366,7 @@ def gadget_2factor(inst: Instance) -> CycleCover:
 # survivable network design optimum
 
 
-def _min_2ecss(inst: Instance, verts: tuple[int, ...],
-               deadline: float | None) -> Weight:
+def _min_2ecss(inst: Instance, verts: tuple[int, ...]) -> Weight:
     """Cheapest 2-edge-connected spanning sub-multigraph (multiplicity <= 2)."""
     s = len(verts)
     if s == 2:
@@ -463,7 +430,6 @@ def _min_2ecss(inst: Instance, verts: tuple[int, ...],
         return acc2 + extra
 
     def rec(idx: int, acc: Weight) -> None:
-        _check_deadline(deadline)
         if acc >= best[0]:
             return
         if all(d >= 2 for d in deg) and feasible(mult):
@@ -488,24 +454,24 @@ def _min_2ecss(inst: Instance, verts: tuple[int, ...],
     return best[0]
 
 
-def brute_force_snd(inst: Instance, budget: OracleBudget = DEFAULT_BUDGET) -> Weight:
-    """Exact optimum for the derived {0,2} survivable network design instance.
+def brute_force_snd(inst: Instance) -> Weight:
+    """Exact optimum for the derived {0,2} survivable network design
+    instance, up to n = 7.
 
     Deleting bridges from any feasible solution keeps it feasible, so the
     optimum decomposes over clusterings of the terminal groups with one
     2-edge-connected sub-multigraph per cluster.
     """
-    if inst.n > budget.snd_max_n:
-        raise BudgetExceededError(f"snd oracle capped at n={budget.snd_max_n}")
+    if inst.n > 7:
+        raise BudgetExceededError("snd oracle capped at n=7")
     if not inst.symmetric:
         raise ValidationError("snd oracle handles symmetric instances only")
-    deadline = budget.deadline()
     cache: dict[tuple[int, ...], Weight] = {}
 
     def cluster_cost(groups_idx: tuple[int, ...]) -> Weight:
         verts = tuple(sorted(v for gi in groups_idx for v in inst.groups[gi]))
         if verts not in cache:
-            cache[verts] = _min_2ecss(inst, verts, deadline)
+            cache[verts] = _min_2ecss(inst, verts)
         return cache[verts]
 
     best: Weight | None = None
@@ -536,13 +502,12 @@ def _mst_cost(inst: Instance, verts: tuple[int, ...]) -> tuple[Weight, list[tupl
     return cost, tree
 
 
-def brute_force_steiner_forest(inst: Instance,
-                               budget: OracleBudget = DEFAULT_BUDGET
+def brute_force_steiner_forest(inst: Instance
                                ) -> tuple[Weight, set[tuple[int, int]]]:
-    """Exact Steiner forest optimum (components are unions of groups)."""
-    if inst.n > budget.steiner_forest_max_n:
-        raise BudgetExceededError(
-            f"steiner forest oracle capped at n={budget.steiner_forest_max_n}")
+    """Exact Steiner forest optimum (components are unions of groups), up
+    to n = 8."""
+    if inst.n > 8:
+        raise BudgetExceededError("steiner forest oracle capped at n=8")
     if not inst.symmetric:
         raise ValidationError("steiner forest oracle handles symmetric instances only")
     best: Weight | None = None
@@ -685,8 +650,7 @@ def _matching_weight_on(inst: Instance, verts: list[int]) -> Weight:
     return sum(inst.w(u, v) for u, v in mate)
 
 
-def matching_vs_opt_probe(seed: int, trials: int,
-                          budget: OracleBudget = DEFAULT_BUDGET) -> ProbeReport:
+def matching_vs_opt_probe(seed: int, trials: int) -> ProbeReport:
     """Search for an instance whose forest-odd-vertex matching beats opt.
 
     For each random metric instance: matching weight on the odd-degree set
@@ -713,8 +677,8 @@ def matching_vs_opt_probe(seed: int, trials: int,
             sizes.append(s)
             left -= s
         inst = generate_instance("euclidean", n, sizes, seed=rng.randrange(1 << 30))
-        opt, _ = brute_force_smc(inst, budget)
-        _, exact_forest = brute_force_steiner_forest(inst, budget)
+        opt, _ = brute_force_smc(inst)
+        _, exact_forest = brute_force_steiner_forest(inst)
         approx_forest = approx_steiner_forest(inst)
         w_exact = _matching_weight_on(inst, _odd_degree_vertices(inst.n, exact_forest))
         w_approx = _matching_weight_on(inst, _odd_degree_vertices(inst.n, approx_forest))

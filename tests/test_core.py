@@ -430,9 +430,9 @@ def test_single_digit_rows_read_as_their_tokens(cells):
 
 def typed_outcome(text):
     """``_parse_weight_row``'s and the token path's outcome on ``text``:
-    each value with its type, whatever sequence holds them (json's true
-    would equal 1, and a row of single digits comes back as a bytearray),
-    or the FormatError message."""
+    each value with its type, whatever sequence holds them (a row of
+    single digits comes back as a bytearray), or the FormatError
+    message."""
     return tuple(
         out if isinstance(out, str) else [(type(x), x) for x in out]
         for out in (parse_outcome(_parse_weight_row, text),
@@ -440,16 +440,16 @@ def typed_outcome(text):
                                              for tok in t.split()], text)))
 
 
-# ints json reads as the grammar does, tokens only one of them takes ("007",
-# "-", "1-2", "--1", "7/2", "1.5", "1e3", "NaN", "Infinity", "true",
-# "null", "[1]") and one int over the digit limit
+# ints, tokens that only the grammar or only json would take ("007", "-",
+# "1-2", "--1", "7/2", "1.5", "1e3", "NaN", "Infinity", "true", "null",
+# "[1]") and one int over the digit limit
 _INT_ROW_TOKENS = ["0", "7", "209", "007", "-0", "-3", "-", "1-2", "--1",
                    "7/2", "1.5", "1e3", "NaN", "Infinity", "true", "null",
                    "[1]", _LONG]
 
 
 def test_int_rows_read_as_their_tokens():
-    # every token, with each separator, between ints the one-call read takes
+    # every token, with each separator, between multi-digit ints
     for tok in _INT_ROW_TOKENS:
         for sep in (" ", "  ", "\t"):
             line = sep.join(["0", "7", tok, "209"])

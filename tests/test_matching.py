@@ -17,7 +17,7 @@ from smcycle.matching import (_augment_matching, max_cardinality_matching,
                               max_simple_2matching,
                               min_cost_bipartite_perfect_matching,
                               min_weight_perfect_matching, minimal_edge_cover)
-from smcycle.oracle import DEFAULT_BUDGET, brute_force_2factor
+from smcycle.oracle import brute_force_2factor
 from smcycle.twofactor import directed_2factor_cycles
 
 
@@ -385,8 +385,8 @@ def directed_instance(k, seed, kind):
 
 def test_assignment_respects_forbidden_cells():
     # the directed 2-factor forbids self-arcs through the assignment's
-    # diagonal, whatever the instance holds there; up to the oracle's cap
-    # its cost is the minimum over all directed 2-factors
+    # diagonal, whatever the instance holds there; up to the oracle's cap,
+    # n = 7, its cost is the minimum over all directed 2-factors
     rng = Random(31)
     for kind in ("int", "fraction", "diagonal"):
         for k in range(2, 10):
@@ -396,7 +396,7 @@ def test_assignment_respects_forbidden_cells():
             assert all(len(c) >= 2 for c in cycles)
             cost = sum(inst.w(c[i - 1], c[i]) for c in cycles
                        for i in range(len(c)))
-            if k <= DEFAULT_BUDGET.twofactor_directed_max_n:
+            if k <= 7:
                 assert cost == brute_force_2factor(inst)
 
 

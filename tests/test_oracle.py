@@ -12,10 +12,11 @@ from smcycle.core import (WeightClass, cover_cost, format_instance,
                           generate_instance, parse_instance, validate_instance,
                           validate_solution)
 from smcycle.errors import BudgetExceededError
-from smcycle.oracle import (SMC_TABLE_MAX_N, OracleBudget, approx_steiner_forest,
+from smcycle.oracle import (SMC_TABLE_MAX_N, approx_steiner_forest,
                             brute_force_2factor, brute_force_smc,
                             brute_force_smc_permutation, brute_force_snd,
-                            brute_force_steiner_forest, matching_vs_opt_probe)
+                            brute_force_steiner_forest,
+                            enumerate_optimal_2factors, matching_vs_opt_probe)
 
 
 def test_smc_pair_instance():
@@ -127,23 +128,39 @@ def test_smc_four_groups_match_cluster_reference():
 def test_smc_budget():
     inst = generate_instance("one-two", 9, [3, 6], seed=0)
     with pytest.raises(BudgetExceededError):
-        brute_force_smc(inst, OracleBudget(smc_max_n=8))
-
-
-def test_smc_time_limit():
-    inst = generate_instance("euclidean", 9, [4, 5], seed=0)
-    with pytest.raises(BudgetExceededError, match="time ceiling"):
-        brute_force_smc(inst, OracleBudget(time_limit_s=0))
+        brute_force_smc(inst, 8)
 
 
 def test_smc_table_ceiling_holds_above_any_budget():
-    budget = OracleBudget(smc_max_n=40, smc_directed_max_n=40)
     n = SMC_TABLE_MAX_N + 1
     for kind, sizes in (("euclidean", [5, 6, 6]), ("asymmetric", [8, 9])):
         inst = generate_instance(kind, n, sizes, seed=1)
         with pytest.raises(BudgetExceededError,
                            match=f"capped at n={SMC_TABLE_MAX_N}, got {n}"):
-            brute_force_smc(inst, budget)
+            brute_force_smc(inst, 40)
+
+
+@pytest.mark.parametrize("oracle, kind, cap", [
+    (brute_force_smc, "euclidean", 12),
+    (brute_force_smc, "asymmetric", 8),
+    (lambda inst: brute_force_smc(inst, 14), "one-two", 14),
+    (lambda inst: brute_force_smc(inst, 16), "euclidean", 16),
+    (lambda inst: brute_force_smc(inst, 16), "asymmetric", 16),
+    (brute_force_2factor, "one-two", 12),
+    (brute_force_2factor, "asymmetric", 7),
+    (enumerate_optimal_2factors, "one-two", 12),
+    (brute_force_snd, "euclidean", 7),
+    (brute_force_steiner_forest, "euclidean", 8)],
+    ids=["smc", "smc-directed", "smc-max-n-14", "smc-max-n-16",
+         "smc-directed-max-n-16", "2factor", "2factor-directed",
+         "optimal-2factors", "snd", "steiner-forest"])
+def test_oracle_refuses_one_vertex_over_its_cap(oracle, kind, cap):
+    # each oracle states its cap and names it when it refuses; max_n lifts
+    # brute_force_smc's cap up to SMC_TABLE_MAX_N, and
+    # test_smc_table_ceiling_holds_above_any_budget tries beyond it
+    inst = generate_instance(kind, cap + 1, [2, cap - 1], seed=1)
+    with pytest.raises(BudgetExceededError, match=f"capped at n={cap}($|,)"):
+        oracle(inst)
 
 
 def test_2factor_trivial_cases():

@@ -202,11 +202,11 @@ def test_library_runs_on_the_oldest_supported_python():
         "raise ExceptionGroup('e', [])\n")) == [2, 3, 4, 5, 6]
 
 
-def trace_parameters(tree: ast.AST) -> list[str]:
-    """Names of the functions that take a parameter named ``trace``."""
+def functions_taking(tree: ast.AST, names: set[str]) -> list[str]:
+    """Names of the functions that take a parameter named in ``names``."""
     return [node.name for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(arg.arg == "trace" for arg in (
+            and any(arg.arg in names for arg in (
                 *node.args.posonlyargs, *node.args.args,
                 *node.args.kwonlyargs, node.args.vararg, node.args.kwarg)
                     if arg is not None)]
@@ -218,24 +218,39 @@ def test_no_function_takes_a_trace_list():
     found = []
     for path in SOURCES:
         found += [f"{path.name}:{name}" for name
-                  in trace_parameters(ast.parse(path.read_text()))]
+                  in functions_taking(ast.parse(path.read_text()), {"trace"})]
     assert found == []
     # what it catches: parameters, not a function named trace
-    assert trace_parameters(ast.parse(
+    assert functions_taking(ast.parse(
         "def f(inst, trace=None): pass\n"
         "def g(*, trace): pass\n"
         "def h(x, /, trace): pass\n"
-        "def trace(v): pass\n")) == ["f", "g", "h"]
+        "def trace(v): pass\n"), {"trace"}) == ["f", "g", "h"]
 
 
-def imports_networkx(node: ast.AST) -> bool:
+def test_oracles_take_no_budget_or_clock():
+    # each oracle states its own cap on n, and only brute_force_smc's can
+    # be set; no solver takes a budget object or a wall-clock deadline
+    found = []
+    for path in SOURCES:
+        found += [f"{path.name}:{name}" for name in functions_taking(
+            ast.parse(path.read_text()),
+            {"budget", "deadline", "time_limit_s"})]
+    assert found == []
+    oracle = next(path for path in SOURCES if path.name == "oracle.py")
+    assert not any(imports(node, "time")
+                   for node in ast.walk(ast.parse(oracle.read_text())))
+
+
+def imports(node: ast.AST, module: str) -> bool:
+    """Whether ``node`` imports ``module`` or a submodule of it."""
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and node.level == 0:
         names = [node.module or ""]
     else:
         return False
-    return any(name.split(".")[0] == "networkx" for name in names)
+    return any(name.split(".")[0] == module for name in names)
 
 
 def test_only_matching_imports_networkx():
@@ -245,7 +260,7 @@ def test_only_matching_imports_networkx():
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [path.name for node in ast.walk(tree)
-                  if imports_networkx(node)]
+                  if imports(node, "networkx")]
     assert found == ["matching.py"], found
 
 
@@ -262,7 +277,7 @@ def test_networkx_backs_only_the_weighted_perfect_matching():
                 and top.name == "min_weight_perfect_matching"):
             continue
         found += [f"matching.py:{node.lineno}" for node in ast.walk(top)
-                  if imports_networkx(node)
+                  if imports(node, "networkx")
                   or isinstance(node, ast.Attribute)
                   and isinstance(node.value, ast.Name)
                   and node.value.id in ("nx", "networkx")]
@@ -293,12 +308,13 @@ def test_importing_the_package_leaves_networkx_unloaded():
 
 
 def test_importing_the_package_leaves_json_unloaded():
-    # json reads int weight rows and is imported on first use; at import
-    # it would add to every start-up
+    # json reads an int weight block and is imported on first use; at
+    # import it would add to every start-up
     loaded, _ = loads_module("json", IMPORT_ALL)
     assert not loaded
     loaded, _ = loads_module(
-        "json", IMPORT_ALL + "\nsmcycle.core._parse_weight_row('0 17 -3')")
+        "json",
+        IMPORT_ALL + "\nsmcycle.core._parse_int_block(['0 17', '17 0'], 2)")
     assert loaded
 
 
@@ -465,6 +481,22 @@ def test_each_solve_checks_its_cover_shape_once(monkeypatch):
         assert count(oracle.brute_force_smc, inst) == 1
         inst = generate_instance("one-two", 9, [3, 3, 3], seed=seed)
         assert count(onetwo.approx_onetwo, inst) == 3
+
+    # the adversarial tie-break checks each optimal base factor's special
+    # 2-factor, and each candidate's final cover once, pricing the
+    # candidate from that check: 6 base factors and 74 candidates here
+    runs = []
+    join = onetwo._run_join_phases
+
+    def join_spy(*args, **kwargs):
+        runs.append(args)
+        return join(*args, **kwargs)
+
+    monkeypatch.setattr(onetwo, "_run_join_phases", join_spy)
+    inst = generate_instance("one-two", 9, [3, 3, 3], seed=4)
+    assert count(lambda inst: onetwo.approx_onetwo(
+        inst, tie_break="adversarial"), inst) == 2 * 6 + 74
+    assert len(runs) == 74
 
     bench = str(Path(__file__).resolve().parent.parent / "perfbench")
     sys.path.insert(0, bench)
