@@ -39,33 +39,34 @@ Pivot rules.  A positive row or column scale changes no sign and no ratio
 the rules read, so the pivots are those of the rational tableau: Bland's
 rule (smallest eligible column enters, ties on the leaving row broken by
 the smallest basic index) prevents cycling and makes every pivot sequence
-deterministic.
+deterministic.  Columns with no cells of their own (artificials, bound
+columns) have the largest indices: they enter only when no stored one can.
 
-Column form.  ``ColumnLp`` minimizes cost.w subject to A w <= b and
-w >= 0, with b >= 0, for an A whose columns arrive in batches: the dual of
-a covering LP whose rows are found by separation.  Each column holds one
-int coefficient ``a`` in a set of rows and 0 elsewhere (a cut of the
-covering LP is a = 1 in the rows of its variables, a bound x_k <= 1 is
-a = -1 in row k).  Its slack basis is feasible, so no phase 1 runs, and a
+Column form.  ``ColumnLp`` minimizes cost.w + sum(u) subject to
+A w - u <= b and w, u >= 0, with b >= 0: the dual of a covering LP in
+0 <= x <= 1 whose rows are found by separation.  A stored column, a cut
+of the covering LP, holds 1 in each of its rows (a row listed twice
+holds 2).  Row k's bound x_k <= 1 is the implicit column u_k, -1 in row k
+with cost 1: in every tableau it is minus the slack column of row k, so
+it is priced and pivoted like an artificial of ``solve_min_lp``, with
+index n + m + k.  The slack basis is feasible, so no phase 1 runs, and a
 new column leaves the current basis feasible, so each re-optimisation
-starts where the last one ended, with the same pivots and Bland loop.
-The tableau is laid out as above (structural cells, then slacks).  The
-columns known before the first solve are laid down as the starting
-tableau: against the slack basis, the identity at d = 1, a column's cells
-are its coefficients and its objective cell is its cost.  A column added
-later is inserted before the slacks and priced without a solve: the slack
-cells of a stored row are that row of B^-1 at the row's scale, so the new
-cell is ``a`` times the sum of the row's slack cells over the column's
-rows, one ``itemgetter`` sum, and the objective cell is ``zs * cost``
-plus ``a`` times the same sum over the objective row's slack cells.  The
-prices ``x`` of the rows, the solution of the dual max -b.x subject to
-A^T x >= -cost and x >= 0, are read exactly as the reduced costs of the
+starts where the last one ended.  The columns known before the first
+solve are laid down as the starting tableau: against the slack basis, the
+identity at d = 1, a column's cells are its coefficients and its
+objective cell is its cost.  A column added later is inserted before the
+slacks and priced without a solve: the slack cells of a stored row are
+that row of B^-1 at the row's scale, so the new cell is the sum of the
+row's slack cells over the column's rows, one ``itemgetter`` sum, and the
+objective cell is ``zs * cost`` plus the same sum over the objective
+row's slack cells.  The prices x, the solution of the dual max -b.x
+subject to A^T x >= -cost and 0 <= x <= 1, are the reduced costs of the
 slacks, ``z[slack] / zs``.
 
 Certificate.  Every answer of ``ColumnLp.optimise`` is checked from the
-columns as given, not from the tableau: x >= 0 and A^T x >= -cost, w >= 0
-and A w <= b, and cost.w = -b.x.  By weak duality the two then prove each
-other optimal; a failure raises ``SmcError``.
+columns as given, not from the tableau: 0 <= x <= 1 and A^T x >= -cost,
+w, u >= 0 and A w - u <= b, and cost.w + sum(u) = -b.x.  By weak duality
+the two then prove each other optimal; a failure raises ``SmcError``.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
     """Minimize from objective row ``z``, at scale ``zs``, in place, where
     ``d`` is the determinant of the basis.
 
-    The stored columns may enter, and so may the ``artificials``, given as
+    The stored columns may enter, and so may the ``artificials``, columns
+    without cells (phase-1 artificials or ``ColumnLp`` bounds) given as
     (index, cost times the scale of ``z``).  Returns the determinant and
     the scale of ``z``.
     """
@@ -265,32 +267,33 @@ def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
 
 
 class ColumnLp:
-    """Minimize cost.w subject to A w <= ``rhs`` and w >= 0, where ``rhs``
-    is a non-negative vector and the int columns of A are ``columns``,
-    then any added one at a time (see "Column form" above); each column is
-    (its rows, their coefficient, its cost).
+    """Minimize cost.w + sum(u) subject to A w - u <= ``rhs`` and w, u >= 0,
+    where ``rhs`` is a non-negative vector and the int columns of A are
+    ``columns``, then any added one at a time (see "Column form" above);
+    each column is (its rows, its cost), and u holds one implicit bound
+    column per row.
 
     An int or Fraction ``rhs`` is multiplied by the lcm of its
-    denominators, which scales w and the objective but not the prices x.
+    denominators, which scales w, u and the objective but not the prices x.
     """
 
     def __init__(self, rhs: Sequence,
-                 columns: Iterable[tuple[Sequence[int], int, int]] = ()):
+                 columns: Iterable[tuple[Sequence[int], int]] = ()):
         if any(b < 0 for b in rhs):
             raise SmcError("column LP needs a non-negative right-hand side")
         m = len(rhs)
         self.rhs, _ = _integers(rhs)
-        # each column as (its rows, their coefficient, its cost)
-        self.columns: list[tuple[list[int], int, int]] = []
+        # each column as (its rows, its cost)
+        self.columns: list[tuple[list[int], int]] = []
         # against the slack basis, the identity at d = zs = 1, a column's
         # cells are its coefficients and its objective cell is its cost
         cells = []
-        for rows, coefficient, cost in columns:
+        for rows, cost in columns:
             column = [0] * m
             for k in rows:
-                column[k] += coefficient
+                column[k] += 1
             cells.append(column)
-            self.columns.append((list(rows), coefficient, cost))
+            self.columns.append((list(rows), cost))
         n = len(cells)
         self.rows = []
         for i, (structural, b) in enumerate(zip(
@@ -299,22 +302,21 @@ class ColumnLp:
             row[n + i] = 1
             self.rows.append(row)
         self.basis = list(range(n, n + m))  # the slack of row i is n + i
-        self.z = [cost for _rows, _a, cost in self.columns] + [0] * (m + 1)
+        self.z = [cost for _rows, cost in self.columns] + [0] * (m + 1)
         self.zs = 1  # scale of z
         self.d = 1  # determinant of the basis
 
-    def add_column(self, rows: Sequence[int], coefficient: int,
-                   cost: int) -> None:
-        """Append the column holding ``coefficient`` in each of ``rows`` and
-        0 elsewhere, with ``cost``, priced against the current basis."""
+    def add_column(self, rows: Sequence[int], cost: int) -> None:
+        """Append the column holding 1 in each of ``rows`` and 0 elsewhere,
+        with ``cost``, priced against the current basis."""
         n = len(self.columns)
         cells = _cells([n + k for k in rows])
         for row in self.rows:
-            row.insert(n, coefficient * sum(cells(row)))
+            row.insert(n, sum(cells(row)))
         z = self.z
-        z.insert(n, self.zs * cost + coefficient * sum(cells(z)))
+        z.insert(n, self.zs * cost + sum(cells(z)))
         self.basis = [b + (b >= n) for b in self.basis]
-        self.columns.append((list(rows), coefficient, cost))
+        self.columns.append((list(rows), cost))
 
     def optimise(self) -> tuple[list[int], int]:
         """Re-optimise from the current basis and return the row prices
@@ -324,39 +326,49 @@ class ColumnLp:
         (its dual is infeasible), and ``SmcError`` when the certificate
         fails.
         """
-        self.d, self.zs = _run_simplex(self.rows, self.basis, len(self.rows),
-                                       self.z, self.d, self.zs, ())
-        x, xs, w, ws = self._solution()
-        self._certify(x, xs, w, ws)
+        m = len(self.rows)
+        nm = len(self.columns) + m
+        self.d, self.zs = _run_simplex(self.rows, self.basis, m, self.z,
+                                       self.d, self.zs,
+                                       [(nm + i, 1) for i in range(m)])
+        x, xs, w, u, ws = self._solution()
+        self._certify(x, xs, w, u, ws)
         g = gcd(xs, *x)
         return [v // g for v in x], xs // g
 
-    def _solution(self) -> tuple[list[int], int, list[int], int]:
-        """The row prices x over ``xs`` and the column values w over
-        ``ws``, read off the tableau."""
+    def _solution(self) -> tuple[list[int], int, list[int], list[int], int]:
+        """The row prices x over ``xs``, and the column values w and the
+        bound values u over ``ws``, read off the tableau."""
+        m = len(self.rows)
         n = len(self.columns)
         d = self.d
         w = [0] * n
+        u = [0] * m
         for row, b in zip(self.rows, self.basis):
             if b < n:
                 w[b] = row[-1] * d // row[b]
-        return self.z[n:-1], self.zs, w, d
+            elif b >= n + m:  # its cell is minus that of its row's slack
+                u[b - n - m] = row[-1] * d // -row[b - m]
+        return self.z[n:-1], self.zs, w, u, d
 
-    def _certify(self, x: list[int], xs: int, w: list[int], ws: int) -> None:
-        """Raise unless x / xs and w / ws are feasible and have equal
+    def _certify(self, x: list[int], xs: int, w: list[int], u: list[int],
+                 ws: int) -> None:
+        """Raise unless x / xs and (w, u) / ws are feasible and have equal
         objectives, which proves both optimal."""
         rhs = self.rhs
-        if any(v < 0 for v in x) or any(v < 0 for v in w):
+        if any(v < 0 for v in [*x, *w, *u]):
             raise SmcError("column LP certificate: negative value")
-        load = [0] * len(rhs)  # A w, over ws
-        value = 0  # cost.w, over ws
-        for (rows, a, cost), wj in zip(self.columns, w):
-            if a * sum(_cells(rows)(x)) < -cost * xs:
+        if any(v > xs for v in x):
+            raise SmcError("column LP certificate: prices violate a bound")
+        load = [-v for v in u]  # A w - u, over ws
+        value = sum(u)  # cost.w + sum(u), over ws
+        for (rows, cost), wj in zip(self.columns, w):
+            if sum(_cells(rows)(x)) < -cost * xs:
                 raise SmcError("column LP certificate: prices violate a column")
             if wj:
                 value += cost * wj
                 for k in rows:
-                    load[k] += a * wj
+                    load[k] += wj
         if any(t > b * ws for t, b in zip(load, rhs)):
             raise SmcError("column LP certificate: values violate a row")
         if value * xs != -ws * sum(b * v for b, v in zip(rhs, x)):

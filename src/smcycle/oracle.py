@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 from operator import add
 from random import Random
+from typing import Callable
 
 from .core import (CycleCover, Instance, Weight, find, generate_instance,
                    make_cover, successor_cycles, validate_solution)
@@ -196,6 +197,24 @@ def brute_force_smc_permutation(inst: Instance) -> Weight:
 # minimum-weight 2-factor (all variants)
 
 
+def _incident_bound(inst: Instance) -> Callable[[int], Weight]:
+    """lb(mask): the sum of the least incident weight of each vertex in
+    ``mask``, a lower bound on any cycles that cover exactly those
+    vertices, since each cycle edge weighs at least that of its tail."""
+    least = [min(min(inst.w(v, u), inst.w(u, v))
+                 for u in range(inst.n) if u != v) for v in range(inst.n)]
+
+    def lb(mask: int) -> Weight:
+        total: Weight = 0
+        while mask:
+            low = mask & -mask
+            total += least[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    return lb
+
+
 def brute_force_2factor(inst: Instance, triangle_free: bool = False) -> Weight:
     """Exact minimum over all (triangle-free) 2-factors by cycle enumeration,
     up to n = 12 on a symmetric instance and n = 7 on a directed one.
@@ -209,18 +228,8 @@ def brute_force_2factor(inst: Instance, triangle_free: bool = False) -> Weight:
         raise BudgetExceededError(f"2-factor oracle capped at n={cap}, got {inst.n}")
     n = inst.n
     pair_set = {frozenset(p) for p in inst.pair_groups()}
-    min_incident = [min(min(inst.w(v, u), inst.w(u, v))
-                        for u in range(n) if u != v) for v in range(n)]
-
+    lb = _incident_bound(inst)
     best: list[Weight | None] = [None]
-
-    def lb(mask: int) -> Weight:
-        total: Weight = 0
-        while mask:
-            low = mask & -mask
-            total += min_incident[low.bit_length() - 1]
-            mask ^= low
-        return total
 
     def close_ok(length: int) -> bool:
         if directed:
@@ -281,11 +290,10 @@ def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False
     best = brute_force_2factor(inst, triangle_free=triangle_free)
     n = inst.n
     pair_set = {frozenset(p) for p in inst.pair_groups()}
+    lb = _incident_bound(inst)
     out: list[CycleCover] = []
 
     def rec(uncov: int, acc: Weight, cycles: list[list[int]]):
-        if acc > best:
-            return
         if uncov == 0:
             if acc == best:
                 if len(out) >= 20000:
@@ -295,9 +303,10 @@ def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False
         anchor = (uncov & -uncov).bit_length() - 1
 
         def grow(path: list[int], pmask: int, cost: Weight) -> None:
-            if acc + cost > best:
-                return
             rest = uncov & ~pmask
+            # strict, so every optimal 2-factor is kept
+            if acc + cost + lb(rest) > best:
+                return
             last = path[-1]
             length = len(path)
             # a pair 2-cycle, or a longer cycle in one orientation

@@ -12,20 +12,20 @@ answer x = 0 is not solved.
 
 Cut LP.  Over the free slots e the residual LP is min c.x subject to
 x(delta(C)) >= r_C for each pooled cut C with residual requirement
-r_C > 0, x_e <= 1 for the slots found above 1, and x >= 0.  It is solved
-through its dual, max sum r_C y_C - sum u_e subject to
-sum_{C crossing e} y_C - u_e <= c_e for each free slot e (``ColumnLp``).
-The weights are >= 0, so the slack basis is feasible and no phase 1 runs;
-a newly separated cut or bound is one added column, so the previous basis
-stays feasible and each round re-optimises from it.  A column holds one
-coefficient: 1 in the rows of the free slots crossing a cut, or -1 in the
-row of a slot bounded by x_e <= 1.  Each call lays the pooled cuts that
-keep a residual down as the LP's starting columns, and adds each cut it
-separates as one column.  x is read off as the prices of the dual's
-rows, and every answer carries the strong-duality certificate of
-``ColumnLp.optimise``: x >= 0 satisfies every pooled row and bound, the
-dual values are feasible, and the two objectives agree.  An unbounded dual
-means the cut LP is infeasible.
+r_C > 0 and 0 <= x_e <= 1.  It is solved through its dual,
+max sum r_C y_C - sum u_e subject to sum_{C crossing e} y_C - u_e <= c_e
+for each free slot e (``ColumnLp``).  Each bound x_e <= 1 is the implicit
+column u_e of row e, so it holds from the first solve and costs no
+separation round.  The weights are >= 0, so the slack basis is feasible
+and no phase 1 runs; a newly separated cut is one added column, 1 in the
+rows of the free slots crossing it, so the previous basis stays feasible
+and each separation round re-optimises from it once.  Each call lays the
+pooled cuts that keep a residual down as the LP's starting columns, and
+adds each cut it separates as one column.  x is read off as the prices of
+the dual's rows, and every answer carries the strong-duality certificate
+of ``ColumnLp.optimise``: 0 <= x <= 1 satisfies every pooled row, the
+dual values are feasible, and the two objectives agree.  An unbounded
+dual means the cut LP is infeasible.
 
 An empty pool starts as the degree cuts x(delta(v)) >= 2, one per vertex:
 every vertex lies in a group of size >= 2, so each splits a group.
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
@@ -228,7 +228,7 @@ def solve_cut_lp(inst: Instance,
         slots_at[v] |= 1 << k
     free_bits = (1 << len(free)) - 1
 
-    def columns(masks: Iterable[int]) -> Iterable[tuple[list[int], int, int]]:
+    def columns(masks: Iterable[int]) -> Iterable[tuple[list[int], int]]:
         """The column of each cut in ``masks`` that still has a residual.
         The XOR of the masks of a cut's vertices keeps the slots with one
         end in it; a slot with both ends inside is flipped twice."""
@@ -236,7 +236,7 @@ def solve_cut_lp(inst: Instance,
             crossing = reduce(xor, map(slots_at.__getitem__, bits(mask)), 0)
             residual = 2 - (crossing >> len(free)).bit_count()
             if residual > 0:
-                yield bits(crossing & free_bits), 1, -residual
+                yield bits(crossing & free_bits), -residual
 
     pool = cut_pool if cut_pool is not None else []
     if not pool:
@@ -244,11 +244,7 @@ def solve_cut_lp(inst: Instance,
         if inst.n > 2:  # at n = 2 vertex 1 has the cut of vertex 0
             pool.append((1 << inst.n - 1) - 1)
     lp = ColumnLp(cost, columns(pool))
-    priced = len(pool)  # pool[:priced] have their columns
     while True:
-        for column in columns(pool[priced:]):
-            lp.add_column(*column)
-        priced = len(pool)
         try:
             x, scale = lp.optimise()
         except SmcError as exc:
@@ -256,14 +252,6 @@ def solve_cut_lp(inst: Instance,
                 raise
             raise SmcError("cut LP infeasible: separation produced an "
                            "unsatisfiable system") from exc
-
-        # the certificate holds x_e <= 1 wherever a bound was added
-        new_bounds = [k for k, v in enumerate(x) if v > scale]
-        if new_bounds:
-            for k in new_bounds:
-                lp.add_column([k], -1, 1)
-            continue
-
         caps = [(u, v, xk) for (u, v, _c), xk in zip(free, x)]
         caps += [(u, v, scale) for u, v, _c in fixed]
         violated = _scan_cuts(inst.n, group_masks, caps, scale)
@@ -271,16 +259,13 @@ def solve_cut_lp(inst: Instance,
             return FractionalEdgeVector(slots=tuple(free),
                                         numerators=tuple(x), scale=scale)
         known = set(pool)
-        added = 0
-        for _deficit, mask in violated:
-            if mask not in known:
-                pool.append(mask)
-                known.add(mask)
-                added += 1
-                if added >= 12:
-                    break
-        if added == 0:
+        new = list(islice((mask for _deficit, mask in violated
+                           if mask not in known), 12))
+        if not new:
             raise SmcError("separation loop stalled: violated cuts already pooled")
+        pool.extend(new)
+        for column in columns(new):
+            lp.add_column(*column)
 
 
 class Round(NamedTuple):

@@ -196,39 +196,30 @@ def test_matches_vertex_enumeration(lp):
 
 @st.composite
 def covering_batches(draw):
-    """Costs c >= 0 and batches of (0/1 >= rows, new x_k <= 1 bounds)."""
+    """Costs c >= 0 and batches of 0/1 >= rows."""
     n = draw(st.integers(1, 3))
     c = draw(st.lists(st.one_of(st.integers(0, 5),
                                 st.fractions(0, 5, max_denominator=6)),
                       min_size=n, max_size=n))
-    batches = []
-    for _ in range(draw(st.integers(1, 3))):
-        rows = draw(st.lists(st.tuples(
-            st.lists(st.integers(0, 1), min_size=n, max_size=n),
-            st.integers(1, 3)), max_size=2))
-        bounds = draw(st.lists(st.integers(0, n - 1), max_size=1))
-        batches.append((rows, bounds))
+    batches = [draw(st.lists(st.tuples(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.integers(1, 3)), max_size=2)) for _ in range(draw(st.integers(1, 3)))]
     return c, batches
 
 
 @settings(max_examples=200, deadline=None)
 @given(covering_batches())
 def test_column_lp_matches_cold_solves_after_each_batch(lp):
-    # min c.x over x >= 0, rows a.x >= r and bounds x_k <= 1, solved
-    # through its dual: each row and each bound is one added column
+    # min c.x over 0 <= x <= 1 and rows a.x >= r, solved through its dual:
+    # each row is one added column, each bound x_k <= 1 an implicit one
     c, batches = lp
     dual = ColumnLp(c)
-    rows = []
-    bounded = set()
-    for new_rows, bounds in batches:
+    rows = [([int(j == k) for j in range(len(c))], LE, 1)
+            for k in range(len(c))]
+    for new_rows in batches:
         for coeffs, r in new_rows:
-            dual.add_column([k for k, a in enumerate(coeffs) if a], 1, -r)
+            dual.add_column([k for k, a in enumerate(coeffs) if a], -r)
             rows.append((coeffs, GE, r))
-        for k in bounds:
-            if k not in bounded:
-                bounded.add(k)
-                dual.add_column([k], -1, 1)
-                rows.append(([int(j == k) for j in range(len(c))], LE, 1))
         best = vertex_optimum(c, rows)
         cold = solve_min_lp(c, rows)
         if best is None:
@@ -244,20 +235,15 @@ def test_column_lp_matches_cold_solves_after_each_batch(lp):
 
 @st.composite
 def column_lps(draw):
-    """A non-negative int or Fraction rhs and columns over its rows: cuts
-    (coefficient 1, cost < 0) and bounds (-1 in one row, cost 1), rows
-    repeated at will, as (rows, coefficient, cost)."""
+    """A non-negative int or Fraction rhs and cut columns over its rows,
+    rows repeated at will, as (rows, cost) with cost <= 0."""
     m = draw(st.integers(0, 4))
     rhs = draw(st.lists(st.one_of(st.integers(0, 5),
                                   st.fractions(0, 5, max_denominator=6)),
                         min_size=m, max_size=m))
-    columns = []
-    for _ in range(draw(st.integers(0, 7)) if m else 0):
-        if draw(st.booleans()):
-            columns.append(([draw(st.integers(0, m - 1))], -1, 1))
-        else:
-            columns.append((draw(st.lists(st.integers(0, m - 1), max_size=5)),
-                            draw(st.integers(1, 2)), -draw(st.integers(0, 3))))
+    columns = [(draw(st.lists(st.integers(0, m - 1), max_size=5)),
+                -draw(st.integers(0, 3)))
+               for _ in range(draw(st.integers(0, 7)) if m else 0)]
     return rhs, columns
 
 
@@ -360,18 +346,32 @@ def test_scaled_rows_are_never_wider_than_bareiss_rows(monkeypatch):
 
 def test_column_lp_prices_and_reprices():
     # min 2a + 3b + c over a + b >= 1, b + c >= 1 has value 3, at (0, 1, 0)
-    # and at (1, 0, 1); a + c >= 2 leaves (1, 0, 1) alone, and a <= 1
-    # keeps it
+    # and at (1, 0, 1); a + c >= 2 leaves only (1, 0, 1)
     dual = ColumnLp([2, 3, 1])
-    dual.add_column([0, 1], 1, -1)
-    dual.add_column([1, 2], 1, -1)
+    dual.add_column([0, 1], -1)
+    dual.add_column([1, 2], -1)
     x, den = dual.optimise()
     assert sum(c * v for c, v in zip([2, 3, 1], x)) == 3 * den
-    dual.add_column([0, 2], 1, -2)
+    dual.add_column([0, 2], -2)
     x, den = dual.optimise()
     assert (x, den) == ([1, 0, 1], 1)
-    dual.add_column([0], -1, 1)
-    assert dual.optimise() == ([1, 0, 1], 1)
+
+
+def test_column_lp_bounds_every_price_by_one():
+    # min a + 3b over a + b >= 2 would take a = 2 without bounds; the
+    # implicit column of row a enters and holds a at 1, so b = 1.  A
+    # repeated row counts twice: a + 2b >= 2 changes nothing.  a >= 2
+    # cannot hold, so the dual is unbounded
+    dual = ColumnLp([1, 3])
+    dual.add_column([0, 1], -2)
+    assert dual.optimise() == ([1, 1], 1)
+    _x, _xs, _w, u, _ws = dual._solution()
+    assert u[0] > 0
+    dual.add_column([0, 1, 1], -2)
+    assert dual.optimise() == ([1, 1], 1)
+    dual.add_column([0], -2)
+    with pytest.raises(SmcError, match="unbounded"):
+        dual.optimise()
 
 
 def test_column_lp_rejects_negative_rhs():
@@ -380,35 +380,26 @@ def test_column_lp_rejects_negative_rhs():
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda x, xs, w, ws: ([x[0] + xs, *x[1:]], xs, w, ws), "objectives"),
-    (lambda x, xs, w, ws: (x[::-1], xs, w, ws), "prices violate a column"),
-    (lambda x, xs, w, ws: ([-v for v in x], xs, w, ws), "negative"),
-    (lambda x, xs, w, ws: (x, xs, [v + ws for v in w], ws),
+    (lambda x, xs, w, u, ws: ([-v for v in x], xs, w, u, ws), "negative"),
+    (lambda x, xs, w, u, ws: ([*x[:2], 2 * xs], xs, w, u, ws),
+     "prices violate a bound"),
+    (lambda x, xs, w, u, ws: ([0, *x[1:]], xs, w, u, ws),
+     "prices violate a column"),
+    (lambda x, xs, w, u, ws: (x, xs, w, [0] * len(u), ws),
      "values violate a row"),
+    (lambda x, xs, w, u, ws: (x, xs, w, u, 2 * ws), "objectives"),
 ])
 def test_certificate_rejects_a_corrupted_answer(monkeypatch, corrupt, message):
-    # min x0 + x1 over x0 + x1 >= 1 and x0 >= 1 has the one optimum
-    # (1, 0); the swapped (0, 1) keeps the objective and breaks x0 >= 1
+    # min x0 + 3 x1 + x2 over x0 + x1 >= 2 has the one optimum (1, 1, 0),
+    # where the bound x0 <= 1 binds and its implicit column is basic; each
+    # corruption breaks one check alone: the price 2 on row 2, which no cut
+    # touches, only its bound, and the objectives' keeps x <= 1
     solution = ColumnLp._solution
     monkeypatch.setattr(ColumnLp, "_solution",
                         lambda lp: corrupt(*solution(lp)))
-    dual = ColumnLp([1, 1])
-    dual.add_column([0, 1], 1, -1)
-    dual.add_column([0], 1, -1)
+    dual = ColumnLp([1, 3, 1])
+    dual.add_column([0, 1], -2)
     with pytest.raises(SmcError, match=message):
-        dual.optimise()
-
-
-def test_certificate_reads_the_coefficient_of_a_bound_column(monkeypatch):
-    # min x0 over x0 >= 1 and x0 <= 1 has the optimum x0 = 1; the price
-    # x0 = 2 meets the cut column and breaks the bound column alone
-    solution = ColumnLp._solution
-    monkeypatch.setattr(ColumnLp, "_solution", lambda lp: (
-        lambda x, xs, w, ws: ([v + xs for v in x], xs, w, ws))(*solution(lp)))
-    dual = ColumnLp([1])
-    dual.add_column([0], 1, -1)
-    dual.add_column([0], -1, 1)
-    with pytest.raises(SmcError, match="prices violate a column"):
         dual.optimise()
 
 

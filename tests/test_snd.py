@@ -143,10 +143,11 @@ def test_jain_outputs_prune_clean():
 
 
 # one-two instances whose rounding takes 2 rounds; round 1 leaves a vertex
-# of fixed degree 1
-TWO_ROUND_ONE_TWO = [(10, [2, 2, 4, 2], 567077), (11, [3, 2, 4, 2], 630667),
-                     (11, [4, 4, 3], 890209), (12, [2, 2, 3, 2, 3], 957049),
-                     (12, [2, 2, 2, 2, 2, 2], 478105)]
+# of fixed degree 1.  Found by taking seeds s = 0, 1, 2, ... in order, with
+# rng = Random(s), n = rng.randint(10, 12) and sizes random_sizes(rng, n)
+TWO_ROUND_ONE_TWO = [(10, [10], 1847), (12, [9, 3], 2241),
+                     (12, [7, 2, 3], 3119), (12, [3, 5, 2, 2], 3484),
+                     (12, [6, 3, 3], 4399)]
 
 
 def test_metric_solve_searches_bridges_once(monkeypatch):
@@ -382,7 +383,8 @@ def test_seeded_cut_lp_is_the_full_cut_lp():
 def test_warm_rounds_match_cold_solves(monkeypatch):
     # every separation round of metric3, re-optimised from the previous
     # basis, reaches the optimum a cold two-phase solve finds for the same
-    # rows: each column of the dual is one row of the primal cut LP
+    # rows: each column of the dual is one cut of the primal cut LP, and
+    # each row's implicit column its bound x_k <= 1
     rounds = []
     optimise = ColumnLp.optimise
 
@@ -393,7 +395,7 @@ def test_warm_rounds_match_cold_solves(monkeypatch):
 
     monkeypatch.setattr(ColumnLp, "optimise", spy)
     rng = Random(31)
-    for trial in range(110):
+    for trial in range(220):
         n = 5 + trial % 5
         sizes = rng.choice({5: [[2, 3], [5]], 6: [[3, 3], [2, 2, 2]],
                             7: [[3, 4], [2, 2, 3]], 8: [[4, 4], [2, 3, 3]],
@@ -405,15 +407,43 @@ def test_warm_rounds_match_cold_solves(monkeypatch):
         approx_metric(inst)
     assert len(rounds) > 300
     for cost, columns, x, den in rounds:
-        rows = []
-        for ks, a, column_cost in columns:
+        rows = [([int(j == k) for j in range(len(cost))], LE, 1)
+                for k in range(len(cost))]
+        for ks, column_cost in columns:
             coeffs = [0] * len(cost)
             for k in ks:
-                coeffs[k] = a
+                coeffs[k] += 1
             rows.append((coeffs, GE, -column_cost))
         cold = solve_min_lp(cost, rows)
         assert cold.status == "optimal"
         assert cold.objective == Fraction(sum(c * v for c, v in zip(cost, x)), den)
+
+
+def test_one_optimise_per_separation_round(monkeypatch):
+    # every x_e <= 1 is an implicit column from the first solve, so no
+    # re-optimisation only adds a bound: each optimum is scanned once
+    calls = []
+    optimise = ColumnLp.optimise
+    scan = snd._scan_cuts
+    monkeypatch.setattr(ColumnLp, "optimise",
+                        lambda lp: calls.append("optimise") or optimise(lp))
+    monkeypatch.setattr(snd, "_scan_cuts",
+                        lambda *a: calls.append("scan") or scan(*a))
+    rng = Random(37)
+    solves = 0
+    for trial in range(90):
+        n = rng.randint(4, 11)
+        kind = ("euclidean", "one-two", "euclidean")[trial % 3]
+        inst = generate_instance(kind, n, random_sizes(rng, n),
+                                 rng.randrange(10 ** 6))
+        if trial % 3 == 2:
+            inst = scaled(inst, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                          Fraction(rng.randint(0, 5), rng.randint(1, 7)))
+        calls.clear()
+        approx_metric(inst)
+        assert calls == ["optimise", "scan"] * (len(calls) // 2)
+        solves += len(calls) > 2
+    assert solves > 30
 
 
 def confirming_jain_round(inst):
@@ -538,8 +568,8 @@ def test_cut_lp_certificate_rejects_corrupted_prices(monkeypatch):
     solution = ColumnLp._solution
 
     def corrupt(lp):
-        x, xs, w, ws = solution(lp)
-        return [v + xs for v in x], xs, w, ws
+        x, xs, w, u, ws = solution(lp)
+        return [v + xs for v in x], xs, w, u, ws
 
     monkeypatch.setattr(ColumnLp, "_solution", corrupt)
     with pytest.raises(SmcError, match="certificate"):
