@@ -1,7 +1,7 @@
 """Matching primitives shared by every solver pipeline.
 
 This is the only module that imports networkx, and only
-``min_weight_perfect_matching`` (the metric T-join and the oracles) calls
+``min_weight_perfect_matching`` (the metric T-join and the probe) calls
 it, importing it on first use: its weighted blossom works symbolically and
 therefore stays exact on int and Fraction weights.  The rest is implemented
 here directly: the maximum simple 2-matching of a graph given as one

@@ -27,7 +27,8 @@ from .core import (CycleCover, Instance, Weight, WeightClass, bits,
                    validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import _augment_matching
-from .twofactor import min_weight_2factor, min_weight_triangle_free_2factor
+from .twofactor import (enumerate_optimal_2factors, min_weight_2factor,
+                        min_weight_triangle_free_2factor)
 
 ADVERSARIAL_MAX_RUNS = 20000
 
@@ -828,7 +829,7 @@ def approx_onetwo(inst: Instance, variant: str = "ratio-11-9",
 
     worst: OneTwoStages | None = None
     runs = 0
-    for base in _enumerate_min_2factors(inst, variant):
+    for base in enumerate_optimal_2factors(inst, triangle_free=tf):
         factor = special_2factor(inst, base=base)
         b_edges = build_B(inst, factor)
         for matching in _enumerate_maximum_matchings(b_edges):
@@ -852,13 +853,6 @@ def _base_factor(inst: Instance, variant: str) -> CycleCover:
     if variant == "ratio-7-6":
         return min_weight_triangle_free_2factor(inst)
     return min_weight_2factor(inst)
-
-
-def _enumerate_min_2factors(inst: Instance, variant: str) -> list[CycleCover]:
-    """All minimum-weight (triangle-free for 7/6) 2-factors, desk scale."""
-    from .oracle import enumerate_optimal_2factors
-    return enumerate_optimal_2factors(inst,
-                                      triangle_free=(variant == "ratio-7-6"))
 
 
 def _enumerate_maximum_matchings(b_edges: list[tuple[int, int]]

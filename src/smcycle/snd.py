@@ -367,20 +367,22 @@ def _bridges(g: EdgeSubgraph) -> set[tuple[int, int]]:
 
 
 def prune_bridges(g: EdgeSubgraph, inst: Instance) -> EdgeSubgraph:
-    """Delete bridges until every component is 2-edge-connected.
+    """Delete every bridge, leaving each component 2-edge-connected.
 
-    A bridge never serves a 2-connectivity requirement, so feasibility is
-    preserved (re-asserted here).  A bridgeless ``g`` is returned itself,
-    its edges in the order given; otherwise the result's edges are sorted.
-    The re-assertion reads the subgraph's cached bridges and labelling, so
-    on a bridgeless subgraph that ``jain_round`` has just accepted it
-    repeats no search.
+    One pass suffices: a non-bridge lies on a cycle, and that cycle's
+    edges are non-bridges too, so deleting the bridges leaves every other
+    edge on its cycle.  A bridge never serves a 2-connectivity
+    requirement, so feasibility is preserved; that is re-asserted here,
+    and its bridge search on the result also confirms that none is left.
+    A bridgeless ``g`` is returned itself, its edges in the order given;
+    otherwise the result's edges are sorted.  The re-assertion reads the
+    subgraph's cached bridges and labelling, so on a bridgeless subgraph
+    that ``jain_round`` has just accepted it repeats no search.
     """
-    current = g
-    while True:
-        bad = current.bridges
-        if not bad:
-            _assert_feasible(current, inst.groups)
-            return current
-        current = EdgeSubgraph(n=g.n, edges=tuple(sorted(
-            e for e in current.edges if (e[0], e[1]) not in bad)))
+    bad = g.bridges
+    pruned = g if not bad else EdgeSubgraph(n=g.n, edges=tuple(sorted(
+        e for e in g.edges if (e[0], e[1]) not in bad)))
+    _assert_feasible(pruned, inst.groups)
+    if pruned.bridges:
+        raise SmcError("deleting the bridges left a bridge")
+    return pruned

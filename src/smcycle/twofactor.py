@@ -24,19 +24,20 @@ here:
 
 Both {1,2} routes thus share one 2-matching core on the masks, and close
 their 2-matching with one component/chain/repair step,
-``_cycles_from_2matching``, whose docstring proves it exact.  The
-degree-gadget reduction to weighted perfect matching, their exact reference
-above the enumeration caps, is ``oracle.gadget_2factor``.
+``_cycles_from_2matching``, whose docstring proves it exact.  Beside them,
+``enumerate_optimal_2factors`` lists every {1,2} 2-factor of a route's
+minimum weight for the adversarial tie-break, taking that weight from the
+route's own cover and refusing any 2-factor that undercuts it.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import eq, itemgetter, or_
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass, bits, make_cover,
-                   successor_cycles)
+from .core import (CycleCover, Instance, Weight, WeightClass, bits, cycle_cost,
+                   make_cover, successor_cycles)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import max_simple_2matching, min_cost_bipartite_perfect_matching
 
@@ -314,3 +315,84 @@ def min_weight_triangle_free_2factor(inst: Instance) -> CycleCover:
     if any(len(c) < 4 for c in cycles):
         raise SmcError("triangle-free route produced a short cycle")
     return make_cover(cycles)
+
+
+# ---------------------------------------------------------------------------
+# every optimal {1,2} 2-factor, for the adversarial tie-break
+
+
+def _incident_bound(inst: Instance) -> Callable[[int], Weight]:
+    """lb(mask): the sum of the least incident weight of each vertex in
+    ``mask``, a lower bound on any cycles that cover exactly those
+    vertices, since each cycle edge weighs at least that of its tail."""
+    least = [min(min(inst.w(v, u), inst.w(u, v))
+                 for u in range(inst.n) if u != v) for v in range(inst.n)]
+
+    def lb(mask: int) -> Weight:
+        total: Weight = 0
+        while mask:
+            low = mask & -mask
+            total += least[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    return lb
+
+
+def enumerate_optimal_2factors(inst: Instance, triangle_free: bool = False
+                               ) -> list[CycleCover]:
+    """Every {1,2} 2-factor (with no 3-cycle if ``triangle_free``) of the
+    minimum weight, desk scale: n <= 12 and at most 20,000 of them, with a
+    pair 2-cycle allowed for each size-2 group.
+
+    The minimum is the weight of the route's own cover, from
+    ``min_weight_triangle_free_2factor`` or ``min_weight_2factor``; a
+    completed 2-factor below it would prove the route wrong and raises
+    SmcError.  Enumeration order is canonical (each cycle anchored at its
+    smallest vertex, orientation fixed), so the result is deterministic
+    and duplicate-free.
+    """
+    if inst.n > 12:
+        raise BudgetExceededError("optimal 2-factor enumeration capped at n=12")
+    route = (min_weight_triangle_free_2factor if triangle_free
+             else min_weight_2factor)
+    best = sum(cycle_cost(inst, cyc) for cyc in route(inst).cycles)
+    pair_set = {frozenset(p) for p in inst.pair_groups()}
+    lb = _incident_bound(inst)
+    out: list[CycleCover] = []
+
+    def rec(uncov: int, acc: Weight, cycles: list[list[int]]):
+        if uncov == 0:
+            if acc < best:
+                raise SmcError("a 2-factor undercuts the route's minimum")
+            if acc == best:
+                if len(out) >= 20000:
+                    raise BudgetExceededError("too many optimal 2-factors")
+                out.append(make_cover(cycles))
+            return
+        anchor = (uncov & -uncov).bit_length() - 1
+
+        def grow(path: list[int], pmask: int, cost: Weight) -> None:
+            rest = uncov & ~pmask
+            # strict, so every optimal 2-factor is kept
+            if acc + cost + lb(rest) > best:
+                return
+            last = path[-1]
+            length = len(path)
+            # a pair 2-cycle, or a longer cycle in one orientation
+            closes = (frozenset(path) in pair_set if length == 2 else
+                      length >= 3 and path[1] < last
+                      and not (triangle_free and length == 3))
+            if closes:
+                rec(rest, acc + cost + inst.w(last, anchor), cycles + [path])
+            k = rest
+            while k:
+                low = k & -k
+                v = low.bit_length() - 1
+                k ^= low
+                grow(path + [v], pmask | low, cost + inst.w(last, v))
+
+        grow([anchor], 1 << anchor, 0)
+
+    rec((1 << inst.n) - 1, 0, [])
+    return out

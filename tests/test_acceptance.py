@@ -17,12 +17,13 @@ from smcycle.core import (WeightClass, cover_cost, generate_instance,
 from smcycle.matching import min_weight_perfect_matching
 from smcycle.metric import approx_metric, doubled_subgraph_baseline, min_t_join
 from smcycle.onetwo import approx_onetwo, special_2factor
-from smcycle.oracle import (brute_force_2factor, brute_force_smc,
-                            brute_force_snd, brute_force_steiner_forest,
+from smcycle.oracle import (brute_force_smc, brute_force_steiner_forest,
                             approx_steiner_forest, matching_vs_opt_probe)
 from smcycle.snd import EdgeSubgraph, jain_round, prune_bridges
 from smcycle.twofactor import (min_weight_2factor, min_weight_directed_2factor,
                                min_weight_triangle_free_2factor)
+
+from reference import brute_force_2factor, brute_force_snd
 
 
 def _random_sizes(rng: Random, n: int) -> list[int]:

@@ -17,8 +17,9 @@ from smcycle.matching import (_augment_matching, max_cardinality_matching,
                               max_simple_2matching,
                               min_cost_bipartite_perfect_matching,
                               min_weight_perfect_matching, minimal_edge_cover)
-from smcycle.oracle import brute_force_2factor
 from smcycle.twofactor import directed_2factor_cycles
+
+from reference import brute_force_2factor
 
 
 def brute_min_perfect_matching(vertices, edges):

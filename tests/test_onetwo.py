@@ -15,8 +15,10 @@ from smcycle.onetwo import (SpecialTwoFactor, _first_2edge,
                             _witness, approx_onetwo, build_B,
                             build_D_and_Dprime, maximum_b_matching,
                             special_2factor)
-from smcycle.oracle import brute_force_2factor, brute_force_smc
+from smcycle.oracle import brute_force_smc
 from smcycle.twofactor import min_weight_2factor
+
+from reference import brute_force_2factor
 
 
 def one_two_from_ones(n, ones, groups):

@@ -12,11 +12,13 @@ from smcycle.core import (WeightClass, cover_cost, format_instance,
                           generate_instance, parse_instance, validate_instance,
                           validate_solution)
 from smcycle.errors import BudgetExceededError
+from smcycle.onetwo import approx_onetwo
 from smcycle.oracle import (SMC_TABLE_MAX_N, approx_steiner_forest,
-                            brute_force_2factor, brute_force_smc,
-                            brute_force_smc_permutation, brute_force_snd,
-                            brute_force_steiner_forest,
-                            enumerate_optimal_2factors, matching_vs_opt_probe)
+                            brute_force_smc, brute_force_steiner_forest,
+                            matching_vs_opt_probe)
+
+from reference import (brute_force_2factor, brute_force_smc_permutation,
+                       brute_force_snd)
 
 
 def test_smc_pair_instance():
@@ -148,7 +150,7 @@ def test_smc_table_ceiling_holds_above_any_budget():
     (lambda inst: brute_force_smc(inst, 16), "asymmetric", 16),
     (brute_force_2factor, "one-two", 12),
     (brute_force_2factor, "asymmetric", 7),
-    (enumerate_optimal_2factors, "one-two", 12),
+    (lambda inst: approx_onetwo(inst, tie_break="adversarial"), "one-two", 12),
     (brute_force_snd, "euclidean", 7),
     (brute_force_steiner_forest, "euclidean", 8)],
     ids=["smc", "smc-directed", "smc-max-n-14", "smc-max-n-16",
@@ -157,7 +159,9 @@ def test_smc_table_ceiling_holds_above_any_budget():
 def test_oracle_refuses_one_vertex_over_its_cap(oracle, kind, cap):
     # each oracle states its cap and names it when it refuses; max_n lifts
     # brute_force_smc's cap up to SMC_TABLE_MAX_N, and
-    # test_smc_table_ceiling_holds_above_any_budget tries beyond it
+    # test_smc_table_ceiling_holds_above_any_budget tries beyond it; the
+    # optimal 2-factor enumeration refuses through the adversarial
+    # tie-break, its one caller
     inst = generate_instance(kind, cap + 1, [2, cap - 1], seed=1)
     with pytest.raises(BudgetExceededError, match=f"capped at n={cap}($|,)"):
         oracle(inst)

@@ -11,10 +11,11 @@ from smcycle.core import (WeightClass, cover_cost, generate_instance,
                           validate_instance)
 from smcycle.errors import SmcError
 from smcycle.metric import approx_metric
-from smcycle.oracle import brute_force_snd
 from smcycle.snd import (EdgeSubgraph, FractionalEdgeVector, Round,
                          _assert_feasible, _scan_cuts, edge_slots, jain_round,
                          prune_bridges, solve_cut_lp)
+
+from reference import brute_force_snd
 
 
 def unit_metric(n, groups):

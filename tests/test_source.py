@@ -284,6 +284,91 @@ def test_networkx_backs_only_the_weighted_perfect_matching():
     assert found == [], found
 
 
+def module_defs(tree: ast.Module) -> dict[str, ast.AST]:
+    """The functions, classes and names that a module defines at its top
+    level, each with the statement that defines it."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defs.update((t.id, node) for target in targets
+                        for t in ast.walk(target) if isinstance(t, ast.Name))
+    return defs
+
+
+def reached(defs: dict[str, ast.AST], roots: set[str]) -> set[str]:
+    """The names of ``defs`` that ``roots`` reach, each definition reaching
+    the names of ``defs`` that it reads."""
+    seen: set[str] = set()
+    stack = list(roots & defs.keys())
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack += [sub.id for sub in ast.walk(defs[name])
+                      if isinstance(sub, ast.Name) and sub.id in defs]
+    return seen
+
+
+def oracle_imports(tree: ast.AST) -> list[ast.ImportFrom | ast.Import]:
+    """The statements of a package module that import ``smcycle.oracle`` or
+    a name from it."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name == "smcycle.oracle" for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and ((node.level, node.module) in ((1, "oracle"),
+                                               (0, "smcycle.oracle"))
+                 or node.level == 1 and node.module is None
+                 and any(alias.name == "oracle" for alias in node.names))]
+
+
+def test_oracle_holds_only_what_the_cli_runs():
+    # no public API exists only for tests: every public name of
+    # smcycle.oracle is reached from a name that cli imports, and only cli
+    # imports the module; test-only references live in tests/reference.py
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    assert [name for name, tree in trees.items()
+            if oracle_imports(tree)] == ["cli.py"]
+    roots = {alias.name for node in oracle_imports(trees["cli.py"])
+             for alias in node.names}
+    defs = module_defs(trees["oracle.py"])
+    public = {name for name in defs if not name.startswith("_")}
+    assert public - reached(defs, roots) == set()
+    # what it catches: a public function that nothing the roots reach reads
+    defs = module_defs(ast.parse(
+        "LIMIT = 3\n"
+        "def used(x):\n    return _helper(x) + LIMIT\n"
+        "def _helper(x):\n    return x\n"
+        "def orphan(x):\n    return used(x)\n"))
+    assert reached(defs, {"used"}) == {"used", "_helper", "LIMIT"}
+    assert {"LIMIT", "used", "orphan"} - reached(defs, {"used"}) == {"orphan"}
+    assert [node.lineno for node in oracle_imports(ast.parse(
+        "from .oracle import a\nfrom . import oracle\n"
+        "import smcycle.oracle\nfrom smcycle.oracle import b\n"
+        "from .oracles import c\nimport oracle\n"))] == [1, 2, 3, 4]
+
+
+def test_test_references_are_not_in_the_library():
+    # a reference moved into the tests leaves no copy under src/
+    reference = Path(__file__).resolve().parent / "reference.py"
+    moved = set(module_defs(ast.parse(reference.read_text())))
+    assert {"brute_force_2factor", "gadget_2factor"} <= moved
+    defined = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined |= set(module_defs(tree))
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))}
+    assert moved & defined == set()
+
+
 def loads_module(module: str, script: str, *args: str) -> tuple[bool, str]:
     """Run ``script`` in a fresh interpreter that imports smcycle from this
     tree; whether ``module`` was imported by the end, and what it

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
 
 from smcycle.core import (WeightClass, cover_cost, format_instance,
-                          generate_instance, parse_instance, parse_solution,
-                          validate_instance, validate_solution)
-from smcycle.errors import BudgetExceededError, ValidationError
-from smcycle.oracle import brute_force_2factor, gadget_2factor
+                          generate_instance, make_cover, parse_instance,
+                          parse_solution, validate_instance, validate_solution)
+from smcycle.errors import BudgetExceededError, SmcError, ValidationError
 from smcycle import twofactor
 from smcycle.cli import EXIT_BUDGET, EXIT_OK, main
-from smcycle.twofactor import (_max_triangle_free_2matching, min_weight_2factor,
+from smcycle.twofactor import (_max_triangle_free_2matching,
+                               enumerate_optimal_2factors, min_weight_2factor,
                                min_weight_directed_2factor,
                                min_weight_triangle_free_2factor)
+
+from reference import (brute_force_2factor, gadget_2factor,
+                       optimal_2factors_by_permutation)
 
 
 def one_two_instance(n, bits, groups):
@@ -497,3 +501,41 @@ def test_onetwo76_solves_above_12_vertices(tmp_path):
     inst = parse_instance(inst_path.read_text())
     cover = parse_solution(sol_path.read_text())
     assert validate_solution(inst, cover).feasible
+
+
+def test_optimal_2factor_enumeration_matches_permutation_lister():
+    # every optimal 2-factor, each once, against a lister that reads every
+    # cycle set off the permutations of the vertices; half the cases take
+    # pair groups, the other half are triangle-free
+    rng = Random(27)
+    seen = Counter()
+    for trial in range(320):
+        n = rng.choice((4, 5, 6, 7, 8))
+        triangle_free = trial % 2 == 1
+        if triangle_free:
+            shapes = [[n]] + [[3, n - 3]] * (n >= 6) + [[4, 4]] * (n == 8)
+        else:
+            shapes = ([[2, n - 2], [n]] + [[2, 2, n - 4]] * (n >= 6)
+                      + [[2, 2, 2, 2]] * (n == 8))
+        inst = generate_instance("one-two", n, rng.choice(shapes),
+                                 seed=rng.randrange(1 << 30))
+        listed = [c.cycles for c in enumerate_optimal_2factors(inst, triangle_free)]
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == set(optimal_2factors_by_permutation(inst, triangle_free))
+        seen["triangle-free" if triangle_free else "pair groups"] += 1
+        seen["several optima"] += len(listed) >= 2
+        seen["pair 2-cycle"] += any(len(c) == 2 for cs in listed for c in cs)
+        seen["n = 8"] += n == 8
+    assert min(seen.values()) >= 30, seen
+
+
+def test_optimal_2factor_enumeration_refuses_a_dearer_route(monkeypatch):
+    # the enumeration takes its bound from the route's cover, so a route
+    # that missed the minimum is caught, not copied
+    inst = generate_instance("one-two", 8, [2, 6], seed=3)
+    optimum = cover_cost(inst, min_weight_2factor(inst))
+    hamiltonian = make_cover([list(range(8))])
+    assert cover_cost(inst, hamiltonian) > optimum
+    monkeypatch.setattr(twofactor, "min_weight_2factor", lambda inst: hamiltonian)
+    with pytest.raises(SmcError, match="undercuts the route's minimum"):
+        enumerate_optimal_2factors(inst)
