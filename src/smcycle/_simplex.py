@@ -161,14 +161,17 @@ def _eliminate(row: list[int], s: int, f: int, pivot: _Pivot) -> int:
 
 def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
                  z: list[int], d: int, zs: int,
-                 artificials: Sequence[tuple[int, int]]) -> tuple[int, int]:
+                 artificials: Sequence[tuple[int, int]]
+                 ) -> tuple[int, int, bool]:
     """Minimize from objective row ``z``, at scale ``zs``, in place, where
     ``d`` is the determinant of the basis.
 
     The stored columns may enter, and so may the ``artificials``, columns
     without cells (phase-1 artificials or ``ColumnLp`` bounds) given as
-    (index, cost times the scale of ``z``).  Returns the determinant and
-    the scale of ``z``.
+    (index, cost times the scale of ``z``).  Returns the determinant, the
+    scale of ``z`` and whether the minimum is bounded.  An unbounded run
+    stops at the entering column with no leaving row, and the returned
+    determinant and scale are those of the tableau it leaves.
     """
     nm = len(z) - 1
     while True:
@@ -179,7 +182,7 @@ def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
             enter, w = next(((k, w) for k, w in artificials
                              if z[k - m] > zs * w), (-1, 0))
             if enter < 0:
-                return d, zs
+                return d, zs, True
             j, sign, f = enter - m, -1, zs * w - z[enter - m]
         leave = -1
         bn = bd = 0  # best ratio as fraction bn/bd, bd > 0
@@ -192,10 +195,14 @@ def _run_simplex(rows: list[list[int]], basis: list[int], m: int,
                     bn, bd = r, a
                     leave = i
         if leave < 0:
-            raise SmcError("unbounded linear program", code="unbounded")
+            return d, zs, False
         pivot = _pivot(rows, basis, m, leave, enter, d)
         zs = _eliminate(z, zs, f, pivot)
         d = pivot[1]
+
+
+def _unbounded() -> SmcError:
+    return SmcError("unbounded linear program", code="unbounded")
 
 
 def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
@@ -235,7 +242,8 @@ def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
     z = [0] * (n + m + 1)
     for k, w in artificials:
         z = [a - w * v for a, v in zip(z, tab[k - n - m])]
-    d, _ = _run_simplex(tab, basis, m, z, 1, 1, artificials)
+    # phase 1 is bounded: its objective is a sum of non-negative variables
+    d, _, _ = _run_simplex(tab, basis, m, z, 1, 1, artificials)
     if z[-1] < 0:
         # the objective cell holds minus the scaled artificial total
         return LpResult(status="infeasible", x=[], objective=Fraction(0))
@@ -256,7 +264,8 @@ def solve_min_lp(c: Sequence, rows: Sequence[tuple[Sequence, str, object]]
             k = cost[b] * d
             s = cells[b]
             z = [a - k * v // s for a, v in zip(z, cells)]
-    _run_simplex(tab, basis, m, z, d, d, ())
+    if not _run_simplex(tab, basis, m, z, d, d, ())[2]:
+        raise _unbounded()
 
     x = [Fraction(0)] * n
     for cells, b in zip(tab, basis):
@@ -328,9 +337,13 @@ class ColumnLp:
         """
         m = len(self.rows)
         nm = len(self.columns) + m
-        self.d, self.zs = _run_simplex(self.rows, self.basis, m, self.z,
-                                       self.d, self.zs,
-                                       [(nm + i, 1) for i in range(m)])
+        # d and zs are kept in step with the tableau even when the run
+        # stops unbounded, so a later call pivots from a consistent state
+        self.d, self.zs, bounded = _run_simplex(
+            self.rows, self.basis, m, self.z, self.d, self.zs,
+            [(nm + i, 1) for i in range(m)])
+        if not bounded:
+            raise _unbounded()
         x, xs, w, u, ws = self._solution()
         self._certify(x, xs, w, u, ws)
         g = gcd(xs, *x)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (CycleCover, Instance, Weight, components, cycle_cost,
-                   euler_shortcut, make_cover, validate_solution)
+from .core import (CycleCover, Instance, Weight, arcs_weight, components,
+                   cycle_cost, euler_shortcut, make_cover, validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import minimal_edge_cover
 from .twofactor import directed_2factor_cycles, min_weight_directed_2factor
@@ -134,7 +134,7 @@ class StronglyEulerianDigraph:
         return indeg, outdeg
 
     def weight(self, inst: Instance) -> Weight:
-        return sum(inst.w(u, v) for u, v in self.arcs)
+        return arcs_weight(inst, self.arcs)
 
     def check(self) -> list[int]:
         """Balance at every vertex: each component is then Eulerian.
@@ -209,7 +209,7 @@ def approx_asymmetric(inst: Instance) -> tuple[CycleCover, AsymmetricStages]:
         inner = directed_2factor_cycles(inst, order)
         overlay = [(cyc[i - 1], cyc[i]) for cyc in inner
                    for i in range(len(cyc))]
-        inner_weights.append(sum(inst.w(u, v) for u, v in overlay))
+        inner_weights.append(arcs_weight(inst, overlay))
         overlay += [(cyc[i - 1], cyc[i]) for cyc in cover.cycles
                     for i in range(len(cyc))]
         dig = StronglyEulerianDigraph(n=inst.n, arcs=tuple(sorted(overlay)))

@@ -388,16 +388,22 @@ def validate_solution(inst: Instance, cover: CycleCover) -> FeasibilityReport:
                              violations=tuple(violations), cost=cost)
 
 
+def arcs_weight(inst: Instance, arcs: Iterable[tuple[int, int]]) -> Weight:
+    """Sum of w(u, v) over the arcs (u, v) of ``arcs``, taken in order: the
+    one weight sum over an arc, edge or path list."""
+    weights = inst.weights
+    total: Weight = 0
+    for u, v in arcs:
+        total += weights[u][v]
+    return total
+
+
 def cycle_cost(inst: Instance, cycle: Sequence[int]) -> Weight:
     """Weight of one cycle, following arc direction on asymmetric instances.
 
     A pair 2-cycle (u, v) of a symmetric instance costs w(u,v) + w(v,u),
     which is twice its edge."""
-    total: Weight = 0
-    k = len(cycle)
-    for i in range(k):
-        total += inst.w(cycle[i], cycle[(i + 1) % k])
-    return total
+    return arcs_weight(inst, zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def cover_cost(inst: Instance, cover: CycleCover) -> Weight:

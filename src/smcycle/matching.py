@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import or_, sub
+from heapq import heappop, heappush
+from itertools import compress, repeat
+from math import inf
+from operator import ge, or_
 from typing import Hashable, Iterable, Sequence
 
 from .core import bits, find
@@ -378,61 +381,94 @@ def min_cost_bipartite_perfect_matching(costs: Sequence[Sequence[int | Fraction]
     columns, and settles u and v once at the end, over the columns it
     used.  Each column then gets the same potentials as with the eager
     update, and every comparison sees the same difference, so the
-    tie-breaks are those of the eager form: the search takes the first
+    tie-breaks are those of the eager form: the search takes the least
     column with the least distance, and a column's ``way`` changes only on
-    a strict improvement.  A settled column stays in the distance list
-    under a mark above every free distance, so each step of the search is
-    one C-level ``min`` and ``index``.  A phase whose first least column is
-    free assigns it at once, with no search state: the root is then the
-    only settled column.
+    a strict improvement.  Two facts follow from the settling:
+
+    (a) v <= 0 always: a phase lowers the v of each column it settled by
+        the phase's final distance R minus that column's distance, which
+        is not negative, since the search settles columns in order of
+        distance and ends at R.
+    (b) A column nobody is assigned to has v = 0: only settled columns
+        change v, a settled column is assigned, and an assigned column
+        stays assigned.
+
+    Quick phase.  Let j be the least column holding the least cost of row
+    i.  If j is free, v[j] = 0 by (b), so j's distance is costs[i][j],
+    and by (a) no column's distance is below its raw cost: j is the
+    search's first pick, and it is assigned with no search state.
+
+    Bounded search.  ``ub``, the least distance over the free columns,
+    starts as the least raw cost over them (b) and falls whenever a free
+    column's distance does, so it bounds R from above.  Scanning the row
+    of a settled column at distance ``reach`` gives column j the distance
+    ``costs[i0][j] - v[j] + off``, with ``off = reach - u[i0]``; as -v[j] >= 0
+    (a), a column whose raw cost exceeds ``ub - off`` would get a distance
+    above ub >= R.  The search only settles columns at distance at most R,
+    so such a column is never settled, never ties at a minimum, and the
+    scan that would have reached it can only set a distance that a later
+    improvement replaces, together with its ``way``.  Each scan therefore
+    visits only the columns that pass that one C-level filter.
+
+    Heap order.  The reached columns wait in a heap of (distance, column)
+    pairs, a stale pair skipped when it is popped: the pop order is the
+    least column with the least distance, as in the eager form.  A settled
+    column is never reached again: the reduced costs of the assigned rows
+    are non-negative, so a scan from ``reach`` gives no distance below the
+    distances already settled.
     """
     n = len(costs)
     if any(len(row) != n for row in costs):
         raise ValidationError("cost matrix must be square")
 
     u = [0] * n            # row potentials
-    v = [0] * n            # column potentials
+    v = [0] * n            # column potentials, all <= 0 (a)
     row_of = [-1] * (n + 1)  # column n is the virtual root
+    way = [n] * n          # set for each column a search reaches
+    free = list(range(n))  # the columns nobody is assigned to, v = 0 (b)
+    cols = range(n)
     for i in range(n):
-        # the phase's first scan, from the root, sets every distance; row
-        # i's potential is still 0, so it is costs[i] - v
-        dist = list(map(sub, costs[i], v))
-        reach = min(dist)
-        j1 = dist.index(reach)
+        row = costs[i]
+        reach = min(row)
+        j1 = row.index(reach)
         if row_of[j1] < 0:
             u[i] = reach
             row_of[j1] = i
+            free.remove(j1)
             continue
         row_of[n] = i
-        # distances only fall, so a settled column marked above the first
-        # scan is never the least again
-        mark = max(dist) + 1
-        dist.append(mark)
-        way = [n] * n
-        free = list(range(n))
+        ub = min(map(row.__getitem__, free))
+        dist = [inf] * n   # inf: not reached; never added to
+        heap: list[tuple[int | Fraction, int]] = []
         # settled columns with their distances
         tree: list[tuple[int, int | Fraction]] = []
+        # the first scan is from the root at distance 0, whose row is i,
+        # with u[i] = 0
+        i0, j1, off = i, n, 0
         while True:
-            i0 = row_of[j1]
-            if i0 < 0:
-                break
-            free.remove(j1)
-            tree.append((j1, reach))
-            dist[j1] = mark
-            row = costs[i0]
-            off = reach - u[i0]
-            for j in free:
-                cur = row[j] - v[j] + off
+            r = costs[i0]
+            for j in compress(cols, map(ge, repeat(ub - off, n), r)):
+                cur = r[j] - v[j] + off
                 if cur < dist[j]:
                     dist[j] = cur
                     way[j] = j1
-            reach = min(dist)
-            j1 = dist.index(reach)
+                    heappush(heap, (cur, j))
+                    if cur < ub and row_of[j] < 0:
+                        ub = cur
+            reach, j1 = heappop(heap)
+            while reach != dist[j1]:
+                reach, j1 = heappop(heap)
+            i0 = row_of[j1]
+            if i0 < 0:
+                break
+            tree.append((j1, reach))
+            off = reach - u[i0]
         u[i] = reach           # the root's distance is 0
         for j, dj in tree:
             d = reach - dj
             u[row_of[j]] += d
             v[j] -= d
+        free.remove(j1)
         while j1 != n:
             j0 = way[j1]
             row_of[j1] = row_of[j0]

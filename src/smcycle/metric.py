@@ -17,8 +17,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (CycleCover, Instance, Weight, euler_shortcut, make_cover,
-                   validate_solution)
+from .core import (CycleCover, Instance, Weight, arcs_weight, euler_shortcut,
+                   make_cover, validate_solution)
 from .errors import SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 from .snd import EdgeSubgraph, Round, jain_round, prune_bridges
@@ -31,7 +31,7 @@ class TJoin:
     edges: frozenset[tuple[int, int]]
 
     def weight(self, inst: Instance) -> Weight:
-        return sum(inst.w(u, v) for u, v in self.edges)
+        return arcs_weight(inst, self.edges)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def _euler_shortcut(n: int, slots: list[tuple[int, int]], inst: Instance
     if not report.feasible:
         raise SmcError(f"shortcut produced an infeasible cover: "
                        f"{report.violations}")
-    if report.cost > sum(inst.w(u, v) for u, v in slots):
+    if report.cost > arcs_weight(inst, slots):
         raise SmcError("shortcut increased the cost on a metric instance")
     return cover
 

@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass, bits,
-                   components, count_weight2_edges, cover_cost, make_cover,
-                   validate_solution)
+from .core import (CycleCover, Instance, Weight, WeightClass, arcs_weight,
+                   bits, components, count_weight2_edges, cover_cost,
+                   make_cover, validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import _augment_matching
 from .twofactor import (enumerate_optimal_2factors, min_weight_2factor,
@@ -585,7 +585,7 @@ def _merge_path(inst: Instance, ca: _WCycle, cb: _WCycle, cc: _WCycle,
                 cands.append((added - removed, verts, mark_edges))
                 continue
             for path_a, rm_pairs, path_p2 in _cb_open_variants(cb, v1, u2):
-                removed = base_removed + sum(inst.w(a, b) for a, b in rm_pairs)
+                removed = base_removed + arcs_weight(inst, rm_pairs)
                 if path_p2:
                     verts = ra + path_a + pc + path_p2
                     mark_edges = [(pc[-1], path_p2[0]), (path_p2[-1], ra[0])]

@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import add
 from random import Random
 
-from .core import (CycleCover, Instance, Weight, find, generate_instance,
-                   make_cover, validate_solution)
+from .core import (CycleCover, Instance, Weight, arcs_weight, find,
+                   generate_instance, make_cover, validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 
@@ -324,7 +324,7 @@ def _matching_weight_on(inst: Instance, verts: list[int]) -> Weight:
     edges = [(u, v, inst.w(u, v)) for i, u in enumerate(verts)
              for v in verts[i + 1:]]
     mate = min_weight_perfect_matching(edges, vertices=verts)
-    return sum(inst.w(u, v) for u, v in mate)
+    return arcs_weight(inst, mate)
 
 
 def matching_vs_opt_probe(seed: int, trials: int) -> ProbeReport:

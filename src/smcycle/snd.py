@@ -49,7 +49,7 @@ from operator import xor
 from typing import Iterable, NamedTuple, Sequence
 
 from ._simplex import ColumnLp
-from .core import Instance, Weight, bits, components
+from .core import Instance, Weight, arcs_weight, bits, components
 from .errors import BudgetExceededError, SmcError, ValidationError
 
 EdgeSlot = tuple[int, int, int]  # (u, v, copy) with u < v
@@ -95,7 +95,7 @@ class EdgeSubgraph:
         return deg
 
     def weight(self, inst: Instance) -> Weight:
-        return sum(inst.w(u, v) for u, v, _copy in self.edges)
+        return arcs_weight(inst, ((u, v) for u, v, _copy in self.edges))
 
     def components(self) -> list[list[int]]:
         return components(self.n, self.edges)

@@ -36,8 +36,8 @@ from functools import reduce
 from operator import eq, itemgetter, or_
 from typing import Callable, Sequence
 
-from .core import (CycleCover, Instance, Weight, WeightClass, bits, cycle_cost,
-                   make_cover, successor_cycles)
+from .core import (CycleCover, Instance, Weight, WeightClass, arcs_weight,
+                   bits, cycle_cost, make_cover, successor_cycles)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import max_simple_2matching, min_cost_bipartite_perfect_matching
 
@@ -137,7 +137,7 @@ def _cycles_from_2matching(inst: Instance, edges: Sequence[tuple[int, int]],
         return [c for i, c in enumerate(cycles) if i != host_idx] + [merged]
 
     def inner(arr: list[int]) -> Weight:
-        return sum(inst.w(a, b) for a, b in zip(arr, arr[1:]))
+        return arcs_weight(inst, zip(arr, arr[1:]))
 
     # the arrangement goes in between host vertex v and its successor, so
     # that the edge v-arr[0] is the escape

@@ -10,6 +10,8 @@ from random import Random
 
 import pytest
 
+from smcycle import twofactor
+from smcycle.asymmetric import approx_asymmetric
 from smcycle.core import (WeightClass, generate_instance, successor_cycles,
                           validate_instance)
 from smcycle.errors import ValidationError
@@ -434,17 +436,22 @@ def picked_2factor_cycles(inst, order):
     return [tuple(order[v] for v in cyc) for cyc in successor_cycles(succ)]
 
 
+def perfbench_workloads():
+    """The benchmark's instance generators, from perfbench/workloads.py."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+
+
 def test_full_order_2factor_matches_picked_rows():
     # with every vertex in the order the cost rows are copies of the weight
     # rows; the cycles are those of the rows picked one by one, on
     # instances with int, Fraction and non-zero diagonal weights and on the
     # clustered instances of the asym-files benchmark
-    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    sys.path.insert(0, bench)
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(bench)
+    workloads = perfbench_workloads()
     rng = Random(17)
     instances = [directed_instance(k, rng.randrange(10 ** 6), kind)
                  for kind in ("int", "fraction", "diagonal")
@@ -624,6 +631,86 @@ def test_assignment_matches_eager_potentials_clustered():
                        for j in range(n)] for i in range(n)])
     assert (min_cost_bipartite_perfect_matching(costs)
             == eager_assignment(costs))
+
+
+def asym_log_matrices(inst):
+    """Every cost matrix ``approx_asymmetric`` hands the assignment on
+    ``inst``: the first directed 2-factor's, then one per representative
+    round."""
+    seen = []
+
+    def spy(costs):
+        seen.append([list(row) for row in costs])
+        return min_cost_bipartite_perfect_matching(costs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twofactor, "min_cost_bipartite_perfect_matching", spy)
+        approx_asymmetric(inst)
+    return seen
+
+
+def divided_by_7(inst):
+    """``inst`` with every weight a Fraction, the int weight over 7."""
+    w = [[Fraction(x, 7) for x in row] for row in inst.weights]
+    return validate_instance(inst.n, w, False, WeightClass.ASYMMETRIC_METRIC,
+                             inst.groups)
+
+
+def test_assignment_matches_eager_potentials_on_asym_log():
+    # the first assignment and each representative round of asym-log, on
+    # the benchmark's clustered instances and on generated ones, with int
+    # and with Fraction weights
+    workloads = perfbench_workloads()
+    rng = Random(53)
+    clustered = [workloads.clustered_asymmetric(n, rng)
+                 for n in (40, 40, 60, 80)]
+    generated = [generate_instance("asymmetric", n, [4] * (n // 4),
+                                   rng.randrange(10 ** 6))
+                 for n in (8, 12, 20, 28, 40)]
+    instances = clustered + generated + [divided_by_7(clustered[0]),
+                                         divided_by_7(generated[-1])]
+    rounds = 0
+    for inst in instances:
+        matrices = asym_log_matrices(inst)
+        rounds += len(matrices) - 1
+        for costs in matrices:
+            assert (min_cost_bipartite_perfect_matching(costs)
+                    == eager_assignment(costs))
+    assert rounds >= len(clustered)
+
+
+def test_assignment_bound_admits_a_column_at_it_exactly():
+    # phase 1 settles column 2 (row 0) at distance 0 while the bound is 1,
+    # the raw cost of free column 1; row 0 reaches free column 0 at raw
+    # cost 1 = bound - off, which ties column 1 at R = 1 and, with the
+    # lower index, wins: row 0 moves to column 0 and row 1 takes column 2
+    costs = [[1, 5, 0], [3, 1, 0], [9, 9, 9]]
+    assert min_cost_bipartite_perfect_matching(costs) == ([0, 2, 1], 10)
+    assert eager_assignment(costs) == ([0, 2, 1], 10)
+
+
+def test_assignment_bound_falls_and_prunes_later_scans():
+    # rows 0..n-2 take their diagonal at once.  The last row reaches
+    # columns 0..k-1 at distance 0; row 0 reaches the free column n-1 at
+    # distance 1, lowering the bound from 1000 to 1, so each of rows
+    # 1..k-1 then reads only its one cell of cost <= 1 instead of all n
+    n, k = 40, 10
+    reads = []
+
+    class Row(list):
+        def __getitem__(self, j):
+            reads.append(j)
+            return list.__getitem__(self, j)
+
+    costs = [[0 if i == j else 100 for j in range(n)] for i in range(n - 1)]
+    costs[0][n - 1] = 1
+    costs.append([0] * k + [50] * (n - k - 1) + [1000])
+    expected = eager_assignment(costs)
+    assert expected == ([n - 1, *range(1, n - 1), 0], 1)
+    assert min_cost_bipartite_perfect_matching(list(map(Row, costs))) == expected
+    # the bound, the root's row, row 0 and the total read n cells or one
+    # each; rows 1..k-1 one each
+    assert len(reads) <= 3 * n + k
 
 
 def test_assignment_rejects_a_ragged_matrix():

@@ -374,6 +374,17 @@ def test_column_lp_bounds_every_price_by_one():
         dual.optimise()
 
 
+def test_column_lp_stays_unbounded_when_optimised_again():
+    # the run that finds no leaving row has pivoted first; the determinant
+    # and the objective scale must move with that tableau, or the next
+    # optimise pivots at the wrong scale
+    dual = ColumnLp([0, 0, 0], [([], 0), ([1, 1, 1, 2], -2), ([0, 2], -3)])
+    for _ in range(3):
+        with pytest.raises(SmcError, match="unbounded") as exc:
+            dual.optimise()
+        assert exc.value.code == "unbounded"
+
+
 def test_column_lp_rejects_negative_rhs():
     with pytest.raises(SmcError, match="non-negative"):
         ColumnLp([1, -1])

@@ -43,6 +43,25 @@ def test_core_holds_the_only_union_find():
     assert [f.split(":")[0] for f in found] == ["core.py"], found
 
 
+def test_core_holds_the_only_arc_weight_sum():
+    # one copy of the cycle weight: every sum of w(u, v) over an arc, edge
+    # or path list goes through core.arcs_weight
+    found = []
+    for path in SOURCES:
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "sum"
+                  and node.args
+                  and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+                  and isinstance(node.args[0].elt, ast.Call)
+                  and isinstance(node.args[0].elt.func, ast.Attribute)
+                  and node.args[0].elt.func.attr == "w"]
+    assert found == []
+
+
 def mentions(node: ast.AST, names: set[str]) -> bool:
     """Whether ``node`` reads a name in ``names`` or a ``weights`` field."""
     return any(isinstance(sub, ast.Name) and sub.id in names
