@@ -6,20 +6,25 @@ the multicycle optimum's cap can be set, per call, and never above the
 ``SMC_TABLE_MAX_N`` ceiling that bounds its tables' memory.  The
 multicycle optimum (``compare --oracle``) clusters the terminal groups and
 prices each cluster by Held-Karp, with one table per terminal group,
-shared by every cluster whose first group it is.  The Steiner forest
+shared by every cluster whose first group it is.  The weight class picks
+the table's recurrence: a {1,2} table keeps only each mask's least cost
+and the bitset of ends that reach it, exact because costs are ints, and
+every other class takes the min over every end; both give the same
+optima, the same covers and the same caps.  The Steiner forest
 optimum and its primal-dual 2-approximation serve the matching-versus-
 optimum probe (``probe``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from random import Random
 
-from .core import (CycleCover, Instance, Weight, arcs_weight, find,
-                   generate_instance, make_cover, validate_solution)
+from .core import (CycleCover, Instance, Weight, WeightClass, arcs_weight,
+                   find, generate_instance, make_cover, validate_solution)
 from .errors import BudgetExceededError, SmcError, ValidationError
 from .matching import min_weight_perfect_matching
 
@@ -46,16 +51,18 @@ def _group_partitions(k: int):
 
 
 def _path_table(inst: Instance, verts: list[int], bits: list[list[int]]
-                ) -> list[list[Weight]]:
+                ) -> Callable[[int], list[Weight]]:
     """Held-Karp over ``verts``, bit t of a mask standing for ``verts[t + 1]``.
 
-    ``dp[mask][i]`` is the cheapest path that starts at ``verts[0]``, visits
-    exactly the vertices of ``mask`` and ends at the vertex of bit
-    ``bits[mask][i]``; ``bits[mask]`` lists the set bits of ``mask`` in
-    increasing order.
+    Returns the table's row reader: entry i of ``row(mask)`` is the
+    cheapest path that starts at ``verts[0]``, visits exactly the vertices
+    of ``mask`` and ends at the vertex of bit ``bits[mask][i]``;
+    ``bits[mask]`` lists the set bits of ``mask`` in increasing order.
     """
     start, others = verts[0], verts[1:]
     weights = inst.weights
+    if inst.weight_class is WeightClass.ONE_TWO:
+        return _one_two_table(inst.one_masks, start, others, bits)
     # into[j](i): weight of the arc from others[i] into others[j]
     into = [[weights[u][v] for u in others].__getitem__ for v in others]
     first = weights[start]
@@ -69,14 +76,65 @@ def _path_table(inst: Instance, verts: list[int], bits: list[list[int]]
                 prev = mask ^ (1 << j)
                 row.append(min(map(add, dp[prev], map(into[j], bits[prev]))))
             dp.append(row)
-    return dp
+    return dp.__getitem__
+
+
+def _one_two_table(one_masks: tuple[int, ...], start: int,
+                   others: list[int], bits: list[list[int]]
+                   ) -> Callable[[int], list[Weight]]:
+    """The same table for weights in {1,2}, kept as two ints per mask.
+
+    ``least[mask]`` is the cheapest path over ``mask``, and bit j of
+    ``ends[mask]`` is set when the path ending at bit j costs exactly that;
+    bit m = len(others) stands for ``verts[0]``, the one end of the empty
+    mask, whose path costs 0.  With ``prev = mask ^ (1 << j)``, entry j of
+    the row of ``mask`` is ``least[prev] + 1`` when a weight-1 arc enters
+    j from an end in ``ends[prev]``, else ``least[prev] + 2``.  This is
+    exact because costs are ints: a path over ``prev`` that ends outside
+    ``ends[prev]`` costs at least ``least[prev] + 1``, and any arc from it
+    adds at least 1 more.  So one AND with the table bits of j's weight-1
+    neighbours replaces the min over every end of ``prev``, and rows are
+    rebuilt from the two lists when read.
+    """
+    m = len(others)
+    order = others + [start]
+    # steps[j]: the bit of j and the table bits of its weight-1 neighbours
+    steps = [(1 << j, sum(1 << i for i, u in enumerate(order)
+                          if one_masks[v] >> u & 1))
+             for j, v in enumerate(others)]
+    least = [0]
+    ends = [1 << m]
+    for mask in range(1, 1 << m):
+        best = 2 * m + 1  # above the dearest path
+        end = 0
+        for j in bits[mask]:
+            bit, one = steps[j]
+            prev = mask ^ bit
+            cost = least[prev] + (1 if ends[prev] & one else 2)
+            if cost < best:
+                best, end = cost, bit
+            elif cost == best:
+                end |= bit
+        least.append(best)
+        ends.append(end)
+
+    def row(mask: int) -> list[Weight]:
+        entries = []
+        for j in bits[mask]:
+            bit, one = steps[j]
+            prev = mask ^ bit
+            entries.append(least[prev] + (1 if ends[prev] & one else 2))
+        return entries
+    return row
 
 
 def _walk_back(inst: Instance, verts: list[int], bits: list[list[int]],
-               dp: list[list[Weight]], mask: int, at: int) -> list[int]:
-    """The cycle from ``verts[0]`` along the path of ``dp[mask][at]``; each
+               row: Callable[[int], list[Weight]], mask: int, at: int
+               ) -> list[int]:
+    """The cycle from ``verts[0]`` along the path of ``row(mask)[at]``; each
     predecessor is the entry that sums to the current one."""
     weights = inst.weights
+    cost = row(mask)[at]
     path = []
     while True:
         j = bits[mask][at]
@@ -85,9 +143,13 @@ def _walk_back(inst: Instance, verts: list[int], bits: list[list[int]],
         prev = mask ^ (1 << j)
         if not prev:
             break
-        cost = dp[mask][at]
-        at = next(i for i, t in enumerate(bits[prev])
-                  if dp[prev][i] + weights[verts[t + 1]][v] == cost)
+        costs = row(prev)
+        at = next((i for i, t in enumerate(bits[prev])
+                   if costs[i] + weights[verts[t + 1]][v] == cost), None)
+        if at is None:
+            raise SmcError(f"Held-Karp entry {cost} over mask {mask:#x} has "
+                           "no predecessor that sums to it")
+        cost = costs[at]
         mask = prev
     path.append(verts[0])
     path.reverse()
@@ -104,9 +166,14 @@ def brute_force_smc(inst: Instance, max_n: int | None = None
     first group, so one Held-Karp table per group, from that vertex over
     that group and every later one, prices every cluster that the group
     starts with a read-off; the optimum's cycles are walked back through
-    the tables.  The cap on n is ``max_n``, by default 12 on a symmetric
-    instance and 8 on a directed one; the first table has 2^(n-1) rows, so
-    no ``max_n`` lets n exceed ``SMC_TABLE_MAX_N``.
+    the tables.  On a {1,2} instance a table holds two ints per mask, the
+    least cost and the bitset of the ends that reach it, and each entry
+    follows from one AND: an end outside that bitset costs at least one
+    more, so no arc from it can undercut the cheapest end's arc of weight
+    2.  The weight class selects this recurrence; answers and caps are
+    those of the general one.  The cap on n is ``max_n``, by default 12 on
+    a symmetric instance and 8 on a directed one; the first table has
+    2^(n-1) rows, so no ``max_n`` lets n exceed ``SMC_TABLE_MAX_N``.
     """
     directed = not inst.symmetric
     if max_n is None:
@@ -133,7 +200,7 @@ def brute_force_smc(inst: Instance, max_n: int | None = None
         mask = sum(span[c] for c in cluster) >> (a + 1)
         weights = inst.weights
         costs = [cost + weights[flat[a + 1 + t]][flat[a]]
-                 for cost, t in zip(tables[cluster[0]][mask], bits[mask])]
+                 for cost, t in zip(tables[cluster[0]](mask), bits[mask])]
         best = min(costs)
         return best, mask, costs.index(best)
 

@@ -11,7 +11,8 @@ import pytest
 from smcycle.core import (WeightClass, cover_cost, format_instance,
                           generate_instance, parse_instance, validate_instance,
                           validate_solution)
-from smcycle.errors import BudgetExceededError
+from smcycle import oracle
+from smcycle.errors import BudgetExceededError, SmcError
 from smcycle.onetwo import approx_onetwo
 from smcycle.oracle import (SMC_TABLE_MAX_N, approx_steiner_forest,
                             brute_force_smc, brute_force_steiner_forest,
@@ -19,6 +20,7 @@ from smcycle.oracle import (SMC_TABLE_MAX_N, approx_steiner_forest,
 
 from reference import (brute_force_2factor, brute_force_smc_permutation,
                        brute_force_snd)
+from test_onetwo import tightness_instance
 
 
 def test_smc_pair_instance():
@@ -125,6 +127,80 @@ def test_smc_four_groups_match_cluster_reference():
         assert cost == _cluster_reference(inst)
         seen[len(cover.cycles)] += 1
     assert sum(c for k, c in seen.items() if k >= 3) >= 3, seen
+
+
+def _one_two_shaped(rng, n, shape, density):
+    """{1,2} instance on n vertices, each edge of weight 1 with probability
+    ``density``; ``shape`` picks pair groups (one triple when n is odd),
+    one group, or random sizes of at least 2."""
+    if shape == "pairs":
+        sizes = [2] * (n // 2 - n % 2) + [3] * (n % 2)
+    elif shape == "one":
+        sizes = [n]
+    else:
+        sizes = []
+        left = n
+        while left:
+            size = left if left <= 3 else rng.randint(2, left - 2)
+            sizes.append(size)
+            left -= size
+    order = list(range(n))
+    rng.shuffle(order)
+    groups = []
+    for size in sizes:
+        groups.append(order[:size])
+        order = order[size:]
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = 1 if rng.random() < density else 2
+    return validate_instance(n, w, True, WeightClass.ONE_TWO, groups)
+
+
+def test_one_two_oracle_matches_general_recurrence():
+    # a {1,2} instance's table is built from each mask's least cost and
+    # cheapest ends; its general-metric twin takes the min over every end,
+    # and both must give the same optimum and the same cover
+    rng = Random(29)
+    cases = [(_one_two_shaped(rng, 2 + trial % 10 + (trial % 50 == 9),
+                              ("pairs", "one", "mixed")[trial % 3],
+                              (0.15, 0.5, 0.85)[trial // 3 % 3]), None)
+             for trial in range(300)]
+    cases += [(tightness_instance(), None),
+              (_one_two_shaped(rng, 14, "mixed", 0.5), 14)]
+    seen = Counter()
+    for inst, max_n in cases:
+        twin = validate_instance(inst.n, inst.weights, True,
+                                 WeightClass.GENERAL_METRIC, inst.groups)
+        cost, cover = brute_force_smc(inst, max_n)
+        twin_cost, twin_cover = brute_force_smc(twin, max_n)
+        assert cost == twin_cost
+        assert cover.cycles == twin_cover.cycles
+        assert cover.pair_flags == twin_cover.pair_flags
+        seen["pair cycle"] += any(cover.pair_flags)
+        seen["several cycles"] += len(cover.cycles) >= 2
+        seen["only weight-1 arcs"] += cost == inst.n
+        seen["a weight-2 arc"] += cost > inst.n
+    assert min(seen.values()) >= 5, seen
+    assert {inst.n for inst, _ in cases} == set(range(2, 13)) | {14}
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "one-two"])
+def test_walk_back_refuses_an_entry_without_predecessor(kind, monkeypatch):
+    # an entry below every sum of its predecessors is a broken table, and
+    # the walk back raises a typed error, not StopIteration
+    original = oracle._path_table
+
+    def tampered(inst, verts, bits):
+        row = original(inst, verts, bits)
+        full = (1 << (len(verts) - 1)) - 1
+        return lambda mask: ([c - 1 for c in row(mask)] if mask == full
+                             else row(mask))
+
+    monkeypatch.setattr(oracle, "_path_table", tampered)
+    inst = generate_instance(kind, 6, [6], seed=1)
+    with pytest.raises(SmcError, match="no predecessor"):
+        brute_force_smc(inst)
 
 
 def test_smc_budget():
